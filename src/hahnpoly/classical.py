@@ -8,13 +8,11 @@ closed-form recurrence coefficients beta_n, gamma_n.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .qnum import (
-    AdmissibilityError,
     HahnFrame,
     PearsonPair,
     ScalarLike,
@@ -23,8 +21,8 @@ from .qnum import (
     e_n,
     q_bracket,
 )
-from .poly import Poly, op_D, op_D_star, op_iter, op_L
-from .functional import MomentFunctional, InsufficientMomentsError, pair as pair_with
+from .poly import Poly, op_D, op_D_star, op_iter, op_L, to_y_basis
+from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
 PHI_ROOT = "phi_root_condition"
@@ -279,13 +277,33 @@ def r_polynomial(pear: PearsonPair, frame: HahnFrame, q_n: Poly) -> Poly:
 
 
 def gram_matrix(u: MomentFunctional, polys: Sequence[Poly], depth: int) -> list[list[Fraction]]:
-    """G[m][n] = <u, P_m P_n> for m, n <= depth."""
+    """G[m][n] = <u, P_m P_n> for m, n <= depth.
+
+    Each P_n is expanded in the Y basis once and each P_m u is formed once, so
+    every entry <P_m u, P_n> is a dot product: O(depth^2 * max_degree) scalar work.
+    """
     if depth + 1 > len(polys):
         raise ValueError("not enough polynomials for the requested Gram depth")
-    return [
-        [pair_with(u, polys[m] * polys[n]) for n in range(depth + 1)]
-        for m in range(depth + 1)
-    ]
+    polys = polys[: depth + 1]
+    coeffs = [to_y_basis(p, u.frame) for p in polys]
+    rows = []
+    for pm, cm in zip(polys, coeffs):
+        pm_u = None  # P_m u, formed on the first entry that needs it
+        row = []
+        for cn in coeffs:
+            if not cm or not cn:
+                row.append(Fraction(0))
+                continue
+            degree = len(cm) + len(cn) - 2
+            if degree > u.max_degree:
+                raise InsufficientMomentsError(
+                    f"pairing needs moments up to degree {degree}, table stops at {u.max_degree}"
+                )
+            if pm_u is None:
+                pm_u = left_multiply(pm, u)
+            row.append(sum((c * pm_u.moments[k] for k, c in enumerate(cn)), Fraction(0)))
+        rows.append(row)
+    return rows
 
 
 def hankel_determinant(u: MomentFunctional, order: int) -> Fraction:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .qnum import AdmissibilityError, HahnFrame, PearsonPair
 from .functional import DEFAULT_DEPTH, solve_moments
 from .classical import PRESETS, RegularityError, check_regular, get_preset, recurrence
-from .verify import run_suites
+from .verify import SuiteArgumentError, run_suites
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -47,6 +47,24 @@ def _default_depth(fallback: int) -> int:
         raise InputError(f"{DEPTH_ENV}: {raw!r} is not an integer")
 
 
+def _depth(args, fallback: int) -> int:
+    depth = args.n if args.n is not None else _default_depth(fallback)
+    if depth < 0:
+        raise InputError(f"depth (--n or ${DEPTH_ENV}) must be >= 0, got {depth}")
+    return depth
+
+
+def _resolve_frame(args) -> HahnFrame:
+    if args.q is None or args.omega is None:
+        raise InputError("an explicit frame needs --q and --omega (or use --preset)")
+    q = _parse_rational(args.q, "q")
+    omega = _parse_rational(args.omega, "omega")
+    try:
+        return HahnFrame(q, omega)
+    except ValueError as exc:
+        raise InputError(str(exc))
+
+
 def _resolve_pair(args) -> tuple[PearsonPair, HahnFrame]:
     explicit = [f for f in ("a", "b", "c", "d", "e", "q", "omega")
                 if getattr(args, f, None) is not None]
@@ -60,11 +78,9 @@ def _resolve_pair(args) -> tuple[PearsonPair, HahnFrame]:
         return preset.pear, preset.frame
     if args.q is None or args.omega is None:
         raise InputError("an explicit pair needs --q and --omega (or use --preset)")
-    q = _parse_rational(args.q, "q")
-    omega = _parse_rational(args.omega, "omega")
+    frame = _resolve_frame(args)
     coeffs = {f: _parse_rational(getattr(args, f) or "0", f) for f in ("a", "b", "c", "d", "e")}
     try:
-        frame = HahnFrame(q, omega)
         pear = PearsonPair(**coeffs)
     except ValueError as exc:
         raise InputError(str(exc))
@@ -84,7 +100,7 @@ def _emit(payload: dict, fmt: str, human_lines, csv_rows):
 
 def cmd_classify(args) -> int:
     pear, frame = _resolve_pair(args)
-    depth = args.n if args.n is not None else _default_depth(12)
+    depth = _depth(args, 12)
     report = check_regular(pear, frame, depth)
     payload = report.to_json_dict()
 
@@ -107,7 +123,7 @@ def cmd_classify(args) -> int:
 
 def cmd_recurrence(args) -> int:
     pear, frame = _resolve_pair(args)
-    depth = args.n if args.n is not None else _default_depth(12)
+    depth = _depth(args, 12)
     try:
         table = recurrence(pear, frame, depth)
     except RegularityError as exc:
@@ -133,7 +149,7 @@ def cmd_recurrence(args) -> int:
 
 def cmd_moments(args) -> int:
     pear, frame = _resolve_pair(args)
-    depth = args.n if args.n is not None else _default_depth(DEFAULT_DEPTH)
+    depth = _depth(args, DEFAULT_DEPTH)
     y0 = _parse_rational(args.y0, "y0") if args.y0 is not None else Fraction(1)
     try:
         u = solve_moments(pear, frame, y0, depth)
@@ -160,11 +176,17 @@ def cmd_moments(args) -> int:
 def cmd_verify(args) -> int:
     suites = ["gram", "rodrigues", "norms", "identities"] if args.suite == "all" else [args.suite]
     pear = frame = None
-    if args.preset is not None or any(
-        getattr(args, f, None) is not None for f in ("a", "b", "c", "d", "e", "q", "omega")
-    ):
+    pair_flags = any(getattr(args, f) is not None for f in ("a", "b", "c", "d", "e"))
+    frame_flags = args.q is not None or args.omega is not None
+    if suites == ["identities"] and args.preset is None and not pair_flags:
+        # the identities suite needs only a frame; a pair of all zeros would be rejected
+        if frame_flags:
+            frame = _resolve_frame(args)
+    elif args.preset is not None or pair_flags or frame_flags:
         pear, frame = _resolve_pair(args)
-    depth = args.n if args.n is not None else _default_depth(8)
+    depth = _depth(args, 8)
+    if args.test_degree < 0:
+        raise InputError(f"--test-degree must be >= 0, got {args.test_degree}")
     y0 = _parse_rational(args.y0, "y0") if args.y0 is not None else Fraction(1)
     try:
         checks = run_suites(
@@ -172,6 +194,8 @@ def cmd_verify(args) -> int:
             depth=depth, test_degree=args.test_degree, y0=y0, fuzz_moment=args.fuzz_moment,
             label=args.preset or "pair",
         )
+    except SuiteArgumentError as exc:
+        raise InputError(str(exc))
     except (AdmissibilityError, RegularityError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_NEGATIVE

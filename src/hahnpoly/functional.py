@@ -7,14 +7,12 @@ result; pairing beyond the window raises, it never silently returns zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, q_bracket
-from .poly import Poly, op_D, op_D_star, op_L, op_L_star, to_y_basis, y_basis
+from .poly import Poly, to_y_basis, y_nodes
 
 DEFAULT_DEPTH = 24
 
@@ -67,8 +65,14 @@ class MomentFunctional:
         )
 
     def power_moments(self) -> list[Fraction]:
-        """Derived view u_n = <u, x^n>, for n up to max_degree."""
-        return [pair(self, Poly.monomial(n)) for n in range(self.max_degree + 1)]
+        """Derived view u_n = <u, x^n> = <x^n u, Y_0>, for n up to max_degree."""
+        nodes = y_nodes(self.frame, self.max_degree)
+        v = self.moments
+        out = [v[0]]
+        while len(v) > 1:
+            v = _x_shift(v, nodes)
+            out.append(v[0])
+        return out
 
     def agrees_with(self, other: "MomentFunctional") -> bool:
         """Entrywise equality on the shared valid range."""
@@ -82,9 +86,6 @@ class MomentFunctional:
             "moments": [str(m) for m in self.moments],
             "maxDegree": self.max_degree,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @staticmethod
     def from_json_dict(data: dict) -> "MomentFunctional":
@@ -126,8 +127,19 @@ def solve_moments(
     return MomentFunctional(frame, tuple(y))
 
 
+def _x_shift(v: Sequence[Fraction], nodes: Sequence[Fraction]) -> list[Fraction]:
+    """Moments of x*u from the moments v of u: <u, x Y_l> = v_{l+1} + node_l v_l.
+
+    The result is one entry shorter than v; nodes needs len(v) - 1 entries.
+    """
+    return [v[l + 1] + nodes[l] * v[l] for l in range(len(v) - 1)]
+
+
 def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
-    """The functional f*u, with <f u, g> = <u, f g>."""
+    """The functional f*u, with <f u, g> = <u, f g>.
+
+    Horner's rule over the x-shift: O(deg f * max_degree) scalar work.
+    """
     if f.is_zero():
         return MomentFunctional(u.frame, (Fraction(0),) * (u.max_degree + 1))
     top = u.max_degree - f.degree()
@@ -135,50 +147,73 @@ def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
         raise InsufficientMomentsError(
             f"left_multiply by degree {f.degree()} exhausts a table of degree {u.max_degree}"
         )
-    moments = tuple(pair(u, f * y_basis(n, u.frame)) for n in range(top + 1))
-    return MomentFunctional(u.frame, moments)
+    nodes = y_nodes(u.frame, u.max_degree)
+    out = [f.coeffs[-1] * m for m in u.moments]
+    for c in reversed(f.coeffs[:-1]):
+        out = _x_shift(out, nodes)
+        if c:
+            out = [a + c * m for a, m in zip(out, u.moments)]
+    return MomentFunctional(u.frame, tuple(out))
 
 
-@lru_cache(maxsize=None)
-def _y_image_coeffs(op_name: str, frame: HahnFrame, n: int) -> tuple[Fraction, ...]:
-    """Y-basis coefficients of op(Y_n); cached since dist_* reuse them heavily."""
-    op = {"D": op_D, "D*": op_D_star, "L": op_L, "L*": op_L_star}[op_name]
-    return tuple(to_y_basis(op(y_basis(n, frame), frame), frame))
-
-
-def _dual_apply(u: MomentFunctional, op_name: str, factor: Fraction, extend: int) -> MomentFunctional:
-    moments = []
-    for n in range(u.max_degree + 1 + extend):
-        coeffs = _y_image_coeffs(op_name, u.frame, n)
-        moments.append(factor * sum((c * u.moments[k] for k, c in enumerate(coeffs)), Fraction(0)))
-    return MomentFunctional(u.frame, tuple(moments))
+def _dual_D(frame: HahnFrame, y: Sequence[Fraction], factor: Fraction) -> MomentFunctional:
+    """Entries factor * [n]_q y_{n-1} for 0 <= n <= len(y): the dual of D Y_n = [n]_q Y_{n-1}."""
+    out = [Fraction(0)]
+    bracket = Fraction(0)
+    for m in y:
+        bracket = 1 + frame.q * bracket
+        out.append(factor * bracket * m)
+    return MomentFunctional(frame, tuple(out))
 
 
 def dist_D(u: MomentFunctional) -> MomentFunctional:
     """Distributional Hahn derivative: <D u, f> = -q^{-1} <u, D* f>.
 
+    By identity P4 this is q^{-1} D*(L u), so <D u, Y_n> = -[n]_q <L u, Y_{n-1}>.
     D* lowers degree by one, so the result is valid one index further.
     """
-    return _dual_apply(u, "D*", -1 / u.frame.q, extend=1)
+    return _dual_D(u.frame, dist_L(u).moments, Fraction(-1))
 
 
 def dist_D_star(u: MomentFunctional) -> MomentFunctional:
     """The starred derivative, i.e. dist_D in the reciprocal frame.
 
     Unfolding the definition at (1/q, -omega/q) gives
-    <D* u, f> = -q <u, D f>.
+    <D* u, f> = -q <u, D f>, and D Y_n = [n]_q Y_{n-1} makes it
+    <D* u, Y_n> = -q [n]_q y_{n-1}.
     """
-    return _dual_apply(u, "D", -u.frame.q, extend=1)
+    return _dual_D(u.frame, u.moments, -u.frame.q)
 
 
 def dist_L(u: MomentFunctional) -> MomentFunctional:
-    """<L u, f> = q^{-1} <u, L* f>; degree-preserving."""
-    return _dual_apply(u, "L*", 1 / u.frame.q, extend=0)
+    """<L u, f> = q^{-1} <u, L* f>; degree-preserving.
+
+    Forward substitution through the bidiagonal system of dist_L_star.
+    """
+    q, y = u.frame.q, u.moments
+    nodes = y_nodes(u.frame, len(y))
+    out = [y[0] / q]
+    qn = q
+    for n in range(1, len(y)):
+        out.append((y[n] - qn * nodes[n] * out[n - 1]) / (qn * q))
+        qn *= q
+    return MomentFunctional(u.frame, tuple(out))
 
 
 def dist_L_star(u: MomentFunctional) -> MomentFunctional:
-    """Inverse of dist_L; unfolds to <L* u, f> = q <u, L f>."""
-    return _dual_apply(u, "L", u.frame.q, extend=0)
+    """Inverse of dist_L; unfolds to <L* u, f> = q <u, L f>.
+
+    L Y_n = q^n Y_n + q^{n-1} omega [n]_q Y_{n-1}, so
+    <L* u, Y_n> = q^{n+1} y_n + q^n omega [n]_q y_{n-1}.
+    """
+    q, y = u.frame.q, u.moments
+    nodes = y_nodes(u.frame, len(y))
+    out = [q * y[0]]
+    qn = q
+    for n in range(1, len(y)):
+        out.append(qn * (q * y[n] + nodes[n] * y[n - 1]))
+        qn *= q
+    return MomentFunctional(u.frame, tuple(out))
 
 
 def dist_iter(op, u: MomentFunctional, n: int) -> MomentFunctional:

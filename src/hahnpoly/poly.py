@@ -10,7 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .qnum import HahnFrame, Scalar, ScalarLike, as_scalar, hahn_number, q_binomial, q_bracket
+from .qnum import HahnFrame, ScalarLike, as_scalar, hahn_number, q_binomial, q_bracket
 
 
 class Poly:
@@ -155,11 +155,12 @@ def op_L_star(f: Poly, frame: HahnFrame) -> Poly:
 def op_D(f: Poly, frame: HahnFrame) -> Poly:
     """The divided difference (f(qx + omega) - f(x)) / ((q-1)x + omega).
 
-    Computed by exact division; the remainder is asserted to vanish.
+    Computed by exact division; a nonzero remainder raises ArithmeticError.
     """
     num = op_L(f, frame) - f
     quot, rem = num.divmod(Poly([frame.omega, frame.q - 1]))
-    assert rem.is_zero(), "divided difference left a nonzero remainder"
+    if not rem.is_zero():
+        raise ArithmeticError("divided difference left a nonzero remainder")
     return quot
 
 
@@ -199,18 +200,32 @@ def y_basis(n: int, frame: HahnFrame) -> Poly:
     return y_basis(n - 1, frame) * Poly([-frame.omega * q_bracket(n - 1, frame.q), 1])
 
 
+def y_nodes(frame: HahnFrame, n: int) -> list[Fraction]:
+    """The Newton nodes omega [j]_q of Y_n, for 0 <= j < n.
+
+    Built by omega [j+1]_q = omega + q * omega [j]_q, so x Y_j = Y_{j+1} + node_j Y_j.
+    """
+    out = []
+    node = Fraction(0)
+    for _ in range(n):
+        out.append(node)
+        node = frame.omega + frame.q * node
+    return out
+
+
 def to_y_basis(f: Poly, frame: HahnFrame) -> list[Fraction]:
-    """Coefficients c with f = sum_k c_k Y_k, by monic back-substitution."""
-    if f.is_zero():
-        return []
-    out = [Fraction(0)] * (f.degree() + 1)
-    rem = f
-    while not rem.is_zero():
-        k = rem.degree()
-        c = rem.leading()
-        out[k] = c
-        rem = rem - c * y_basis(k, frame)
-        assert rem.is_zero() or rem.degree() < k
+    """Coefficients c with f = sum_k c_k Y_k, by repeated synthetic division.
+
+    Dividing by (x - node_0), then the quotient by (x - node_1), and so on,
+    leaves c_0, c_1, ... as the successive remainders: O(deg^2) scalar work.
+    """
+    rem = list(f.coeffs)
+    out = []
+    for node in y_nodes(frame, len(rem)):
+        if node:
+            for k in range(len(rem) - 2, -1, -1):
+                rem[k] += node * rem[k + 1]
+        out.append(rem.pop(0))
     return out
 
 

@@ -7,13 +7,12 @@ Y-basis moment vectors on the analytically valid window.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .qnum import HahnFrame, PearsonPair, q_bracket, rodrigues_constant
-from .poly import Poly, op_L
+from .poly import Poly
 from .functional import (
     MomentFunctional,
     InsufficientMomentsError,
@@ -70,13 +69,14 @@ def rodrigues_rhs(
     """k_n (D*)^n of the n-th derived functional.
 
     Computed by both routes -- iterated u^[k] definition, and the closed
-    form Phi(.; n) applied to L^n u -- which are asserted to agree on
-    their shared window before the (larger) one is returned.
+    form Phi(.; n) applied to L^n u -- which must agree on their shared
+    window (RuntimeError otherwise) before the (larger) one is returned.
     """
     k_n = rodrigues_constant(pear, frame, n)
     iterated = derived_functional(pear, frame, u, n)
     closed = left_multiply(phi_product(pear, frame, n), dist_iter(dist_L, u, n))
-    assert iterated.agrees_with(closed), "derived-functional routes disagree"
+    if not iterated.agrees_with(closed):
+        raise RuntimeError("derived-functional routes disagree")
     best = iterated if iterated.max_degree >= closed.max_degree else closed
     return dist_iter(dist_D_star, best, n).scale(k_n)
 

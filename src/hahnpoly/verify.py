@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .qnum import HahnFrame, PearsonPair, d_n, e_n, q_binomial, q_bracket
 from .poly import (
@@ -23,7 +23,6 @@ from .poly import (
     op_iter,
     op_L,
     op_L_star,
-    to_y_basis,
     y_basis,
 )
 from .functional import (
@@ -41,13 +40,9 @@ from .functional import (
 )
 from . import classical
 from .classical import (
-    Preset,
-    RecurrenceTable,
-    check_regular,
     derivative_sequence,
     gram_matrix,
     phi_poly,
-    psi_poly,
     psi_k,
     psi_k_recursive,
     r_polynomial,
@@ -55,12 +50,16 @@ from .classical import (
     theta2,
     theta2_definitional,
 )
-from .rodrigues import moment_depth_for, rodrigues_rhs, verify_rodrigues
+from .rodrigues import moment_depth_for, verify_rodrigues
 
 # frames used by the randomized identity suite; excluded points are
 # filtered at construction time
 FRAME_Q_VALUES = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5), Fraction(-2)]
 FRAME_OMEGA_VALUES = [Fraction(0), Fraction(1), Fraction(-1, 3)]
+
+
+class SuiteArgumentError(ValueError):
+    """A suite argument lies outside the range the suite can act on."""
 
 
 @dataclass
@@ -204,6 +203,10 @@ def gram_suite(
     """Moment/Pearson equivalence plus the Favard-direction Gram oracle."""
     checks = []
     table_depth = max(2 * depth, residual_depth + 2, 22)
+    if fuzz_moment is not None and not 0 <= fuzz_moment <= table_depth:
+        raise SuiteArgumentError(
+            f"fuzz_moment {fuzz_moment} is outside the moment table 0..{table_depth}"
+        )
     u = solve_moments(pear, frame, y0, table_depth)
     if fuzz_moment is not None:
         moments = list(u.moments)

@@ -1,0 +1,105 @@
+"""Basis-expansion routes for the moment-space kernels, kept as test oracles.
+
+Every dual operation here expands Y-basis polynomials as Poly objects,
+independently of the banded recurrences in hahnpoly.functional and of the
+synthetic-division to_y_basis; tests/test_kernels.py requires exact equality.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import lru_cache
+
+from hahnpoly.functional import InsufficientMomentsError, MomentFunctional
+from hahnpoly.poly import Poly, op_D, op_D_star, op_L, op_L_star, y_basis
+
+
+def to_y_basis(f: Poly, frame) -> list[Fraction]:
+    """Coefficients c with f = sum_k c_k Y_k, by monic back-substitution."""
+    if f.is_zero():
+        return []
+    out = [Fraction(0)] * (f.degree() + 1)
+    rem = f
+    while not rem.is_zero():
+        k = rem.degree()
+        c = rem.leading()
+        out[k] = c
+        rem = rem - c * y_basis(k, frame)
+        if not (rem.is_zero() or rem.degree() < k):
+            raise ArithmeticError("back-substitution did not lower the degree")
+    return out
+
+
+def pair(u: MomentFunctional, f: Poly) -> Fraction:
+    """<u, f> through the back-substitution expansion."""
+    if f.is_zero():
+        return Fraction(0)
+    if f.degree() > u.max_degree:
+        raise InsufficientMomentsError(
+            f"pairing needs moments up to degree {f.degree()}, table stops at {u.max_degree}"
+        )
+    coeffs = to_y_basis(f, u.frame)
+    return sum((c * u.moments[k] for k, c in enumerate(coeffs)), Fraction(0))
+
+
+def power_moments(u: MomentFunctional) -> list[Fraction]:
+    """u_n = <u, x^n> by pairing each monomial."""
+    return [pair(u, Poly.monomial(n)) for n in range(u.max_degree + 1)]
+
+
+def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
+    """<f u, Y_n> = <u, f Y_n>, one pairing per entry."""
+    if f.is_zero():
+        return MomentFunctional(u.frame, (Fraction(0),) * (u.max_degree + 1))
+    top = u.max_degree - f.degree()
+    if top < 0:
+        raise InsufficientMomentsError(
+            f"left_multiply by degree {f.degree()} exhausts a table of degree {u.max_degree}"
+        )
+    moments = tuple(pair(u, f * y_basis(n, u.frame)) for n in range(top + 1))
+    return MomentFunctional(u.frame, moments)
+
+
+@lru_cache(maxsize=None)
+def _y_image_coeffs(op_name: str, frame, n: int) -> tuple[Fraction, ...]:
+    """Y-basis coefficients of op(Y_n)."""
+    op = {"D": op_D, "D*": op_D_star, "L": op_L, "L*": op_L_star}[op_name]
+    return tuple(to_y_basis(op(y_basis(n, frame), frame), frame))
+
+
+def _dual_apply(u: MomentFunctional, op_name: str, factor: Fraction, extend: int) -> MomentFunctional:
+    moments = []
+    for n in range(u.max_degree + 1 + extend):
+        coeffs = _y_image_coeffs(op_name, u.frame, n)
+        moments.append(factor * sum((c * u.moments[k] for k, c in enumerate(coeffs)), Fraction(0)))
+    return MomentFunctional(u.frame, tuple(moments))
+
+
+def dist_D(u: MomentFunctional) -> MomentFunctional:
+    """<D u, f> = -q^{-1} <u, D* f>."""
+    return _dual_apply(u, "D*", -1 / u.frame.q, extend=1)
+
+
+def dist_D_star(u: MomentFunctional) -> MomentFunctional:
+    """<D* u, f> = -q <u, D f>."""
+    return _dual_apply(u, "D", -u.frame.q, extend=1)
+
+
+def dist_L(u: MomentFunctional) -> MomentFunctional:
+    """<L u, f> = q^{-1} <u, L* f>."""
+    return _dual_apply(u, "L*", 1 / u.frame.q, extend=0)
+
+
+def dist_L_star(u: MomentFunctional) -> MomentFunctional:
+    """<L* u, f> = q <u, L f>."""
+    return _dual_apply(u, "L", u.frame.q, extend=0)
+
+
+def gram_matrix(u: MomentFunctional, polys, depth: int) -> list[list[Fraction]]:
+    """G[m][n] = <u, P_m P_n>, one pairing per entry."""
+    if depth + 1 > len(polys):
+        raise ValueError("not enough polynomials for the requested Gram depth")
+    return [
+        [pair(u, polys[m] * polys[n]) for n in range(depth + 1)]
+        for m in range(depth + 1)
+    ]

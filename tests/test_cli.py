@@ -160,6 +160,11 @@ class TestVerify:
         assert code == EXIT_OK
         assert json.loads(out)["passed"] is True
 
+    def test_identities_frame_only(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "identities", "--q", "2", "--omega", "1")
+        assert code == EXIT_OK
+        assert json.loads(out)["passed"] is True
+
     def test_rodrigues_explicit_pair(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "rodrigues", *CHARLIER_FLAGS,
@@ -167,6 +172,34 @@ class TestVerify:
         )
         assert code == EXIT_OK
         assert json.loads(out)["passed"] is True
+
+
+class TestOutOfRangeInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--preset", "charlier", "--n", "-1"],
+            ["recurrence", "--preset", "charlier", "--n", "-2"],
+            ["moments", "--preset", "charlier", "--n", "-1"],
+            ["verify", "--preset", "charlier", "--suite", "gram", "--n", "-1"],
+            ["verify", "--preset", "charlier", "--suite", "gram", "--fuzz-moment", "999"],
+            ["verify", "--preset", "charlier", "--suite", "gram", "--fuzz-moment", "-1"],
+            ["verify", "--preset", "charlier", "--suite", "rodrigues", "--test-degree", "-1"],
+            ["verify", "--suite", "identities", "--q", "2"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exits_with_json_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert "error" in json.loads(err)
+
+    def test_negative_depth_from_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("HAHNPOLY_DEPTH", "-3")
+        code, _, err = run(capsys, "classify", "--preset", "charlier")
+        assert code == EXIT_INPUT
+        assert "HAHNPOLY_DEPTH" in json.loads(err)["error"]
 
 
 class TestPresets:
