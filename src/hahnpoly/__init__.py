@@ -5,6 +5,8 @@ All arithmetic is over exact rationals (fractions.Fraction); identities
 are checked with equality, never tolerances.
 """
 
+from types import ModuleType as _ModuleType
+
 from .qnum import (
     AdmissibilityError,
     HahnFrame,
@@ -56,6 +58,7 @@ from .classical import (
     get_preset,
     gram_matrix,
     hankel_determinant,
+    mixed_moments,
     phi_poly,
     psi_k,
     psi_poly,
@@ -65,5 +68,9 @@ from .classical import (
 )
 from .rodrigues import RodriguesWitness, phi_product, rodrigues_rhs, verify_rodrigues
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the from-imports above also bind the submodules (classical, poly, ...) as names
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from .qnum import (
     e_n,
     q_bracket,
 )
-from .poly import Poly, op_D, op_D_star, op_iter, op_L, to_y_basis
+from .poly import Poly, op_D, op_D_star, op_iter, op_L, to_y_basis, y_nodes
 from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
@@ -302,6 +302,35 @@ def gram_matrix(u: MomentFunctional, polys: Sequence[Poly], depth: int) -> list[
             if pm_u is None:
                 pm_u = left_multiply(pm, u)
             row.append(sum((c * pm_u.moments[k] for k, c in enumerate(cn)), Fraction(0)))
+        rows.append(row)
+    return rows
+
+
+def mixed_moments(u: MomentFunctional, table: RecurrenceTable, depth: int) -> list[list[Fraction]]:
+    """sigma[k][l] = <u, P_k Y_l> for k <= depth and l <= 2 depth - k.
+
+    The modified Chebyshev algorithm (Gautschi 2004; Wheeler 1974) with the Y
+    basis as auxiliary family: since x Y_l = Y_{l+1} + t_l Y_l,
+    sigma[k][l] = sigma[k-1][l+1] + (t_l - beta_{k-1}) sigma[k-1][l]
+    - gamma_{k-1} sigma[k-2][l], from sigma[0][l] = y_l: O(depth^2) scalar work.
+    As P_0..P_depth is a monic basis, the Gram matrix to that depth is diagonal
+    iff sigma[k][l] = 0 for all l < k, and then G[n][n] = sigma[n][n].
+    """
+    if depth > table.depth:
+        raise ValueError("not enough recurrence coefficients for the requested depth")
+    if 2 * depth > u.max_degree:
+        raise InsufficientMomentsError(
+            f"mixed moments to depth {depth} need moments up to degree {2 * depth}, "
+            f"table stops at {u.max_degree}"
+        )
+    nodes = y_nodes(u.frame, 2 * depth)
+    rows = [list(u.moments[: 2 * depth + 1])]
+    for k in range(1, depth + 1):
+        prev, beta = rows[k - 1], table.beta[k - 1]
+        row = [prev[l + 1] + (nodes[l] - beta) * prev[l] for l in range(2 * depth - k + 1)]
+        if k >= 2:
+            gamma = table.gamma[k - 1]
+            row = [s - gamma * b for s, b in zip(row, rows[k - 2])]
         rows.append(row)
     return rows
 

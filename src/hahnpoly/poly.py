@@ -119,12 +119,22 @@ class Poly:
         return Poly(quot), Poly(rem[:dd] if dd else [])
 
     def compose_affine(self, alpha: ScalarLike, beta: ScalarLike) -> "Poly":
-        """Substitute x -> alpha*x + beta (Horner over the linear image)."""
-        sub = Poly([beta, alpha])
-        out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * sub + Poly.constant(c)
-        return out
+        """Substitute x -> alpha*x + beta: O(deg^2) scalar work, no Poly products.
+
+        The Taylor shift f(x + beta) is rounds of synthetic addition
+        c_j += beta c_{j+1}, and coefficient k then scales by alpha^k.
+        """
+        alpha, beta = as_scalar(alpha), as_scalar(beta)
+        c = list(self.coeffs)
+        if beta:
+            for i in range(len(c) - 1):
+                for j in range(len(c) - 2, i - 1, -1):
+                    c[j] += beta * c[j + 1]
+        power = Fraction(1)
+        for k in range(1, len(c)):
+            power *= alpha
+            c[k] *= power
+        return Poly(c)
 
     def __repr__(self):
         if not self.coeffs:

@@ -42,6 +42,7 @@ from . import classical
 from .classical import (
     derivative_sequence,
     gram_matrix,
+    mixed_moments,
     phi_poly,
     psi_k,
     psi_k_recursive,
@@ -200,12 +201,18 @@ def gram_suite(
     fuzz_moment: Optional[int] = None,
     residual_depth: int = 20,
 ) -> list[Check]:
-    """Moment/Pearson equivalence plus the Favard-direction Gram oracle."""
+    """Moment/Pearson equivalence plus the Favard-direction Gram oracle.
+
+    Both Gram checks are decided from the mixed moments <u, P_k Y_l> in
+    O(depth^2); the Gram matrix itself is formed only to describe a failure.
+    """
     checks = []
     table_depth = max(2 * depth, residual_depth + 2, 22)
-    if fuzz_moment is not None and not 0 <= fuzz_moment <= table_depth:
+    # residual entry n reads y_{n+1}; the Gram checks read y_0..y_{2 depth}
+    read_depth = max(2 * depth, residual_depth + 1)
+    if fuzz_moment is not None and not 0 <= fuzz_moment <= read_depth:
         raise SuiteArgumentError(
-            f"fuzz_moment {fuzz_moment} is outside the moment table 0..{table_depth}"
+            f"fuzz_moment {fuzz_moment} is outside the moments the checks read, 0..{read_depth}"
         )
     u = solve_moments(pear, frame, y0, table_depth)
     if fuzz_moment is not None:
@@ -220,9 +227,15 @@ def gram_suite(
         "" if not bad else f"nonzero residual at Y-degrees {bad[:4]} (cell {bad[0]})",
     ))
     table = recurrence(pear, frame, depth, y0)
-    gram = gram_matrix(u, table.polys, depth)
-    off = [(m, n) for m in range(depth + 1) for n in range(depth + 1)
-           if m != n and gram[m][n] != 0]
+    sigma = mixed_moments(u, table, depth)
+    if any(sigma[k][l] != 0 for k in range(depth + 1) for l in range(k)):
+        gram = gram_matrix(u, table.polys, depth)
+        off = [(m, n) for m in range(depth + 1) for n in range(depth + 1)
+               if m != n and gram[m][n] != 0]
+        diagonal = [gram[n][n] for n in range(depth + 1)]
+    else:
+        off = []
+        diagonal = [sigma[n][n] for n in range(depth + 1)]
     checks.append(Check(
         "gram_off_diagonal_zero",
         not off,
@@ -234,7 +247,7 @@ def gram_suite(
     for nn in range(depth + 1):
         if nn:
             expected *= table.gamma[nn]
-        if gram[nn][nn] != expected or (nn and table.gamma[nn] == 0):
+        if diagonal[nn] != expected or (nn and table.gamma[nn] == 0):
             diag_ok = False
             detail = f"diagonal mismatch at n={nn}"
             break

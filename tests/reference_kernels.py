@@ -2,16 +2,36 @@
 
 Every dual operation here expands Y-basis polynomials as Poly objects,
 independently of the banded recurrences in hahnpoly.functional and of the
-synthetic-division to_y_basis; tests/test_kernels.py requires exact equality.
+synthetic-division to_y_basis; the affine substitution is Horner's rule over
+Poly products, and the Gram suite reads the full Gram matrix.
+tests/test_kernels.py requires exact equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
-from hahnpoly.functional import InsufficientMomentsError, MomentFunctional
+from hahnpoly import classical
+from hahnpoly.functional import (
+    InsufficientMomentsError,
+    MomentFunctional,
+    pearson_residual,
+    solve_moments,
+)
 from hahnpoly.poly import Poly, op_D, op_D_star, op_L, op_L_star, y_basis
+from hahnpoly.qnum import HahnFrame, PearsonPair
+from hahnpoly.verify import Check, SuiteArgumentError
+
+
+def compose_affine(f: Poly, alpha, beta) -> Poly:
+    """f(alpha x + beta) by Horner's rule over the linear image."""
+    sub = Poly([beta, alpha])
+    out = Poly()
+    for c in reversed(f.coeffs):
+        out = out * sub + Poly.constant(c)
+    return out
 
 
 def to_y_basis(f: Poly, frame) -> list[Fraction]:
@@ -103,3 +123,53 @@ def gram_matrix(u: MomentFunctional, polys, depth: int) -> list[list[Fraction]]:
         [pair(u, polys[m] * polys[n]) for n in range(depth + 1)]
         for m in range(depth + 1)
     ]
+
+
+def gram_suite(
+    pear: PearsonPair,
+    frame: HahnFrame,
+    depth: int = 10,
+    y0: Fraction = Fraction(1),
+    fuzz_moment: Optional[int] = None,
+    residual_depth: int = 20,
+) -> list[Check]:
+    """hahnpoly.verify.gram_suite with both Gram checks read off the full Gram matrix."""
+    checks = []
+    table_depth = max(2 * depth, residual_depth + 2, 22)
+    if fuzz_moment is not None and not 0 <= fuzz_moment <= table_depth:
+        raise SuiteArgumentError(
+            f"fuzz_moment {fuzz_moment} is outside the moment table 0..{table_depth}"
+        )
+    u = solve_moments(pear, frame, y0, table_depth)
+    if fuzz_moment is not None:
+        moments = list(u.moments)
+        moments[fuzz_moment] += 1
+        u = MomentFunctional(frame, tuple(moments))
+    residual = pearson_residual(pear, u, residual_depth)
+    bad = [i for i, r in enumerate(residual) if r != 0]
+    checks.append(Check(
+        "pearson_residual_zero",
+        not bad,
+        "" if not bad else f"nonzero residual at Y-degrees {bad[:4]} (cell {bad[0]})",
+    ))
+    table = classical.recurrence(pear, frame, depth, y0)
+    gram = classical.gram_matrix(u, table.polys, depth)
+    off = [(m, n) for m in range(depth + 1) for n in range(depth + 1)
+           if m != n and gram[m][n] != 0]
+    checks.append(Check(
+        "gram_off_diagonal_zero",
+        not off,
+        "" if not off else f"nonzero off-diagonal cells {off[:4]}",
+    ))
+    diag_ok = True
+    detail = ""
+    expected = y0
+    for nn in range(depth + 1):
+        if nn:
+            expected *= table.gamma[nn]
+        if gram[nn][nn] != expected or (nn and table.gamma[nn] == 0):
+            diag_ok = False
+            detail = f"diagonal mismatch at n={nn}"
+            break
+    checks.append(Check("gram_diagonal_product_of_gammas", diag_ok, detail))
+    return checks

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import hahnpoly
 from hahnpoly.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
@@ -174,6 +179,19 @@ class TestVerify:
         assert json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("extra, expected", [([], EXIT_OK), (["--fuzz-moment", "3"], EXIT_MISMATCH)])
+def test_gram_verdict_survives_optimize_flag(extra, expected):
+    # python -O strips assert statements; the verdict must not rest on one
+    env = dict(os.environ, PYTHONPATH=str(Path(hahnpoly.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hahnpoly.cli", "verify", "--suite", "gram",
+         "--preset", "charlier", *extra],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is (expected == EXIT_OK)
+
+
 class TestOutOfRangeInput:
     @pytest.mark.parametrize(
         "argv",
@@ -184,6 +202,9 @@ class TestOutOfRangeInput:
             ["verify", "--preset", "charlier", "--suite", "gram", "--n", "-1"],
             ["verify", "--preset", "charlier", "--suite", "gram", "--fuzz-moment", "999"],
             ["verify", "--preset", "charlier", "--suite", "gram", "--fuzz-moment", "-1"],
+            # y_22 lies in the moment table, but no check at --n 6 reads it
+            ["verify", "--suite", "gram", "--a=-2/3", "--c=-3/2", "--d=-3/2", "--e=1",
+             "--q=1", "--omega=1", "--n", "6", "--fuzz-moment", "22"],
             ["verify", "--preset", "charlier", "--suite", "rodrigues", "--test-degree", "-1"],
             ["verify", "--suite", "identities", "--q", "2"],
         ],

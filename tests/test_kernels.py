@@ -1,20 +1,22 @@
 """The banded moment-space kernels against the basis-expansion oracles.
 
 Every comparison is exact equality of Fractions and of validity windows
-(max_degree), on all default frames and random tables of depth <= 16.
+(max_degree), on all default frames and random tables of depth <= 16; the
+Gram suite is compared check by check on random regular pairs.
 """
 
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import reference_kernels as ref
 from hahnpoly import classical, functional
-from hahnpoly.classical import PRESETS, recurrence
+from hahnpoly.classical import PRESETS, RecurrenceTable, check_regular, recurrence
 from hahnpoly.functional import InsufficientMomentsError, MomentFunctional, solve_moments
-from hahnpoly.poly import Poly, to_y_basis
-from hahnpoly.verify import default_frames
+from hahnpoly.poly import Poly, to_y_basis, y_basis
+from hahnpoly.qnum import PearsonPair
+from hahnpoly.verify import default_frames, gram_suite
 
 FRAMES = default_frames()
 DIST_OPS = ("dist_D", "dist_D_star", "dist_L", "dist_L_star")
@@ -47,6 +49,13 @@ class TestAgainstOracles:
     @given(poly_st)
     def test_to_y_basis(self, frame, f):
         assert to_y_basis(f, frame) == ref.to_y_basis(f, frame)
+
+    @checked
+    @given(poly_st)
+    def test_compose_affine(self, frame, f):
+        q, omega = frame.q, frame.omega
+        for alpha, beta in ((q, omega), (1 / q, -omega / q)):  # L and L*
+            assert f.compose_affine(alpha, beta) == ref.compose_affine(f, alpha, beta)
 
     @checked
     @given(table_st)
@@ -84,6 +93,33 @@ class TestAgainstOracles:
             ref.gram_matrix, u, polys, depth
         )
 
+    @checked
+    @given(st.lists(coeff_st, min_size=13, max_size=13), st.lists(coeff_st, min_size=7, max_size=7),
+           st.integers(0, 6))
+    def test_mixed_moments(self, frame, values, coeffs, depth):
+        # any beta, gamma define a monic family by the three-term recurrence
+        beta, gamma = tuple(coeffs), (F(1),) + tuple(c + 1 for c in coeffs[:6])
+        x = Poly.x()
+        polys = [Poly([1]), x - Poly.constant(beta[0])]
+        for n in range(1, 6):
+            polys.append((x - Poly.constant(beta[n])) * polys[n] - gamma[n] * polys[n - 1])
+        u = MomentFunctional(frame, tuple(values[: 2 * depth + 1]))
+        sigma = classical.mixed_moments(u, RecurrenceTable(beta, gamma, tuple(polys)), depth)
+        assert [len(row) for row in sigma] == [2 * depth - k + 1 for k in range(depth + 1)]
+        for k, row in enumerate(sigma):
+            for l, s in enumerate(row):
+                assert s == ref.pair(u, polys[k] * y_basis(l, frame)), (k, l)
+
+
+def test_mixed_moments_errors():
+    preset = PRESETS["charlier"]
+    table = recurrence(preset.pear, preset.frame, 4)
+    u = solve_moments(preset.pear, preset.frame, 1, 8)
+    with pytest.raises(ValueError, match="recurrence coefficients"):
+        classical.mixed_moments(u, table, 5)
+    with pytest.raises(InsufficientMomentsError, match="degree 8"):
+        classical.mixed_moments(u.truncate(7), table, 4)
+
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_gram_matrix_on_presets(name):
@@ -94,3 +130,39 @@ def test_gram_matrix_on_presets(name):
     assert outcome(classical.gram_matrix, u.truncate(15), table.polys, 8) == outcome(
         ref.gram_matrix, u.truncate(15), table.polys, 8
     )
+
+
+small_st = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+nonzero_st = st.builds(F, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
+
+
+@st.composite
+def gram_case(draw, frame):
+    """A pair regular to the drawn depth, and a fuzz index that some check reads."""
+    depth = draw(st.integers(0, 12))
+    pear = PearsonPair(draw(small_st), draw(small_st), draw(small_st),
+                       draw(nonzero_st), draw(small_st))
+    assume(check_regular(pear, frame, depth).regular)
+    fuzz = draw(st.none() | st.integers(0, max(2 * depth, 21)))
+    return pear, depth, fuzz
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=frame_id)
+@settings(deadline=None, max_examples=6)
+@given(data=st.data())
+def test_gram_suite_against_gram_matrix(frame, data):
+    pear, depth, fuzz = data.draw(gram_case(frame))
+    # the moment table runs past depth, so an admissibility failure there is a shared outcome
+    assert outcome(gram_suite, pear, frame, depth, F(1), fuzz) == outcome(
+        ref.gram_suite, pear, frame, depth, F(1), fuzz
+    )
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_gram_suite_depth_40(name):
+    preset = PRESETS[name]
+    checks = gram_suite(preset.pear, preset.frame, depth=40)
+    assert [c.name for c in checks] == [
+        "pearson_residual_zero", "gram_off_diagonal_zero", "gram_diagonal_product_of_gammas"
+    ]
+    assert all(c.passed for c in checks), checks

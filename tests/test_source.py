@@ -1,5 +1,6 @@
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import hahnpoly
 
@@ -15,3 +16,8 @@ def test_library_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_all_exports_no_modules():
+    modules = [name for name in hahnpoly.__all__ if isinstance(getattr(hahnpoly, name), ModuleType)]
+    assert hahnpoly.__all__ and not modules, modules
