@@ -1,9 +1,8 @@
 """Verify the distributional Rodrigues-type identity moment by moment.
 
 P_n u = k_n (D*)^n (Phi(.; n) L^n u), checked as equality of Y-basis
-moment vectors.  The right-hand side is computed through two independent
-routes (iterated derived functionals and the closed product form) which
-must agree before the comparison is made.
+moment vectors.  `verify --suite rodrigues` also checks the closed form
+Phi(.; n) L^n u against the iterated derived functional u^[n].
 """
 
 from hahnpoly import get_preset, recurrence, solve_moments, verify_rodrigues

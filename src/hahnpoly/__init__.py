@@ -15,7 +15,6 @@ from .qnum import (
     as_scalar,
     d_n,
     e_n,
-    hahn_number,
     q_binomial,
     q_bracket,
     q_factorial,
@@ -23,15 +22,12 @@ from .qnum import (
 )
 from .poly import (
     Poly,
-    from_y_basis,
     leibniz_expand,
     op_D,
-    op_D_monomial,
     op_D_star,
     op_L,
     op_L_star,
     to_y_basis,
-    y_basis,
 )
 from .functional import (
     InsufficientMomentsError,
@@ -52,12 +48,10 @@ from .classical import (
     RecurrenceTable,
     RegularityError,
     RegularityReport,
-    check_admissible,
     check_regular,
     derivative_sequence,
     get_preset,
     gram_matrix,
-    hankel_determinant,
     mixed_moments,
     phi_poly,
     psi_k,

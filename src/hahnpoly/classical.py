@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .qnum import (
@@ -21,19 +22,11 @@ from .qnum import (
     e_n,
     q_bracket,
 )
-from .poly import Poly, op_D, op_D_star, op_iter, op_L, to_y_basis, y_nodes
+from .poly import Poly, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis, y_nodes
 from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
 PHI_ROOT = "phi_root_condition"
-
-
-def phi_poly(pear: PearsonPair) -> Poly:
-    return Poly([pear.c, pear.b, pear.a])
-
-
-def psi_poly(pear: PearsonPair) -> Poly:
-    return Poly([pear.e, pear.d])
 
 
 @dataclass(frozen=True)
@@ -72,23 +65,6 @@ class RegularityError(ValueError):
         self.report = report
         index, condition = report.first_regularity_failure
         super().__init__(f"regularity failure: {condition} at n={index}")
-
-
-def check_admissible(pear: PearsonPair, frame: HahnFrame, depth: int) -> RegularityReport:
-    """Check d_n != 0 for 0 <= n <= depth (the phi condition is not examined)."""
-    failure = None
-    for n in range(depth + 1):
-        if d_n(pear, frame, n) == 0:
-            failure = n
-            break
-    return RegularityReport(
-        admissible=failure is None,
-        first_admissibility_failure=failure,
-        regular_up_to=depth,
-        first_regularity_failure=None if failure is None else (failure, D_ZERO),
-        psi_degree_one=pear.d != 0,
-        checked_d_through=depth,
-    )
 
 
 def check_regular(pear: PearsonPair, frame: HahnFrame, depth: int) -> RegularityReport:
@@ -136,15 +112,6 @@ def psi_k(pear: PearsonPair, frame: HahnFrame, k: int) -> Poly:
     return Poly([e_n(pear, frame, k), d_n(pear, frame, 2 * k)])
 
 
-def psi_k_recursive(pear: PearsonPair, frame: HahnFrame, k: int) -> Poly:
-    """Same polynomial by iterating psi^[k] = D phi + q L psi^[k-1]."""
-    out = psi_poly(pear)
-    dphi = op_D(phi_poly(pear), frame)
-    for _ in range(k):
-        out = dphi + frame.q * op_L(out, frame)
-    return out
-
-
 def theta2(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
     """theta_2(x; n) in explicit coefficient form.
 
@@ -163,15 +130,6 @@ def theta2(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
         d2n1 * ((1 + q) * en - omega * d2n),
         d2n * d2n1,
     ])
-
-
-def theta2_definitional(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
-    """theta_2(x; n) from its defining combination d_{2n} phi + q psi^[n] psi^[n-1]."""
-    if n < 1:
-        raise ValueError("theta2 needs n >= 1")
-    return d_n(pear, frame, 2 * n) * phi_poly(pear) + frame.q * (
-        psi_k(pear, frame, n) * psi_k(pear, frame, n - 1)
-    )
 
 
 def beta_coefficient(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
@@ -207,7 +165,7 @@ def gamma_coefficient(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class RecurrenceTable:
-    """beta_0..beta_N, gamma_0..gamma_N, and monic P_0..P_{N+1}.
+    """beta_0..beta_N and gamma_0..gamma_N; the monic P_0..P_{N+1} on first read.
 
     gamma[0] holds <u, 1> (default 1) so the diagonal Gram entries factor
     uniformly as gamma_0 gamma_1 ... gamma_n.
@@ -215,20 +173,27 @@ class RecurrenceTable:
 
     beta: tuple[Fraction, ...]
     gamma: tuple[Fraction, ...]
-    polys: tuple[Poly, ...]
 
     @property
     def depth(self) -> int:
         return len(self.beta) - 1
 
-    def to_json_dict(self, include_polys: bool = True) -> dict:
-        out = {
+    @cached_property
+    def polys(self) -> tuple[Poly, ...]:
+        """P_0..P_{N+1} by P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1}."""
+        beta, gamma = self.beta, self.gamma
+        x = Poly.x()
+        polys = [Poly([1]), x - Poly.constant(beta[0])]
+        for n in range(1, self.depth + 1):
+            polys.append((x - Poly.constant(beta[n])) * polys[n] - gamma[n] * polys[n - 1])
+        return tuple(polys)
+
+    def to_json_dict(self) -> dict:
+        return {
             "beta": [str(b) for b in self.beta],
             "gamma": [str(g) for g in self.gamma],
+            "polynomials": [[str(c) for c in p.coeffs] for p in self.polys],
         }
-        if include_polys:
-            out["polynomials"] = [[str(c) for c in p.coeffs] for p in self.polys]
-        return out
 
 
 def recurrence(
@@ -238,7 +203,7 @@ def recurrence(
     y0: ScalarLike = 1,
     require_regular: bool = True,
 ) -> RecurrenceTable:
-    """Generate beta_n, gamma_n for n <= depth and P_0..P_{depth+1}.
+    """Generate beta_n, gamma_n for n <= depth; the table expands P_0..P_{depth+1}.
 
     With require_regular=False only admissibility is enforced, and the
     generated simple set may have vanishing gamma (no longer an OPS).
@@ -248,13 +213,9 @@ def recurrence(
         raise RegularityError(report)
     if require_regular and not report.regular:
         raise RegularityError(report)
-    beta = [beta_coefficient(pear, frame, n) for n in range(depth + 1)]
-    gamma = [as_scalar(y0)] + [gamma_coefficient(pear, frame, n) for n in range(depth)]
-    x = Poly.x()
-    polys = [Poly([1]), x - Poly.constant(beta[0])]
-    for n in range(1, depth + 1):
-        polys.append((x - Poly.constant(beta[n])) * polys[n] - gamma[n] * polys[n - 1])
-    return RecurrenceTable(tuple(beta), tuple(gamma), tuple(polys))
+    beta = tuple(beta_coefficient(pear, frame, n) for n in range(depth + 1))
+    gamma = (as_scalar(y0),) + tuple(gamma_coefficient(pear, frame, n) for n in range(depth))
+    return RecurrenceTable(beta, gamma)
 
 
 def derivative_sequence(table: RecurrenceTable, frame: HahnFrame, k: int) -> list[Poly]:
@@ -333,30 +294,6 @@ def mixed_moments(u: MomentFunctional, table: RecurrenceTable, depth: int) -> li
             row = [s - gamma * b for s, b in zip(row, rows[k - 2])]
         rows.append(row)
     return rows
-
-
-def hankel_determinant(u: MomentFunctional, order: int) -> Fraction:
-    """det [u_{i+j}]_{i,j=0}^{order-1} from the power moments, by exact elimination."""
-    power = u.power_moments()
-    if 2 * order - 2 > len(power) - 1:
-        raise InsufficientMomentsError(f"Hankel order {order} needs moments up to {2 * order - 2}")
-    mat = [[power[i + j] for j in range(order)] for i in range(order)]
-    det = Fraction(1)
-    for col in range(order):
-        pivot = next((r for r in range(col, order) if mat[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, order):
-            factor = mat[r][col] * inv
-            if factor:
-                for cc in range(col, order):
-                    mat[r][cc] -= factor * mat[col][cc]
-    return det
 
 
 @dataclass(frozen=True)

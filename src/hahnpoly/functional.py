@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, q_bracket
-from .poly import Poly, to_y_basis, y_nodes
+from .poly import Poly, phi_poly, psi_poly, to_y_basis, y_nodes
 
 DEFAULT_DEPTH = 24
 
@@ -34,16 +34,6 @@ class MomentFunctional:
     @property
     def max_degree(self) -> int:
         return len(self.moments) - 1
-
-    def is_zero(self) -> bool:
-        return not any(self.moments)
-
-    def moment(self, n: int) -> Fraction:
-        if n > self.max_degree:
-            raise InsufficientMomentsError(
-                f"moment y_{n} requested but table is valid only up to degree {self.max_degree}"
-            )
-        return self.moments[n]
 
     def truncate(self, max_degree: int) -> "MomentFunctional":
         if max_degree > self.max_degree:
@@ -224,10 +214,8 @@ def dist_iter(op, u: MomentFunctional, n: int) -> MomentFunctional:
 
 def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list[Fraction]:
     """Entry n is <D(phi u) - psi u, Y_n>, for 0 <= n <= depth."""
-    phi = Poly([pear.c, pear.b, pear.a])
-    psi = Poly([pear.e, pear.d])
-    lhs = dist_D(left_multiply(phi, u))
-    rhs = left_multiply(psi, u)
+    lhs = dist_D(left_multiply(phi_poly(pear), u))
+    rhs = left_multiply(psi_poly(pear), u)
     if depth > min(lhs.max_degree, rhs.max_degree):
         raise InsufficientMomentsError(
             f"residual to depth {depth} needs a moment table of degree >= {depth + 2}"
@@ -241,7 +229,7 @@ def derived_functional(
     """The k-th derived functional u^[k] = L(phi u^[k-1]), u^[0] = u."""
     if k < 0:
         raise ValueError("derived_functional needs k >= 0")
-    phi = Poly([pear.c, pear.b, pear.a])
+    phi = phi_poly(pear)
     out = u
     for _ in range(k):
         out = dist_L(left_multiply(phi, out))

@@ -7,10 +7,9 @@ zero polynomial stores nothing and reports ``degree() is None``.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .qnum import HahnFrame, ScalarLike, as_scalar, hahn_number, q_binomial, q_bracket
+from .qnum import HahnFrame, PearsonPair, ScalarLike, as_scalar, q_binomial
 
 
 class Poly:
@@ -152,6 +151,16 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
+def phi_poly(pear: PearsonPair) -> Poly:
+    """phi(x) = a x^2 + b x + c."""
+    return Poly([pear.c, pear.b, pear.a])
+
+
+def psi_poly(pear: PearsonPair) -> Poly:
+    """psi(x) = d x + e."""
+    return Poly([pear.e, pear.d])
+
+
 def op_L(f: Poly, frame: HahnFrame) -> Poly:
     """L f(x) = f(q x + omega)."""
     return f.compose_affine(frame.q, frame.omega)
@@ -174,18 +183,6 @@ def op_D(f: Poly, frame: HahnFrame) -> Poly:
     return quot
 
 
-def op_D_monomial(f: Poly, frame: HahnFrame) -> Poly:
-    """Same operator as op_D, via the expansion of its action on monomials.
-
-    Kept as an independent route for cross-checking op_D.
-    """
-    out = Poly()
-    for n, c in enumerate(f.coeffs):
-        for k in range(n):
-            out = out + Poly.monomial(n - 1 - k, c * hahn_number(n, k, frame.q, frame.omega))
-    return out
-
-
 def op_D_star(f: Poly, frame: HahnFrame) -> Poly:
     """The divided difference in the reciprocal frame (1/q, -omega/q)."""
     return op_D(f, frame.reciprocal())
@@ -195,19 +192,6 @@ def op_iter(op, f: Poly, frame: HahnFrame, n: int) -> Poly:
     for _ in range(n):
         f = op(f, frame)
     return f
-
-
-@lru_cache(maxsize=None)
-def y_basis(n: int, frame: HahnFrame) -> Poly:
-    """The monic Newton-type basis Y_n = prod_{j=0}^{n-1} (x - omega [j]_q).
-
-    The divided difference acts diagonally on it: D Y_n = [n]_q Y_{n-1}.
-    """
-    if n < 0:
-        raise ValueError("y_basis needs n >= 0")
-    if n == 0:
-        return Poly([1])
-    return y_basis(n - 1, frame) * Poly([-frame.omega * q_bracket(n - 1, frame.q), 1])
 
 
 def y_nodes(frame: HahnFrame, n: int) -> list[Fraction]:
@@ -223,6 +207,20 @@ def y_nodes(frame: HahnFrame, n: int) -> list[Fraction]:
     return out
 
 
+def y_basis(n: int, frame: HahnFrame) -> Poly:
+    """The monic Newton-type basis Y_n = prod_{j<n} (x - node_j), over the nodes of y_nodes.
+
+    The divided difference acts diagonally on it: D Y_n = [n]_q Y_{n-1}.
+    """
+    if n < 0:
+        raise ValueError("y_basis needs n >= 0")
+    c = [Fraction(1)]
+    for node in y_nodes(frame, n):
+        # times (x - node): coefficient k becomes c_{k-1} - node c_k
+        c = [-node * c[0]] + [a - node * b for a, b in zip(c, c[1:])] + [c[-1]]
+    return Poly(c)
+
+
 def to_y_basis(f: Poly, frame: HahnFrame) -> list[Fraction]:
     """Coefficients c with f = sum_k c_k Y_k, by repeated synthetic division.
 
@@ -236,13 +234,6 @@ def to_y_basis(f: Poly, frame: HahnFrame) -> list[Fraction]:
             for k in range(len(rem) - 2, -1, -1):
                 rem[k] += node * rem[k + 1]
         out.append(rem.pop(0))
-    return out
-
-
-def from_y_basis(coeffs: Sequence[ScalarLike], frame: HahnFrame) -> Poly:
-    out = Poly()
-    for k, c in enumerate(coeffs):
-        out = out + as_scalar(c) * y_basis(k, frame)
     return out
 
 

@@ -6,7 +6,6 @@ identities downstream can be asserted with ``==`` instead of tolerances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -14,7 +13,6 @@ from typing import Union
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -119,21 +117,6 @@ def q_binomial(n: int, k: int, q: ScalarLike) -> Fraction:
         raise ValueError(f"q_binomial needs 0 <= k <= n, got n={n}, k={k}")
     q = as_scalar(q)
     return q_factorial(n, q) / (q_factorial(k, q) * q_factorial(n - k, q))
-
-
-def hahn_number(n: int, k: int, q: ScalarLike, omega: ScalarLike) -> Fraction:
-    """The coefficient [n,k]_{q,omega} = omega^k * sum_{j=0}^{n-1-k} C(k+j,j) q^j.
-
-    Zero whenever n <= k (empty sum); [n,0] reduces to [n]_q.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("hahn_number needs n, k >= 0")
-    q = as_scalar(q)
-    omega = as_scalar(omega)
-    total = ZERO
-    for j in range(n - k):
-        total += math.comb(k + j, j) * q**j
-    return omega**k * total
 
 
 def d_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:

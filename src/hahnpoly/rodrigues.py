@@ -12,17 +12,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .qnum import HahnFrame, PearsonPair, q_bracket, rodrigues_constant
-from .poly import Poly
+from .poly import Poly, phi_poly
 from .functional import (
     MomentFunctional,
     InsufficientMomentsError,
-    derived_functional,
     dist_D_star,
     dist_iter,
     dist_L,
     left_multiply,
 )
-from .classical import RecurrenceTable, phi_poly
+from .classical import RecurrenceTable
 
 
 @dataclass(frozen=True)
@@ -59,26 +58,25 @@ def phi_product(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
     phi = phi_poly(pear)
     out = Poly([1])
     for j in range(1, n + 1):
-        out = out * phi.compose_affine(frame.q**j, frame.omega * q_bracket(j, frame.q))
+        out = out * _phi_factor(phi, frame, j)
     return out
+
+
+def _phi_factor(phi: Poly, frame: HahnFrame, j: int) -> Poly:
+    """phi(q^j x + omega [j]_q), so that Phi(.; j) = Phi(.; j-1) times this."""
+    return phi.compose_affine(frame.q**j, frame.omega * q_bracket(j, frame.q))
 
 
 def rodrigues_rhs(
     pear: PearsonPair, frame: HahnFrame, u: MomentFunctional, n: int
 ) -> MomentFunctional:
-    """k_n (D*)^n of the n-th derived functional.
+    """k_n (D*)^n of the n-th derived functional, in the closed form Phi(.; n) L^n u."""
+    return _rhs(pear, frame, left_multiply(phi_product(pear, frame, n), dist_iter(dist_L, u, n)), n)
 
-    Computed by both routes -- iterated u^[k] definition, and the closed
-    form Phi(.; n) applied to L^n u -- which must agree on their shared
-    window (RuntimeError otherwise) before the (larger) one is returned.
-    """
-    k_n = rodrigues_constant(pear, frame, n)
-    iterated = derived_functional(pear, frame, u, n)
-    closed = left_multiply(phi_product(pear, frame, n), dist_iter(dist_L, u, n))
-    if not iterated.agrees_with(closed):
-        raise RuntimeError("derived-functional routes disagree")
-    best = iterated if iterated.max_degree >= closed.max_degree else closed
-    return dist_iter(dist_D_star, best, n).scale(k_n)
+
+def _rhs(pear: PearsonPair, frame: HahnFrame, derived: MomentFunctional, n: int) -> MomentFunctional:
+    """k_n (D*)^n derived, for derived the n-th derived functional of u."""
+    return dist_iter(dist_D_star, derived, n).scale(rodrigues_constant(pear, frame, n))
 
 
 def verify_rodrigues(
@@ -93,7 +91,12 @@ def verify_rodrigues(
     if n >= len(table.polys):
         raise ValueError(f"recurrence table has no P_{n}")
     lhs = left_multiply(table.polys[n], u)
-    rhs = rodrigues_rhs(pear, frame, u, n)
+    return _witness(n, lhs, rodrigues_rhs(pear, frame, u, n), test_degree)
+
+
+def _witness(
+    n: int, lhs: MomentFunctional, rhs: MomentFunctional, test_degree: int
+) -> RodriguesWitness:
     if test_degree > min(lhs.max_degree, rhs.max_degree):
         raise InsufficientMomentsError(
             f"test degree {test_degree} exceeds valid window "

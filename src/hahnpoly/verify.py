@@ -8,21 +8,23 @@ equality breaks.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
-from .qnum import HahnFrame, PearsonPair, d_n, e_n, q_binomial, q_bracket
+from .qnum import HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, q_binomial, q_bracket
 from .poly import (
     Poly,
     leibniz_expand,
     op_D,
-    op_D_monomial,
     op_D_star,
     op_iter,
     op_L,
     op_L_star,
+    phi_poly,
+    psi_poly,
     y_basis,
 )
 from .functional import (
@@ -43,15 +45,12 @@ from .classical import (
     derivative_sequence,
     gram_matrix,
     mixed_moments,
-    phi_poly,
     psi_k,
-    psi_k_recursive,
     r_polynomial,
     recurrence,
     theta2,
-    theta2_definitional,
 )
-from .rodrigues import moment_depth_for, verify_rodrigues
+from .rodrigues import _phi_factor, _rhs, _witness, moment_depth_for
 
 # frames used by the randomized identity suite; excluded points are
 # filtered at construction time
@@ -97,8 +96,28 @@ def random_functional(rng: random.Random, frame: HahnFrame, depth: int) -> Momen
     )
 
 
-def _all(checks: Iterable[Check]) -> bool:
-    return all(c.passed for c in checks)
+def _hahn_number(n: int, k: int, q: ScalarLike, omega: ScalarLike) -> Fraction:
+    """The coefficient [n,k]_{q,omega} = omega^k * sum_{j=0}^{n-1-k} C(k+j,j) q^j.
+
+    Zero whenever n <= k (empty sum); [n,0] reduces to [n]_q.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("hahn_number needs n, k >= 0")
+    q = as_scalar(q)
+    omega = as_scalar(omega)
+    total = Fraction(0)
+    for j in range(n - k):
+        total += math.comb(k + j, j) * q**j
+    return omega**k * total
+
+
+def _op_D_monomial(f: Poly, frame: HahnFrame) -> Poly:
+    """op_D through its action on monomials, D x^n = sum_k [n,k]_{q,omega} x^{n-1-k}."""
+    out = [Fraction(0)] * len(f.coeffs)
+    for n, c in enumerate(f.coeffs):
+        for k in range(n):
+            out[n - 1 - k] += c * _hahn_number(n, k, frame.q, frame.omega)
+    return Poly(out)
 
 
 def identities_suite(
@@ -155,7 +174,7 @@ def identities_suite(
         k = rng.randint(0, 4)
         record("leibniz_polynomial",
                leibniz_expand(f, g, fr, k) == op_iter(op_D, f * g, fr, k), detail)
-        record("D_division_vs_monomial", op_D(f, fr) == op_D_monomial(f, fr), detail)
+        record("D_division_vs_monomial", op_D(f, fr) == _op_D_monomial(f, fr), detail)
         nb = rng.randint(0, 12)
         record("D_y_basis_diagonal",
                op_D(y_basis(nb, fr), fr)
@@ -207,12 +226,11 @@ def gram_suite(
     O(depth^2); the Gram matrix itself is formed only to describe a failure.
     """
     checks = []
-    table_depth = max(2 * depth, residual_depth + 2, 22)
     # residual entry n reads y_{n+1}; the Gram checks read y_0..y_{2 depth}
-    read_depth = max(2 * depth, residual_depth + 1)
-    if fuzz_moment is not None and not 0 <= fuzz_moment <= read_depth:
+    table_depth = max(2 * depth, residual_depth + 1)
+    if fuzz_moment is not None and not 0 <= fuzz_moment <= table_depth:
         raise SuiteArgumentError(
-            f"fuzz_moment {fuzz_moment} is outside the moments the checks read, 0..{read_depth}"
+            f"fuzz_moment {fuzz_moment} is outside the moments the checks read, 0..{table_depth}"
         )
     u = solve_moments(pear, frame, y0, table_depth)
     if fuzz_moment is not None:
@@ -262,19 +280,54 @@ def rodrigues_suite(
     test_degree: int = 8,
     require_regular: bool = True,
 ) -> list[Check]:
-    """The Rodrigues identity for n <= n_max, both right-hand-side routes."""
+    """The Rodrigues identity for n <= n_max.
+
+    Check rodrigues_n{n} also requires the closed form Phi(.; n) L^n u, which the
+    right-hand side differentiates, to agree with the iterated derived functional
+    u^[n] = L(phi u^[n-1]) on their shared window. Walking n upward, each of
+    u^[n], L^n u and Phi(.; n) costs one step per n.
+    """
     depth = max(moment_depth_for(pear, n, test_degree) for n in range(n_max + 1))
     u = solve_moments(pear, frame, 1, depth + 2 * n_max + 2)
     table = recurrence(pear, frame, n_max, require_regular=require_regular)
+    phi = phi_poly(pear)
+    iterated = shifted = u
+    product = Poly([1])
     checks = []
     for n in range(n_max + 1):
-        witness = verify_rodrigues(pear, frame, u, table, n, test_degree)
-        checks.append(Check(
-            f"rodrigues_n{n}",
-            witness.match,
-            "" if witness.match else f"first mismatch at Y-degree {witness.first_mismatch}",
-        ))
+        if n:
+            iterated = derived_functional(pear, frame, iterated, 1)
+            shifted = dist_L(shifted)
+            product = product * _phi_factor(phi, frame, n)
+        closed = left_multiply(product, shifted)
+        lhs = left_multiply(table.polys[n], u)
+        witness = _witness(n, lhs, _rhs(pear, frame, closed, n), test_degree)
+        problems = []
+        if not witness.match:
+            problems.append(f"first mismatch at Y-degree {witness.first_mismatch}")
+        if not closed.agrees_with(iterated):
+            split = next(k for k, (a, b) in enumerate(zip(closed.moments, iterated.moments)) if a != b)
+            problems.append(f"derived-functional routes disagree at Y-degree {split}")
+        checks.append(Check(f"rodrigues_n{n}", not problems, "; ".join(problems)))
     return checks
+
+
+def _psi_k_recursive(pear: PearsonPair, frame: HahnFrame, k: int) -> Poly:
+    """psi^[k] by iterating psi^[k] = D phi + q L psi^[k-1] from psi^[0] = psi."""
+    out = psi_poly(pear)
+    dphi = op_D(phi_poly(pear), frame)
+    for _ in range(k):
+        out = dphi + frame.q * op_L(out, frame)
+    return out
+
+
+def _theta2_definitional(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
+    """theta_2(x; n) from its defining combination d_{2n} phi + q psi^[n] psi^[n-1]."""
+    if n < 1:
+        raise ValueError("theta2 needs n >= 1")
+    return d_n(pear, frame, 2 * n) * phi_poly(pear) + frame.q * (
+        psi_k(pear, frame, n) * psi_k(pear, frame, n - 1)
+    )
 
 
 def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
@@ -320,11 +373,11 @@ def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
                     ok, detail = False, f"norm relation broke at (k,n,m)=({k},{n},{m})"
     checks.append(Check("norm_relation_k_le_3", ok, detail))
 
-    bad = [k for k in range(11) if psi_k(pear, frame, k) != psi_k_recursive(pear, frame, k)]
+    bad = [k for k in range(11) if psi_k(pear, frame, k) != _psi_k_recursive(pear, frame, k)]
     checks.append(Check("psi_k_closed_form_vs_recursion", not bad,
                         "" if not bad else f"mismatch at k={bad[0]}"))
 
-    bad = [n for n in range(1, 9) if theta2(pear, frame, n) != theta2_definitional(pear, frame, n)]
+    bad = [n for n in range(1, 9) if theta2(pear, frame, n) != _theta2_definitional(pear, frame, n)]
     checks.append(Check("theta2_dual_computation", not bad,
                         "" if not bad else f"mismatch at n={bad[0]}"))
 

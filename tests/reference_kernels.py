@@ -4,14 +4,15 @@ Every dual operation here expands Y-basis polynomials as Poly objects,
 independently of the banded recurrences in hahnpoly.functional and of the
 synthetic-division to_y_basis; the affine substitution is Horner's rule over
 Poly products, and the Gram suite reads the full Gram matrix.
-tests/test_kernels.py requires exact equality.
+tests/test_kernels.py requires exact equality. from_y_basis and the Hankel
+determinant serve tests/test_poly.py and tests/test_classical.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from hahnpoly import classical
 from hahnpoly.functional import (
@@ -20,9 +21,13 @@ from hahnpoly.functional import (
     pearson_residual,
     solve_moments,
 )
-from hahnpoly.poly import Poly, op_D, op_D_star, op_L, op_L_star, y_basis
-from hahnpoly.qnum import HahnFrame, PearsonPair
+from hahnpoly import poly
+from hahnpoly.poly import Poly, op_D, op_D_star, op_L, op_L_star
+from hahnpoly.qnum import HahnFrame, PearsonPair, ScalarLike, as_scalar
 from hahnpoly.verify import Check, SuiteArgumentError
+
+# the library builds Y_n afresh on every call; the oracles ask for the same Y_n many times
+y_basis = lru_cache(maxsize=None)(poly.y_basis)
 
 
 def compose_affine(f: Poly, alpha, beta) -> Poly:
@@ -47,6 +52,14 @@ def to_y_basis(f: Poly, frame) -> list[Fraction]:
         rem = rem - c * y_basis(k, frame)
         if not (rem.is_zero() or rem.degree() < k):
             raise ArithmeticError("back-substitution did not lower the degree")
+    return out
+
+
+def from_y_basis(coeffs: Sequence[ScalarLike], frame) -> Poly:
+    """sum_k c_k Y_k, the inverse of to_y_basis."""
+    out = Poly()
+    for k, c in enumerate(coeffs):
+        out = out + as_scalar(c) * y_basis(k, frame)
     return out
 
 
@@ -125,6 +138,30 @@ def gram_matrix(u: MomentFunctional, polys, depth: int) -> list[list[Fraction]]:
     ]
 
 
+def hankel_determinant(u: MomentFunctional, order: int) -> Fraction:
+    """det [u_{i+j}]_{i,j=0}^{order-1} from the power moments, by exact elimination."""
+    power = u.power_moments()
+    if 2 * order - 2 > len(power) - 1:
+        raise InsufficientMomentsError(f"Hankel order {order} needs moments up to {2 * order - 2}")
+    mat = [[power[i + j] for j in range(order)] for i in range(order)]
+    det = Fraction(1)
+    for col in range(order):
+        pivot = next((r for r in range(col, order) if mat[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = 1 / mat[col][col]
+        for r in range(col + 1, order):
+            factor = mat[r][col] * inv
+            if factor:
+                for cc in range(col, order):
+                    mat[r][cc] -= factor * mat[col][cc]
+    return det
+
+
 def gram_suite(
     pear: PearsonPair,
     frame: HahnFrame,
@@ -135,10 +172,10 @@ def gram_suite(
 ) -> list[Check]:
     """hahnpoly.verify.gram_suite with both Gram checks read off the full Gram matrix."""
     checks = []
-    table_depth = max(2 * depth, residual_depth + 2, 22)
+    table_depth = max(2 * depth, residual_depth + 1)
     if fuzz_moment is not None and not 0 <= fuzz_moment <= table_depth:
         raise SuiteArgumentError(
-            f"fuzz_moment {fuzz_moment} is outside the moment table 0..{table_depth}"
+            f"fuzz_moment {fuzz_moment} is outside the moments the checks read, 0..{table_depth}"
         )
     u = solve_moments(pear, frame, y0, table_depth)
     if fuzz_moment is not None:

@@ -7,24 +7,22 @@ from hahnpoly.classical import (
     PRESETS,
     RegularityError,
     beta_coefficient,
-    check_admissible,
     check_regular,
     derivative_sequence,
     gamma_coefficient,
     get_preset,
     gram_matrix,
-    hankel_determinant,
     phi_poly,
     psi_k,
-    psi_k_recursive,
     r_polynomial,
     recurrence,
     theta2,
-    theta2_definitional,
 )
 from hahnpoly.functional import pair, solve_moments
 from hahnpoly.poly import Poly, op_D, op_iter
 from hahnpoly.qnum import HahnFrame, PearsonPair, d_n, e_n, q_bracket
+from hahnpoly.verify import _psi_k_recursive, _theta2_definitional
+from reference_kernels import hankel_determinant
 
 CHARLIER = PearsonPair(F(0), F(1), F(0), F(-1), F(1, 2))
 Q1W1 = HahnFrame(F(1), F(1))
@@ -44,13 +42,13 @@ def random_admissible_pair(rng):
 
 class TestAdmissibility:
     def test_charlier_always_admissible(self):
-        report = check_admissible(CHARLIER, Q1W1, 40)
+        report = check_regular(CHARLIER, Q1W1, 40)
         assert report.admissible and report.first_admissibility_failure is None
 
     def test_constructed_failure_at_two(self):
         # d_n = -3/4*2^n + [n]_2 = 0 at n = 2
         pear = PearsonPair(F(1), F(0), F(1), F(-3, 4), F(1))
-        report = check_admissible(pear, HahnFrame(F(2), F(0)), 10)
+        report = check_regular(pear, HahnFrame(F(2), F(0)), 10)
         assert not report.admissible
         assert report.first_admissibility_failure == 2
 
@@ -60,7 +58,7 @@ class TestAdmissibility:
 
     def test_degenerate_psi_fails_at_zero(self):
         pear = PearsonPair(F(1), F(0), F(1), F(0), F(1))
-        report = check_admissible(pear, HahnFrame(F(2), F(0)), 5)
+        report = check_regular(pear, HahnFrame(F(2), F(0)), 5)
         assert report.first_admissibility_failure == 0
         assert not report.psi_degree_one
 
@@ -102,7 +100,7 @@ class TestPsiK:
         for _ in range(10):
             pear, frame = random_admissible_pair(rng)
             for k in range(11):
-                assert psi_k(pear, frame, k) == psi_k_recursive(pear, frame, k)
+                assert psi_k(pear, frame, k) == _psi_k_recursive(pear, frame, k)
 
 
 class TestTheta2:
@@ -111,7 +109,7 @@ class TestTheta2:
         for _ in range(10):
             pear, frame = random_admissible_pair(rng)
             for n in range(1, 9):
-                assert theta2(pear, frame, n) == theta2_definitional(pear, frame, n)
+                assert theta2(pear, frame, n) == _theta2_definitional(pear, frame, n)
 
     def test_leading_coefficient(self):
         pear, frame = CHARLIER, Q1W1

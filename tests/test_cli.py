@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hahnpoly
+from hahnpoly import verify
 from hahnpoly.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
@@ -169,6 +170,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "identities", "--q", "2", "--omega", "1")
         assert code == EXIT_OK
         assert json.loads(out)["passed"] is True
+
+    def test_gram_horizon_matches_classify(self, capsys):
+        # d_21 = 0, and no check at --n 6 reads past y_21
+        flags = ["--a=1", "--c=1", "--d=-21", "--e=1", "--q=1", "--omega=1", "--n", "6"]
+        assert run(capsys, "classify", *flags)[0] == EXIT_OK
+        code, out, _ = run(capsys, "verify", "--suite", "gram", *flags)
+        assert code == EXIT_OK
+        assert json.loads(out)["passed"] is True
+
+    def test_rodrigues_route_disagreement_exits_mismatch(self, capsys, monkeypatch):
+        derived_functional = verify.derived_functional
+        monkeypatch.setattr(verify, "derived_functional",
+                            lambda *args: derived_functional(*args).scale(2))
+        code, out, err = run(capsys, "verify", "--suite", "rodrigues", "--preset", "charlier")
+        assert code == EXIT_MISMATCH and err == ""
+        checks = json.loads(out)["checks"]
+        assert checks[0]["passed"] and not checks[1]["passed"]
+        assert "routes disagree" in checks[1]["detail"]
 
     def test_rodrigues_explicit_pair(self, capsys):
         code, out, _ = run(

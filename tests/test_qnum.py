@@ -8,12 +8,12 @@ from hahnpoly.qnum import (
     PearsonPair,
     d_n,
     e_n,
-    hahn_number,
     q_binomial,
     q_bracket,
     q_factorial,
     rodrigues_constant,
 )
+from hahnpoly.verify import _hahn_number as hahn_number
 
 Q_TEST_SET = [F(1), F(2), F(1, 2), F(3, 5), F(-2), F(-1, 3)]
 

@@ -10,6 +10,7 @@ from hahnpoly.functional import (
 )
 from hahnpoly.poly import Poly, op_L
 from hahnpoly.qnum import HahnFrame, PearsonPair, rodrigues_constant
+from hahnpoly import verify
 from hahnpoly.rodrigues import (
     RodriguesWitness,
     moment_depth_for,
@@ -126,3 +127,23 @@ class TestMomentDepthFor:
             u = solve_moments(preset.pear, preset.frame, 1, depth)
             table = recurrence(preset.pear, preset.frame, n + 1)
             assert verify_rodrigues(preset.pear, preset.frame, u, table, n).match
+
+
+class TestRodriguesSuite:
+    def test_route_disagreement_fails_the_check(self, monkeypatch):
+        # the witness still matches; only the iterated route is corrupted
+        derived_functional = verify.derived_functional
+        monkeypatch.setattr(verify, "derived_functional",
+                            lambda *args: derived_functional(*args).scale(2))
+        checks = verify.rodrigues_suite(CHARLIER, Q1W1, n_max=2)
+        assert checks[0].passed
+        assert [c.passed for c in checks[1:]] == [False, False]
+        assert checks[1].detail == "derived-functional routes disagree at Y-degree 0"
+
+    def test_witness_mismatch_names_degree(self, monkeypatch):
+        rhs = verify._rhs
+        monkeypatch.setattr(verify, "_rhs", lambda pear, frame, derived, n: rhs(
+            pear, frame, derived, n).scale(1 if n < 2 else 3))
+        checks = verify.rodrigues_suite(CHARLIER, Q1W1, n_max=2)
+        assert [c.passed for c in checks] == [True, True, False]
+        assert checks[2].detail == "first mismatch at Y-degree 2"
