@@ -16,10 +16,12 @@ from typing import Optional, Sequence
 from .qnum import (
     HahnFrame,
     PearsonPair,
+    PearsonSequences,
     ScalarLike,
     as_scalar,
     d_n,
     e_n,
+    pearson_sequences,
     q_bracket,
 )
 from .poly import Poly, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis, y_nodes
@@ -73,20 +75,22 @@ def check_regular(pear: PearsonPair, frame: HahnFrame, depth: int) -> Regularity
     Generating the recurrence to depth N consumes d-indices through
     2N + 1, so the admissibility scan goes that far.
     """
+    return _scan(pear, frame, depth)[0]
+
+
+def _scan(pear: PearsonPair, frame: HahnFrame, depth: int) -> tuple[RegularityReport, PearsonSequences]:
+    """check_regular's report, with the sequences it scanned: d_n through 2N + 1, e_n through N."""
     d_through = 2 * depth + 1
-    d_failure = None
-    for m in range(d_through + 1):
-        if d_n(pear, frame, m) == 0:
-            d_failure = m
-            break
+    s = pearson_sequences(pear, frame, d_through, depth)
+    d_failure = next((m for m, dm in enumerate(s.d) if dm == 0), None)
     phi = phi_poly(pear)
     phi_failure = None
     n_limit = depth if d_failure is None else min(depth, d_failure - 1)
     for n in range(n_limit + 1):
-        d2n = d_n(pear, frame, 2 * n)
+        d2n = s.d[2 * n]
         if d2n == 0:
             continue  # condition not evaluable here; the d-scan already failed
-        if phi(-e_n(pear, frame, n) / d2n) == 0:
+        if phi(-s.e[n] / d2n) == 0:
             phi_failure = n
             break
     # earliest of the two failures wins; ties go to the d-condition
@@ -95,7 +99,7 @@ def check_regular(pear: PearsonPair, frame: HahnFrame, depth: int) -> Regularity
         failure = (d_failure, D_ZERO)
     elif phi_failure is not None:
         failure = (phi_failure, PHI_ROOT)
-    return RegularityReport(
+    report = RegularityReport(
         admissible=d_failure is None,
         first_admissibility_failure=d_failure,
         regular_up_to=depth,
@@ -103,6 +107,7 @@ def check_regular(pear: PearsonPair, frame: HahnFrame, depth: int) -> Regularity
         psi_degree_one=pear.d != 0,
         checked_d_through=d_through,
     )
+    return report, s
 
 
 def psi_k(pear: PearsonPair, frame: HahnFrame, k: int) -> Poly:
@@ -132,14 +137,27 @@ def theta2(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
     ])
 
 
+def _beta(s: PearsonSequences, omega: Fraction, n: int) -> Fraction:
+    """beta_n = omega [n]_q + [n]_q e_{n-1}/d_{2n-2} - [n+1]_q e_n/d_{2n}, read off the sequences."""
+    out = -s.bracket[n + 1] * s.e[n] / s.d[2 * n]
+    if n >= 1:
+        out += omega * s.bracket[n] + s.bracket[n] * s.e[n - 1] / s.d[2 * n - 2]
+    return out
+
+
+def _gamma(s: PearsonSequences, phi: Poly, n: int) -> Fraction:
+    """gamma_{n+1} as in gamma_coefficient, read off the sequences."""
+    root_value = phi(-s.e[n] / s.d[2 * n])
+    if n == 0:
+        return -root_value / s.d[1]
+    return -s.power[n] * s.bracket[n + 1] * s.d[n - 1] / (s.d[2 * n - 1] * s.d[2 * n + 1]) * root_value
+
+
 def beta_coefficient(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
     """beta_n = omega [n]_q + [n]_q e_{n-1}/d_{2n-2} - [n+1]_q e_n/d_{2n}."""
-    q = frame.q
-    out = -q_bracket(n + 1, q) * e_n(pear, frame, n) / d_n(pear, frame, 2 * n)
-    if n >= 1:
-        out += frame.omega * q_bracket(n, q)
-        out += q_bracket(n, q) * e_n(pear, frame, n - 1) / d_n(pear, frame, 2 * n - 2)
-    return out
+    if n < 0:
+        raise ValueError("beta_coefficient needs n >= 0")
+    return _beta(pearson_sequences(pear, frame, 2 * n + 1, n), frame.omega, n)
 
 
 def gamma_coefficient(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
@@ -149,18 +167,9 @@ def gamma_coefficient(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
     At n = 0 the factor d_{-1} cancels against d_{2n-1}, leaving
     gamma_1 = -phi(-e/d) / d_1.
     """
-    q = frame.q
-    phi = phi_poly(pear)
-    root_value = phi(-e_n(pear, frame, n) / d_n(pear, frame, 2 * n))
-    if n == 0:
-        return -root_value / d_n(pear, frame, 1)
-    return (
-        -(q**n)
-        * q_bracket(n + 1, q)
-        * d_n(pear, frame, n - 1)
-        / (d_n(pear, frame, 2 * n - 1) * d_n(pear, frame, 2 * n + 1))
-        * root_value
-    )
+    if n < 0:
+        raise ValueError("gamma_coefficient needs n >= 0")
+    return _gamma(pearson_sequences(pear, frame, 2 * n + 1, n), phi_poly(pear), n)
 
 
 @dataclass(frozen=True)
@@ -180,12 +189,23 @@ class RecurrenceTable:
 
     @cached_property
     def polys(self) -> tuple[Poly, ...]:
-        """P_0..P_{N+1} by P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1}."""
-        beta, gamma = self.beta, self.gamma
-        x = Poly.x()
-        polys = [Poly([1]), x - Poly.constant(beta[0])]
-        for n in range(1, self.depth + 1):
-            polys.append((x - Poly.constant(beta[n])) * polys[n] - gamma[n] * polys[n - 1])
+        """P_0..P_{N+1} by P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1}.
+
+        Run on coefficient lists: c_{n+1,k} = c_{n,k-1} - beta_n c_{n,k} - gamma_n c_{n-1,k}.
+        """
+        prev, cur = [], [Fraction(1)]
+        polys = [Poly._trusted(cur)]
+        for n, b in enumerate(self.beta):
+            nxt = [Fraction(0)] + cur
+            if b:
+                for k, c in enumerate(cur):
+                    nxt[k] -= b * c
+            g = self.gamma[n]
+            if n and g:
+                for k, c in enumerate(prev):
+                    nxt[k] -= g * c
+            polys.append(Poly._trusted(nxt))
+            prev, cur = cur, nxt
         return tuple(polys)
 
     def to_json_dict(self) -> dict:
@@ -208,13 +228,14 @@ def recurrence(
     With require_regular=False only admissibility is enforced, and the
     generated simple set may have vanishing gamma (no longer an OPS).
     """
-    report = check_regular(pear, frame, depth)
+    report, s = _scan(pear, frame, depth)
     if report.first_admissibility_failure is not None:
         raise RegularityError(report)
     if require_regular and not report.regular:
         raise RegularityError(report)
-    beta = tuple(beta_coefficient(pear, frame, n) for n in range(depth + 1))
-    gamma = (as_scalar(y0),) + tuple(gamma_coefficient(pear, frame, n) for n in range(depth))
+    phi = phi_poly(pear)
+    beta = tuple(_beta(s, frame.omega, n) for n in range(depth + 1))
+    gamma = (as_scalar(y0),) + tuple(_gamma(s, phi, n) for n in range(depth))
     return RecurrenceTable(beta, gamma)
 
 

@@ -244,15 +244,18 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
-def _add_pair_flags(sub):
+def _pair_flags() -> argparse.ArgumentParser:
+    """The flags that classify, recurrence, moments and verify share, built once."""
+    flags = argparse.ArgumentParser(add_help=False)
     for flag in ("a", "b", "c", "d", "e"):
-        sub.add_argument(f"--{flag}", help=f"coefficient {flag} as a rational string")
-    sub.add_argument("--q", help="frame parameter q as a rational string")
-    sub.add_argument("--omega", help="frame parameter omega as a rational string")
-    sub.add_argument("--preset", help="named preset (mutually exclusive with explicit flags)")
-    sub.add_argument("--n", type=int, help=f"depth (default from ${DEPTH_ENV})")
-    sub.add_argument("--y0", help="value of <u, 1> as a rational string (default 1)")
-    sub.add_argument("--format", choices=["json", "csv", "human"], default="json")
+        flags.add_argument(f"--{flag}", help=f"coefficient {flag} as a rational string")
+    flags.add_argument("--q", help="frame parameter q as a rational string")
+    flags.add_argument("--omega", help="frame parameter omega as a rational string")
+    flags.add_argument("--preset", help="named preset (mutually exclusive with explicit flags)")
+    flags.add_argument("--n", type=int, help=f"depth (default from ${DEPTH_ENV})")
+    flags.add_argument("--y0", help="value of <u, 1> as a rational string (default 1)")
+    flags.add_argument("--format", choices=["json", "csv", "human"], default="json")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,21 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
         "their orthogonal polynomial sequences, in exact rational arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pair_flags = [_pair_flags()]
 
-    p = sub.add_parser("classify", help="regularity report for a pair")
-    _add_pair_flags(p)
+    p = sub.add_parser("classify", parents=pair_flags, help="regularity report for a pair")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("recurrence", help="beta_n, gamma_n and the monic polynomials")
-    _add_pair_flags(p)
+    p = sub.add_parser("recurrence", parents=pair_flags, help="beta_n, gamma_n and the monic polynomials")
     p.set_defaults(func=cmd_recurrence)
 
-    p = sub.add_parser("moments", help="Y-basis and power-basis moment tables")
-    _add_pair_flags(p)
+    p = sub.add_parser("moments", parents=pair_flags, help="Y-basis and power-basis moment tables")
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("verify", help="run exact verification suites")
-    _add_pair_flags(p)
+    p = sub.add_parser("verify", parents=pair_flags, help="run exact verification suites")
     p.add_argument("--suite", choices=["gram", "rodrigues", "norms", "identities", "all"],
                    default="all")
     p.add_argument("--test-degree", type=int, default=8)

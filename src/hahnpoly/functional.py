@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, q_bracket
+from .qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, pearson_sequences
 from .poly import Poly, phi_poly, psi_poly, to_y_basis, y_nodes
 
 DEFAULT_DEPTH = 24
@@ -104,15 +104,19 @@ def solve_moments(
     d_n y_{n+1} + (e_n + omega [n]_q d_{n-1}) y_n + [n]_q (c + omega e_{n-1}) y_{n-1} = 0,
     which is first order in y_{n+1} whenever all d_n are nonzero.
     """
-    q, omega = frame.q, frame.omega
+    top = max(depth - 1, 0)
+    s = pearson_sequences(pear, frame, top, top)
+    c, omega = pear.c, frame.omega
     y = [as_scalar(y0)]
     for n in range(depth):
-        dn = d_n(pear, frame, n)
+        dn = s.d[n]
         if dn == 0:
             raise AdmissibilityError(n)
-        acc = (e_n(pear, frame, n) + omega * q_bracket(n, q) * d_n(pear, frame, n - 1)) * y[n]
-        if n >= 1:
-            acc += q_bracket(n, q) * (pear.c + omega * e_n(pear, frame, n - 1)) * y[n - 1]
+        if n == 0:  # the d_{-1} term carries the factor [0]_q = 0
+            acc = s.e[0] * y[0]
+        else:
+            bracket = s.bracket[n]
+            acc = (s.e[n] + omega * bracket * s.d[n - 1]) * y[n] + bracket * (c + omega * s.e[n - 1]) * y[n - 1]
         y.append(-acc / dn)
     return MomentFunctional(frame, tuple(y))
 

@@ -26,6 +26,15 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @classmethod
+    def _trusted(cls, cs: list[Fraction]) -> "Poly":
+        """Wrap a list of Fractions that the kernels built: strips trailing zeros in place, no as_scalar."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", tuple(cs))
+        return out
+
     @staticmethod
     def constant(c: ScalarLike) -> "Poly":
         return Poly([c])
@@ -75,10 +84,10 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._trusted(out)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -91,7 +100,7 @@ class Poly:
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
-            return Poly(out)
+            return Poly._trusted(out)
         return self.scale(other)
 
     def __rmul__(self, other) -> "Poly":
@@ -99,7 +108,7 @@ class Poly:
 
     def scale(self, c: ScalarLike) -> "Poly":
         c = as_scalar(c)
-        return Poly([c * a for a in self.coeffs])
+        return Poly._trusted([c * a for a in self.coeffs])
 
     def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
         """Exact-field polynomial division; returns (quotient, remainder)."""
@@ -115,7 +124,7 @@ class Poly:
             if q:
                 for j, c in enumerate(divisor.coeffs):
                     rem[i + j] -= q * c
-        return Poly(quot), Poly(rem[:dd] if dd else [])
+        return Poly._trusted(quot), Poly._trusted(rem[:dd] if dd else [])
 
     def compose_affine(self, alpha: ScalarLike, beta: ScalarLike) -> "Poly":
         """Substitute x -> alpha*x + beta: O(deg^2) scalar work, no Poly products.
@@ -133,7 +142,7 @@ class Poly:
         for k in range(1, len(c)):
             power *= alpha
             c[k] *= power
-        return Poly(c)
+        return Poly._trusted(c)
 
     def __repr__(self):
         if not self.coeffs:
@@ -218,7 +227,7 @@ def y_basis(n: int, frame: HahnFrame) -> Poly:
     for node in y_nodes(frame, n):
         # times (x - node): coefficient k becomes c_{k-1} - node c_k
         c = [-node * c[0]] + [a - node * b for a, b in zip(c, c[1:])] + [c[-1]]
-    return Poly(c)
+    return Poly._trusted(c)
 
 
 def to_y_basis(f: Poly, frame: HahnFrame) -> list[Fraction]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
@@ -127,6 +127,35 @@ def d_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
 def e_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
     """e_n = e q^n + (omega d_n + b) [n]_q."""
     return pair.e * frame.q**n + (frame.omega * d_n(pair, frame, n) + pair.b) * q_bracket(n, frame.q)
+
+
+class PearsonSequences(NamedTuple):
+    """q^n, [n]_q and d_n for 0 <= n <= m, and e_n for 0 <= n <= m_e."""
+
+    power: list[Fraction]
+    bracket: list[Fraction]
+    d: list[Fraction]
+    e: list[Fraction]
+
+
+def pearson_sequences(pear: PearsonPair, frame: HahnFrame, m: int, m_e: int) -> PearsonSequences:
+    """The sequences that d_n and e_n define, one step per index.
+
+    q^{n+1} = q q^n, [n+1]_q = 1 + q [n]_q and d_{n+1} = q d_n + a, then
+    e_n = e q^n + (omega d_n + b) [n]_q: O(m) scalar work, where calling
+    d_n and e_n per index rebuilds q^n each time.
+    """
+    if not 0 <= m_e <= m:
+        raise ValueError(f"pearson_sequences needs 0 <= m_e <= m, got m={m}, m_e={m_e}")
+    q, a = frame.q, pear.a
+    power, bracket, d = [ONE], [Fraction(0)], [pear.d]
+    for _ in range(m):
+        power.append(q * power[-1])
+        bracket.append(1 + q * bracket[-1])
+        d.append(q * d[-1] + a)
+    omega, b, e = frame.omega, pear.b, pear.e
+    es = [e * power[n] + (omega * d[n] + b) * bracket[n] for n in range(m_e + 1)]
+    return PearsonSequences(power, bracket, d, es)
 
 
 def rodrigues_constant(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:

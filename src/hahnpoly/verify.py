@@ -430,7 +430,8 @@ def run_suites(
                 for c in gram_suite(pp, fr, depth, y0, fuzz_moment):
                     checks.append(Check(f"{name}:{c.name}", c.passed, c.detail))
             if "rodrigues" in suites:
-                for c in rodrigues_suite(pp, fr, min(5, depth), test_degree):
+                # the Rodrigues formula holds without regularity; only admissibility is needed
+                for c in rodrigues_suite(pp, fr, min(5, depth), test_degree, require_regular=False):
                     checks.append(Check(f"{name}:{c.name}", c.passed, c.detail))
             if "norms" in suites:
                 for c in norms_suite(pp, fr):

@@ -6,6 +6,11 @@ synthetic-division to_y_basis; the affine substitution is Horner's rule over
 Poly products, and the Gram suite reads the full Gram matrix.
 tests/test_kernels.py requires exact equality. from_y_basis and the Hankel
 determinant serve tests/test_poly.py and tests/test_classical.py.
+
+The per-index routes of the engine live here too: the regularity scan and
+the moment recurrence call d_n, e_n and q_bracket once per index read, and
+P_n is expanded by Poly products. tests/test_sequences.py compares them with
+the one-pass sequences of hahnpoly.qnum.pearson_sequences.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from hahnpoly import classical
+from hahnpoly.classical import D_ZERO, PHI_ROOT, RegularityReport
 from hahnpoly.functional import (
     InsufficientMomentsError,
     MomentFunctional,
@@ -22,8 +28,8 @@ from hahnpoly.functional import (
     solve_moments,
 )
 from hahnpoly import poly
-from hahnpoly.poly import Poly, op_D, op_D_star, op_L, op_L_star
-from hahnpoly.qnum import HahnFrame, PearsonPair, ScalarLike, as_scalar
+from hahnpoly.poly import Poly, op_D, op_D_star, op_L, op_L_star, phi_poly
+from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, q_bracket
 from hahnpoly.verify import Check, SuiteArgumentError
 
 # the library builds Y_n afresh on every call; the oracles ask for the same Y_n many times
@@ -210,3 +216,49 @@ def gram_suite(
             break
     checks.append(Check("gram_diagonal_product_of_gammas", diag_ok, detail))
     return checks
+
+
+def check_regular_per_index(pear: PearsonPair, frame: HahnFrame, depth: int) -> RegularityReport:
+    """hahnpoly.classical.check_regular with d_n and e_n evaluated per index."""
+    d_through = 2 * depth + 1
+    d_failure = next((m for m in range(d_through + 1) if d_n(pear, frame, m) == 0), None)
+    phi = phi_poly(pear)
+    phi_failure = None
+    n_limit = depth if d_failure is None else min(depth, d_failure - 1)
+    for n in range(n_limit + 1):
+        d2n = d_n(pear, frame, 2 * n)
+        if d2n != 0 and phi(-e_n(pear, frame, n) / d2n) == 0:
+            phi_failure = n
+            break
+    failure = None
+    if d_failure is not None and (phi_failure is None or d_failure <= phi_failure):
+        failure = (d_failure, D_ZERO)
+    elif phi_failure is not None:
+        failure = (phi_failure, PHI_ROOT)
+    return RegularityReport(d_failure is None, d_failure, depth, failure, pear.d != 0, d_through)
+
+
+def solve_moments_per_index(
+    pear: PearsonPair, frame: HahnFrame, y0: ScalarLike = 1, depth: int = 24
+) -> MomentFunctional:
+    """hahnpoly.functional.solve_moments with d_n, e_n and [n]_q evaluated per index."""
+    q, omega = frame.q, frame.omega
+    y = [as_scalar(y0)]
+    for n in range(depth):
+        dn = d_n(pear, frame, n)
+        if dn == 0:
+            raise AdmissibilityError(n)
+        acc = (e_n(pear, frame, n) + omega * q_bracket(n, q) * d_n(pear, frame, n - 1)) * y[n]
+        if n >= 1:
+            acc += q_bracket(n, q) * (pear.c + omega * e_n(pear, frame, n - 1)) * y[n - 1]
+        y.append(-acc / dn)
+    return MomentFunctional(frame, tuple(y))
+
+
+def recurrence_polys(beta: Sequence[Fraction], gamma: Sequence[Fraction]) -> tuple[Poly, ...]:
+    """P_0..P_{N+1} by P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1}, in Poly products."""
+    x = Poly.x()
+    polys = [Poly([1]), x - Poly.constant(beta[0])]
+    for n in range(1, len(beta)):
+        polys.append((x - Poly.constant(beta[n])) * polys[n] - gamma[n] * polys[n - 1])
+    return tuple(polys)

@@ -14,6 +14,7 @@ from hahnpoly.cli import (
     EXIT_MISMATCH,
     EXIT_NEGATIVE,
     EXIT_OK,
+    build_parser,
     main,
 )
 from hahnpoly.functional import MomentFunctional
@@ -189,6 +190,21 @@ class TestVerify:
         assert checks[0]["passed"] and not checks[1]["passed"]
         assert "routes disagree" in checks[1]["detail"]
 
+    def test_rodrigues_irregular_pair_runs(self, capsys):
+        # admissible, but phi_root_condition fails at n=1: the Rodrigues formula needs no regularity
+        code, out, err = run(capsys, "verify", "--suite", "rodrigues", "--a=0", "--b=1", "--c=0",
+                             "--d=-2", "--e=1", "--q=1", "--omega=1")
+        assert code == EXIT_OK and err == ""
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == [f"pair:rodrigues_n{n}" for n in range(6)]
+        assert all(c["passed"] for c in checks)
+
+    def test_rodrigues_inadmissible_pair_exits_negative(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "rodrigues", "--a=1", "--b=0", "--c=1",
+                             "--d=-1", "--e=1", "--q=1", "--omega=1")
+        assert code == EXIT_NEGATIVE and out == ""
+        assert json.loads(err) == {"error": "admissibility failure: d_1 = 0"}
+
     def test_rodrigues_explicit_pair(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--suite", "rodrigues", *CHARLIER_FLAGS,
@@ -209,6 +225,15 @@ def test_gram_verdict_survives_optimize_flag(extra, expected):
     )
     assert proc.returncode == expected, proc.stderr
     assert json.loads(proc.stdout)["passed"] is (expected == EXIT_OK)
+
+
+@pytest.mark.parametrize("command", ["classify", "recurrence", "moments", "verify"])
+def test_pair_flags_shared(command):
+    flags = ["--a=1", "--b=2", "--c=3", "--d=4", "--e=5", "--q=6", "--omega=7",
+             "--preset=charlier", "--n=8", "--y0=9", "--format=csv"]
+    args = build_parser().parse_args([command, *flags])
+    assert (args.a, args.b, args.c, args.d, args.e, args.q, args.omega) == tuple("1234567")
+    assert (args.preset, args.n, args.y0, args.format) == ("charlier", 8, "9", "csv")
 
 
 class TestOutOfRangeInput:

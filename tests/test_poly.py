@@ -64,6 +64,24 @@ class TestPolyBasics:
         with pytest.raises(AttributeError):
             p.coeffs = ()
 
+    def test_trusted_constructor_strips_trailing_zeros(self):
+        assert Poly._trusted([F(1), F(2), F(0)]) == Poly([1, 2])
+        assert Poly._trusted([F(0), F(0)]).is_zero()
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.fractions(max_denominator=4), max_size=6),
+           st.lists(st.fractions(max_denominator=4), max_size=6), st.fractions(max_denominator=4))
+    def test_kernel_output_is_canonical(self, a, b, c):
+        # the kernels wrap their own lists without as_scalar; the result must still
+        # hold Fractions only, with no trailing zero
+        f, g = Poly(a), Poly(b)
+        results = [f + g, f - g, -f, f * g, f.scale(c), f.compose_affine(c or 1, c)]
+        if not g.is_zero():
+            results += list(f.divmod(g))
+        for r in results:
+            assert all(type(x) is F for x in r.coeffs)
+            assert not r.coeffs or r.coeffs[-1] != 0
+
 
 class TestSubstitution:
     def test_L_constant(self):

@@ -1,0 +1,129 @@
+"""The one-pass q-sequences and what the engine reads off them, against the per-index routes.
+
+pearson_sequences must equal q**n, q_bracket, d_n and e_n index by index;
+check_regular, solve_moments and recurrence (beta, gamma and the in-place
+P_n expansion) must equal the per-index oracles in reference_kernels, on all
+default frames plus q in {5/2, 2/3, -3}, with pairs where some d_m vanishes
+or some gamma_{n+1} is zero included.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import reference_kernels as ref
+from hahnpoly.classical import (
+    RegularityError,
+    beta_coefficient,
+    check_regular,
+    gamma_coefficient,
+    recurrence,
+)
+from hahnpoly.functional import solve_moments
+from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, d_n, e_n, pearson_sequences, q_bracket
+from hahnpoly.verify import default_frames
+
+FRAMES = default_frames() + [HahnFrame(q, omega) for q in (F(5, 2), F(2, 3), F(-3)) for omega in (F(0), F(1))]
+
+coeff_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+checked = settings(deadline=None, max_examples=20)
+
+
+def frame_id(frame):
+    return f"q={frame.q},omega={frame.omega}"
+
+
+@st.composite
+def pairs(draw, frame, max_index=12):
+    """A pair, often with d_m = 0 for some m <= max_index or phi(-e_n/d_2n) = 0 for some n <= 4."""
+    a, b, c, d, e = (draw(coeff_st) for _ in range(5))
+    shape = draw(st.sampled_from(["free", "d_vanishes", "phi_root"]))
+    q, omega = frame.q, frame.omega
+    if shape == "d_vanishes":
+        m = draw(st.integers(0, max_index))
+        d = -a * q_bracket(m, q) / q**m
+    elif shape == "phi_root":
+        r, s = draw(coeff_st), draw(coeff_st)
+        a = a or F(1)
+        b, c = -a * (r + s), a * r * s
+        n = draw(st.integers(0, 4))
+        dn = d * q**n + a * q_bracket(n, q)
+        d2n = d * q ** (2 * n) + a * q_bracket(2 * n, q)
+        e = (-r * d2n - (omega * dn + b) * q_bracket(n, q)) / q**n
+    assume(any((a, b, c, d, e)))
+    return PearsonPair(a, b, c, d, e)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (AdmissibilityError, RegularityError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=frame_id)
+class TestSequences:
+    @checked
+    @given(st.data())
+    def test_against_single_index(self, frame, data):
+        pear = data.draw(pairs(frame))
+        m = data.draw(st.integers(0, 25))
+        m_e = data.draw(st.integers(0, m))
+        s = pearson_sequences(pear, frame, m, m_e)
+        assert len(s.power) == len(s.bracket) == len(s.d) == m + 1 and len(s.e) == m_e + 1
+        for n in range(m + 1):
+            assert s.power[n] == frame.q**n
+            assert s.bracket[n] == q_bracket(n, frame.q)
+            assert s.d[n] == d_n(pear, frame, n)
+        for n in range(m_e + 1):
+            assert s.e[n] == e_n(pear, frame, n)
+
+    @checked
+    @given(st.data())
+    def test_engine_against_per_index(self, frame, data):
+        pear = data.draw(pairs(frame))
+        depth = data.draw(st.integers(0, 10))
+        assert check_regular(pear, frame, depth) == ref.check_regular_per_index(pear, frame, depth)
+        assert outcome(solve_moments, pear, frame, F(2, 3), 2 * depth) == outcome(
+            ref.solve_moments_per_index, pear, frame, F(2, 3), 2 * depth)
+
+    @checked
+    @given(st.data())
+    def test_recurrence_against_per_index(self, frame, data):
+        pear = data.draw(pairs(frame))
+        depth = data.draw(st.integers(0, 10))
+        report = check_regular(pear, frame, depth)
+        assume(report.admissible)
+        table = recurrence(pear, frame, depth, F(3), require_regular=False)
+        assert table.beta == tuple(beta_coefficient(pear, frame, n) for n in range(depth + 1))
+        assert table.gamma == (F(3),) + tuple(gamma_coefficient(pear, frame, n) for n in range(depth))
+        assert table.polys == ref.recurrence_polys(table.beta, table.gamma)
+
+
+def test_rejects_bad_bounds():
+    pear = PearsonPair(0, 1, 0, -1, F(1, 2))
+    for m, m_e in ((3, 4), (3, -1), (-1, -1)):
+        with pytest.raises(ValueError):
+            pearson_sequences(pear, FRAMES[0], m, m_e)
+
+
+@pytest.mark.parametrize("n0", [0, 1, 2, 5])
+def test_irregular_table_with_zero_gamma(n0):
+    # phi = x + (n0 - 1)/2, psi = 1 - 2x on q = omega = 1: phi(-e_n0/d_2n0) = 0, so gamma_{n0+1} = 0
+    pear = PearsonPair(F(0), F(1), F(n0 - 1, 2), F(-2), F(1))
+    frame = HahnFrame(F(1), F(1))
+    with pytest.raises(RegularityError):
+        recurrence(pear, frame, 8)
+    table = recurrence(pear, frame, 8, require_regular=False)
+    assert table.gamma[n0 + 1] == 0
+    assert all(g != 0 for n, g in enumerate(table.gamma) if n != n0 + 1)
+    assert table.beta == tuple(beta_coefficient(pear, frame, n) for n in range(9))
+    assert table.gamma[1:] == tuple(gamma_coefficient(pear, frame, n) for n in range(8))
+    assert table.polys == ref.recurrence_polys(table.beta, table.gamma)
+
+
+@pytest.mark.parametrize("fn", [beta_coefficient, gamma_coefficient])
+def test_coefficients_reject_negative_index(fn):
+    with pytest.raises(ValueError):
+        fn(PearsonPair(0, 1, 0, -1, F(1, 2)), HahnFrame(1, 1), -1)

@@ -45,3 +45,9 @@ def test_cross_check_routes_not_exported():
     removed = {"check_admissible", "hankel_determinant", "from_y_basis", "y_basis",
                "op_D_monomial", "hahn_number"}
     assert not removed & set(hahnpoly.__all__)
+
+
+def test_sequence_kernel_not_exported():
+    # the engine reads the one-pass sequences; d_n, e_n and q_bracket stay the public definitions
+    assert not {"pearson_sequences", "PearsonSequences"} & set(hahnpoly.__all__)
+    assert {"d_n", "e_n", "q_bracket", "rodrigues_constant"} <= set(hahnpoly.__all__)
