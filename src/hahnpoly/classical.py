@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .qnum import (
@@ -24,7 +25,7 @@ from .qnum import (
     pearson_sequences,
     q_bracket,
 )
-from .poly import Poly, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis, y_nodes
+from .poly import Poly, _fracs, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis, y_nodes
 from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
@@ -191,21 +192,29 @@ class RecurrenceTable:
     def polys(self) -> tuple[Poly, ...]:
         """P_0..P_{N+1} by P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1}.
 
-        Run on coefficient lists: c_{n+1,k} = c_{n,k-1} - beta_n c_{n,k} - gamma_n c_{n-1,k}.
+        Each row is one integer vector over one denominator, P_n = C_n / D_n:
+        x C_n, beta_n C_n and gamma_n C_{n-1} are brought over the lcm of their
+        denominators, and the new row is divided by its content, so that D_{n+1}
+        is the least common denominator of P_{n+1}.
         """
-        prev, cur = [], [Fraction(1)]
-        polys = [Poly._trusted(cur)]
+        prev, prev_d, cur, cur_d = [], 1, [1], 1
+        polys = [Poly._trusted([Fraction(1)])]
         for n, b in enumerate(self.beta):
-            nxt = [Fraction(0)] + cur
+            g = self.gamma[n] if n else 0
+            den = lcm(cur_d * b.denominator, prev_d * g.denominator)
+            nxt = [0] + [den // cur_d * c for c in cur]
             if b:
+                sb = den // (cur_d * b.denominator) * b.numerator
                 for k, c in enumerate(cur):
-                    nxt[k] -= b * c
-            g = self.gamma[n]
-            if n and g:
+                    nxt[k] -= sb * c
+            if g:
+                sg = den // (prev_d * g.denominator) * g.numerator
                 for k, c in enumerate(prev):
-                    nxt[k] -= g * c
-            polys.append(Poly._trusted(nxt))
-            prev, cur = cur, nxt
+                    nxt[k] -= sg * c
+            content = gcd(den, *nxt)
+            nxt, den = [c // content for c in nxt], den // content
+            polys.append(Poly._trusted(_fracs(nxt, [den] * len(nxt))))
+            prev, prev_d, cur, cur_d = cur, cur_d, nxt, den
         return tuple(polys)
 
     def to_json_dict(self) -> dict:

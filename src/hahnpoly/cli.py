@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 invalid input, 2 classification negative
-(admissibility/regularity failure), 3 verification mismatch.
+(admissibility/regularity failure), 3 verification mismatch, 141 stdout
+closed by its reader before the output was written (128 + SIGPIPE).
 Rationals are always rendered as strings like "3/7", never floats.
 """
 
@@ -22,6 +23,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NEGATIVE = 2
 EXIT_MISMATCH = 3
+EXIT_PIPE = 141
 
 DEPTH_ENV = "HAHNPOLY_DEPTH"
 
@@ -197,7 +199,10 @@ def cmd_verify(args) -> int:
     except SuiteArgumentError as exc:
         raise InputError(str(exc))
     except (AdmissibilityError, RegularityError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        error = {"error": str(exc)}
+        if getattr(exc, "moment_degree", None) is not None:
+            error["momentDegree"] = exc.moment_degree  # a suite's table can read past classify's d-scan
+        print(json.dumps(error), file=sys.stderr)
         return EXIT_NEGATIVE
     passed = all(c.passed for c in checks)
     payload = {
@@ -291,14 +296,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None  # built on the first main call; $HAHNPOLY_DEPTH is read per call, not here
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

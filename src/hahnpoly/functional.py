@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, pearson_sequences
-from .poly import Poly, phi_poly, psi_poly, to_y_basis, y_nodes
+from .poly import Poly, _fracs, _ints, _powers, _y_node_ints, phi_poly, psi_poly, to_y_basis, y_nodes
 
 DEFAULT_DEPTH = 24
 
@@ -56,13 +57,13 @@ class MomentFunctional:
 
     def power_moments(self) -> list[Fraction]:
         """Derived view u_n = <u, x^n> = <x^n u, Y_0>, for n up to max_degree."""
-        nodes = y_nodes(self.frame, self.max_degree)
-        v = self.moments
-        out = [v[0]]
+        v, den = _ints(self.moments)
+        nodes, t = _y_node_ints(self.frame, self.max_degree)
+        nums = [v[0]]
         while len(v) > 1:
-            v = _x_shift(v, nodes)
-            out.append(v[0])
-        return out
+            v = _x_shift(v, nodes, t)
+            nums.append(v[0])
+        return _fracs(nums, [den * p for p in _powers(t, self.max_degree)])
 
     def agrees_with(self, other: "MomentFunctional") -> bool:
         """Entrywise equality on the shared valid range."""
@@ -111,7 +112,7 @@ def solve_moments(
     for n in range(depth):
         dn = s.d[n]
         if dn == 0:
-            raise AdmissibilityError(n)
+            raise AdmissibilityError(n, moment_degree=depth)
         if n == 0:  # the d_{-1} term carries the factor [0]_q = 0
             acc = s.e[0] * y[0]
         else:
@@ -121,18 +122,19 @@ def solve_moments(
     return MomentFunctional(frame, tuple(y))
 
 
-def _x_shift(v: Sequence[Fraction], nodes: Sequence[Fraction]) -> list[Fraction]:
-    """Moments of x*u from the moments v of u: <u, x Y_l> = v_{l+1} + node_l v_l.
+def _x_shift(v: Sequence[int], nodes: Sequence[int], t: int) -> list[int]:
+    """Moments of x*u from the moments of u: <u, x Y_l> = v_{l+1} + node_l v_l.
 
-    The result is one entry shorter than v; nodes needs len(v) - 1 entries.
+    On numerators over s (v) and t (nodes), the result is over s t. It is one
+    entry shorter than v; nodes needs len(v) - 1 entries.
     """
-    return [v[l + 1] + nodes[l] * v[l] for l in range(len(v) - 1)]
+    return [t * v[l + 1] + nodes[l] * v[l] for l in range(len(v) - 1)]
 
 
 def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
     """The functional f*u, with <f u, g> = <u, f g>.
 
-    Horner's rule over the x-shift: O(deg f * max_degree) scalar work.
+    Horner's rule over the x-shift: O(deg f * max_degree) integer work.
     """
     if f.is_zero():
         return MomentFunctional(u.frame, (Fraction(0),) * (u.max_degree + 1))
@@ -141,22 +143,31 @@ def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
         raise InsufficientMomentsError(
             f"left_multiply by degree {f.degree()} exhausts a table of degree {u.max_degree}"
         )
-    nodes = y_nodes(u.frame, u.max_degree)
-    out = [f.coeffs[-1] * m for m in u.moments]
-    for c in reversed(f.coeffs[:-1]):
-        out = _x_shift(out, nodes)
+    y, den = _ints(u.moments)
+    cs, cd = _ints(f.coeffs)
+    nodes, t = _y_node_ints(u.frame, u.max_degree)
+    out = [cs[-1] * m for m in y]
+    power = 1  # out is over den cd t^i after i shifts
+    for c in reversed(cs[:-1]):
+        out = _x_shift(out, nodes, t)
+        power *= t
         if c:
-            out = [a + c * m for a, m in zip(out, u.moments)]
-    return MomentFunctional(u.frame, tuple(out))
+            out = [a + c * power * m for a, m in zip(out, y)]
+    return MomentFunctional(u.frame, tuple(_fracs(out, [den * cd * power] * len(out))))
 
 
 def _dual_D(frame: HahnFrame, y: Sequence[Fraction], factor: Fraction) -> MomentFunctional:
-    """Entries factor * [n]_q y_{n-1} for 0 <= n <= len(y): the dual of D Y_n = [n]_q Y_{n-1}."""
-    out = [Fraction(0)]
-    bracket = Fraction(0)
-    for m in y:
-        bracket = 1 + frame.q * bracket
-        out.append(factor * bracket * m)
+    """Entries factor * [n]_q y_{n-1} for 0 <= n <= len(y): the dual of D Y_n = [n]_q Y_{n-1}.
+
+    The small factor runs on integers, [n]_q = b_n / qd^(n-1) with
+    b_{n+1} = qd^n + qn b_n; each entry is then one Fraction product, whose
+    cross-cancellation stays cheap however tall y_{n-1} is.
+    """
+    qn, qd = frame.q.numerator, frame.q.denominator
+    out, b = [Fraction(0)], 1
+    for m, p in zip(y, _powers(qd, len(y))):
+        out.append(m * Fraction(factor.numerator * b, factor.denominator * p))
+        b = qd * p + qn * b
     return MomentFunctional(frame, tuple(out))
 
 
@@ -179,19 +190,26 @@ def dist_D_star(u: MomentFunctional) -> MomentFunctional:
     return _dual_D(u.frame, u.moments, -u.frame.q)
 
 
+def _lincomb(an: int, ad: int, x: Fraction, bn: int, bd: int, y: Fraction) -> Fraction:
+    """(an/ad) x + (bn/bd) y as one Fraction, over ad bd lcm(x.denominator, y.denominator)."""
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    g = gcd(b, d)
+    return Fraction(an * a * bd * (d // g) + bn * c * ad * (b // g), ad * bd * b * (d // g))
+
+
 def dist_L(u: MomentFunctional) -> MomentFunctional:
     """<L u, f> = q^{-1} <u, L* f>; degree-preserving.
 
-    Forward substitution through the bidiagonal system of dist_L_star.
+    Forward substitution through the bidiagonal system of dist_L_star:
+    <L u, Y_n> = q^{-n-1} y_n - q^{-1} node_n <L u, Y_{n-1}>.
     """
-    q, y = u.frame.q, u.moments
-    nodes = y_nodes(u.frame, len(y))
-    out = [y[0] / q]
-    qn = q
-    for n in range(1, len(y)):
-        out.append((y[n] - qn * nodes[n] * out[n - 1]) / (qn * q))
-        qn *= q
-    return MomentFunctional(u.frame, tuple(out))
+    q = u.frame.q
+    qnp, qdp = _powers(q.numerator, len(u.moments)), _powers(q.denominator, len(u.moments))
+    out = [Fraction(0)]
+    for n, (m, node) in enumerate(zip(u.moments, y_nodes(u.frame, len(u.moments)))):
+        out.append(_lincomb(qdp[n + 1], qnp[n + 1], m,
+                            -node.numerator * q.denominator, node.denominator * q.numerator, out[-1]))
+    return MomentFunctional(u.frame, tuple(out[1:]))
 
 
 def dist_L_star(u: MomentFunctional) -> MomentFunctional:
@@ -200,14 +218,12 @@ def dist_L_star(u: MomentFunctional) -> MomentFunctional:
     L Y_n = q^n Y_n + q^{n-1} omega [n]_q Y_{n-1}, so
     <L* u, Y_n> = q^{n+1} y_n + q^n omega [n]_q y_{n-1}.
     """
-    q, y = u.frame.q, u.moments
-    nodes = y_nodes(u.frame, len(y))
-    out = [q * y[0]]
-    qn = q
-    for n in range(1, len(y)):
-        out.append(qn * (q * y[n] + nodes[n] * y[n - 1]))
-        qn *= q
-    return MomentFunctional(u.frame, tuple(out))
+    qnp, qdp = _powers(u.frame.q.numerator, len(u.moments)), _powers(u.frame.q.denominator, len(u.moments))
+    nodes, prev = y_nodes(u.frame, len(u.moments)), (Fraction(0),) + u.moments
+    return MomentFunctional(u.frame, tuple(
+        _lincomb(qnp[n + 1], qdp[n + 1], m, qnp[n] * t.numerator, qdp[n] * t.denominator, prev[n])
+        for n, (m, t) in enumerate(zip(u.moments, nodes))
+    ))
 
 
 def dist_iter(op, u: MomentFunctional, n: int) -> MomentFunctional:

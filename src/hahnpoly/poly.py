@@ -7,9 +7,29 @@ zero polynomial stores nothing and reports ``degree() is None``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from math import lcm
+from operator import mul
 from typing import Iterable
 
 from .qnum import HahnFrame, PearsonPair, ScalarLike, as_scalar, q_binomial
+
+
+def _ints(xs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator: xs[k] == nums[k] / den."""
+    xs = list(xs)
+    den = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _fracs(nums: Iterable[int], dens: Iterable[int]) -> list[Fraction]:
+    """The reduced Fractions nums[k] / dens[k]: the kernels' one way back from integers."""
+    return list(map(Fraction, nums, dens))
+
+
+def _powers(base: int, top: int) -> list[int]:
+    """[base^0, base^1, ..., base^top]."""
+    return list(accumulate(repeat(base, top), mul, initial=1))
 
 
 class Poly:
@@ -96,11 +116,14 @@ class Poly:
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
                 return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly._trusted(out)
+            a, da = _ints(self.coeffs)
+            b, db = _ints(other.coeffs)
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return Poly._trusted(_fracs(out, [da * db] * len(out)))
         return self.scale(other)
 
     def __rmul__(self, other) -> "Poly":
@@ -127,22 +150,30 @@ class Poly:
         return Poly._trusted(quot), Poly._trusted(rem[:dd] if dd else [])
 
     def compose_affine(self, alpha: ScalarLike, beta: ScalarLike) -> "Poly":
-        """Substitute x -> alpha*x + beta: O(deg^2) scalar work, no Poly products.
+        """Substitute x -> alpha*x + beta: an integer Taylor shift, O(deg^2) integer work.
 
-        The Taylor shift f(x + beta) is rounds of synthetic addition
-        c_j += beta c_{j+1}, and coefficient k then scales by alpha^k.
+        With f = sum_k n_k x^k / den and beta = bn/bd, h(x) = sum_k n_k bd^(m-k) x^k
+        is bd^m den f(x/bd), so h(x + bn) is rounds of synthetic addition
+        h_j += bn h_{j+1} (von zur Gathen and Gerhard 1997), and coefficient k of
+        f(alpha x + beta) is h_k an^k / (den bd^(m-k) ad^k). At beta = 0 only the
+        scaling is left, done as Fraction products: they cross-cancel against the
+        small alpha^k without a gcd of the tall coefficients.
         """
         alpha, beta = as_scalar(alpha), as_scalar(beta)
-        c = list(self.coeffs)
-        if beta:
-            for i in range(len(c) - 1):
-                for j in range(len(c) - 2, i - 1, -1):
-                    c[j] += beta * c[j + 1]
-        power = Fraction(1)
-        for k in range(1, len(c)):
-            power *= alpha
-            c[k] *= power
-        return Poly._trusted(c)
+        m = len(self.coeffs) - 1
+        an_pows, ad_pows = _powers(alpha.numerator, m), _powers(alpha.denominator, m)
+        if not beta:
+            return Poly._trusted([c * Fraction(a, d) for c, a, d in zip(self.coeffs, an_pows, ad_pows)])
+        nums, den = _ints(self.coeffs)
+        bn = beta.numerator
+        bd_pows = _powers(beta.denominator, m)[::-1]  # bd^(m-k) at index k
+        h = [n * p for n, p in zip(nums, bd_pows)]
+        for i in range(m):
+            for j in range(m - 1, i - 1, -1):
+                h[j] += bn * h[j + 1]
+        return Poly._trusted(_fracs(
+            [c * a for c, a in zip(h, an_pows)], [den * b * a for b, a in zip(bd_pows, ad_pows)]
+        ))
 
     def __repr__(self):
         if not self.coeffs:
@@ -183,13 +214,35 @@ def op_L_star(f: Poly, frame: HahnFrame) -> Poly:
 def op_D(f: Poly, frame: HahnFrame) -> Poly:
     """The divided difference (f(qx + omega) - f(x)) / ((q-1)x + omega).
 
-    Computed by exact division; a nonzero remainder raises ArithmeticError.
+    At q = 1 the divisor is the constant omega, and at omega = 0 it is (q-1)x.
+    Otherwise it is (q-1)(x - r), r = rn/rd = -omega/(q-1), and the quotient is
+    one synthetic division run on the integer polynomial rd^m den num(X/rd),
+    whose root is rn. A nonzero remainder raises ArithmeticError.
     """
     num = op_L(f, frame) - f
-    quot, rem = num.divmod(Poly([frame.omega, frame.q - 1]))
-    if not rem.is_zero():
+    q, omega = frame.q, frame.omega
+    if q == 1:
+        return num.scale(1 / omega)
+    if not omega:  # the divisor is (q - 1) x: a shift and a scaling
+        if num.coeff(0):
+            raise ArithmeticError("divided difference left a nonzero remainder")
+        return Poly._trusted(list(num.coeffs[1:])).scale(1 / (q - 1))
+    if num.is_zero():
+        return num
+    nums, den = _ints(num.coeffs)
+    r, c = -omega / (q - 1), 1 / (q - 1)
+    m, rn = len(nums) - 1, r.numerator
+    rd_pows = _powers(r.denominator, m)
+    acc, quot = 0, []  # Horner from the top: G_{m-1}, ..., G_0, then the remainder
+    for n, p in zip(reversed(nums), rd_pows):
+        acc = acc * rn + n * p
+        quot.append(acc)
+    if quot.pop():
         raise ArithmeticError("divided difference left a nonzero remainder")
-    return quot
+    # quotient coefficient k is c G_k / (den rd^(m-1-k))
+    return Poly._trusted(_fracs(
+        [g * c.numerator for g in reversed(quot)], [den * p * c.denominator for p in reversed(rd_pows[:m])]
+    ))
 
 
 def op_D_star(f: Poly, frame: HahnFrame) -> Poly:
@@ -204,16 +257,26 @@ def op_iter(op, f: Poly, frame: HahnFrame, n: int) -> Poly:
 
 
 def y_nodes(frame: HahnFrame, n: int) -> list[Fraction]:
-    """The Newton nodes omega [j]_q of Y_n, for 0 <= j < n.
+    """The Newton nodes omega [j]_q of Y_n, for 0 <= j < n, so x Y_j = Y_{j+1} + node_j Y_j."""
+    nums, t = _y_node_ints(frame, n)
+    return _fracs(nums, [t] * n)
 
-    Built by omega [j+1]_q = omega + q * omega [j]_q, so x Y_j = Y_{j+1} + node_j Y_j.
+
+def _y_node_ints(frame: HahnFrame, n: int) -> tuple[list[int], int]:
+    """y_nodes as integer numerators over od qd^(n-2), where [j]_q is sum_{i<j} qn^i qd^(n-2-i).
+
+    At omega = 0 every node is 0, over the denominator 1.
     """
-    out = []
-    node = Fraction(0)
-    for _ in range(n):
-        out.append(node)
-        node = frame.omega + frame.q * node
-    return out
+    if not frame.omega:
+        return [0] * n, 1
+    qn, top = frame.q.numerator, max(n - 2, 0)
+    brackets, b, qn_i = [0], 0, 1
+    for p in reversed(_powers(frame.q.denominator, top)):
+        b += qn_i * p
+        qn_i *= qn
+        brackets.append(b)
+    on = frame.omega.numerator
+    return [on * b for b in brackets[:n]], frame.omega.denominator * frame.q.denominator ** top
 
 
 def y_basis(n: int, frame: HahnFrame) -> Poly:
@@ -234,16 +297,24 @@ def to_y_basis(f: Poly, frame: HahnFrame) -> list[Fraction]:
     """Coefficients c with f = sum_k c_k Y_k, by repeated synthetic division.
 
     Dividing by (x - node_0), then the quotient by (x - node_1), and so on,
-    leaves c_0, c_1, ... as the successive remainders: O(deg^2) scalar work.
+    leaves c_0, c_1, ... as the successive remainders: O(deg^2) integer work.
+    With f = sum_k n_k x^k / den and nodes N_j / t, g(X) = sum_k n_k t^(m-k) X^k
+    is t^m den f(X/t), its nodes are the integers N_j, and c_k = G_k / (den t^(m-k)).
+    At omega = 0, Y_k = x^k.
     """
-    rem = list(f.coeffs)
+    if not frame.omega:
+        return list(f.coeffs)
+    nums, den = _ints(f.coeffs)
+    nodes, t = _y_node_ints(frame, len(nums))
+    t_pows = _powers(t, len(nums) - 1)[::-1]  # t^(m-k) at index k
+    rem = [n * p for n, p in zip(nums, t_pows)]
     out = []
-    for node in y_nodes(frame, len(rem)):
+    for node in nodes:
         if node:
             for k in range(len(rem) - 2, -1, -1):
                 rem[k] += node * rem[k + 1]
         out.append(rem.pop(0))
-    return out
+    return _fracs(out, [den * p for p in t_pows])
 
 
 def leibniz_expand(f: Poly, g: Poly, frame: HahnFrame, n: int) -> Poly:

@@ -17,10 +17,14 @@ ONE = Fraction(1)
 
 
 class AdmissibilityError(ValueError):
-    """A required d_n factor vanished; carries the offending index."""
+    """A required d_n factor vanished; carries the offending index.
 
-    def __init__(self, index: int, message: str | None = None):
+    A moment table raises it with moment_degree, the top degree it was solving for.
+    """
+
+    def __init__(self, index: int, message: str | None = None, moment_degree: int | None = None):
         self.index = index
+        self.moment_degree = moment_degree
         super().__init__(message or f"admissibility failure: d_{index} = 0")
 
 

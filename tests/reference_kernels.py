@@ -3,7 +3,9 @@
 Every dual operation here expands Y-basis polynomials as Poly objects,
 independently of the banded recurrences in hahnpoly.functional and of the
 synthetic-division to_y_basis; the affine substitution is Horner's rule over
-Poly products, and the Gram suite reads the full Gram matrix.
+Poly products, and the Gram suite reads the full Gram matrix. The products,
+L, L* and D here run on Fractions (`mul`, and D through Poly.divmod), so no
+oracle rests on the integer-numerator kernels of hahnpoly.poly.
 tests/test_kernels.py requires exact equality. from_y_basis and the Hankel
 determinant serve tests/test_poly.py and tests/test_classical.py.
 
@@ -28,7 +30,7 @@ from hahnpoly.functional import (
     solve_moments,
 )
 from hahnpoly import poly
-from hahnpoly.poly import Poly, op_D, op_D_star, op_L, op_L_star, phi_poly
+from hahnpoly.poly import Poly, phi_poly
 from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, q_bracket
 from hahnpoly.verify import Check, SuiteArgumentError
 
@@ -36,13 +38,44 @@ from hahnpoly.verify import Check, SuiteArgumentError
 y_basis = lru_cache(maxsize=None)(poly.y_basis)
 
 
+def mul(f: Poly, g: Poly) -> Poly:
+    """f g by the convolution of the Fraction coefficient lists."""
+    if f.is_zero() or g.is_zero():
+        return Poly()
+    out = [Fraction(0)] * (len(f.coeffs) + len(g.coeffs) - 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
+
+
 def compose_affine(f: Poly, alpha, beta) -> Poly:
     """f(alpha x + beta) by Horner's rule over the linear image."""
     sub = Poly([beta, alpha])
     out = Poly()
     for c in reversed(f.coeffs):
-        out = out * sub + Poly.constant(c)
+        out = mul(out, sub) + Poly.constant(c)
     return out
+
+
+def op_L(f: Poly, frame) -> Poly:
+    return compose_affine(f, frame.q, frame.omega)
+
+
+def op_L_star(f: Poly, frame) -> Poly:
+    return compose_affine(f, 1 / frame.q, -frame.omega / frame.q)
+
+
+def op_D(f: Poly, frame) -> Poly:
+    """(L f - f) divided by (q-1)x + omega through Poly.divmod."""
+    quot, rem = (op_L(f, frame) - f).divmod(Poly([frame.omega, frame.q - 1]))
+    if not rem.is_zero():
+        raise ArithmeticError("divided difference left a nonzero remainder")
+    return quot
+
+
+def op_D_star(f: Poly, frame) -> Poly:
+    return op_D(f, frame.reciprocal())
 
 
 def to_y_basis(f: Poly, frame) -> list[Fraction]:
@@ -95,7 +128,7 @@ def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
         raise InsufficientMomentsError(
             f"left_multiply by degree {f.degree()} exhausts a table of degree {u.max_degree}"
         )
-    moments = tuple(pair(u, f * y_basis(n, u.frame)) for n in range(top + 1))
+    moments = tuple(pair(u, mul(f, y_basis(n, u.frame))) for n in range(top + 1))
     return MomentFunctional(u.frame, moments)
 
 
@@ -139,7 +172,7 @@ def gram_matrix(u: MomentFunctional, polys, depth: int) -> list[list[Fraction]]:
     if depth + 1 > len(polys):
         raise ValueError("not enough polynomials for the requested Gram depth")
     return [
-        [pair(u, polys[m] * polys[n]) for n in range(depth + 1)]
+        [pair(u, mul(polys[m], polys[n])) for n in range(depth + 1)]
         for m in range(depth + 1)
     ]
 
@@ -260,5 +293,5 @@ def recurrence_polys(beta: Sequence[Fraction], gamma: Sequence[Fraction]) -> tup
     x = Poly.x()
     polys = [Poly([1]), x - Poly.constant(beta[0])]
     for n in range(1, len(beta)):
-        polys.append((x - Poly.constant(beta[n])) * polys[n] - gamma[n] * polys[n - 1])
+        polys.append(mul(x - Poly.constant(beta[n]), polys[n]) - gamma[n] * polys[n - 1])
     return tuple(polys)

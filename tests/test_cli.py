@@ -8,12 +8,13 @@ from pathlib import Path
 import pytest
 
 import hahnpoly
-from hahnpoly import verify
+from hahnpoly import cli, verify
 from hahnpoly.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
     EXIT_NEGATIVE,
     EXIT_OK,
+    EXIT_PIPE,
     build_parser,
     main,
 )
@@ -58,6 +59,20 @@ class TestArgumentHandling:
         code, out, _ = run(capsys, "moments", "--preset", "charlier")
         assert code == EXIT_OK
         assert len(json.loads(out)["moments"]) == 4
+
+    def test_depth_env_var_read_per_call(self, capsys, monkeypatch):
+        # the parser is built once per process; the depth variable is still read on every call
+        builds = []
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        checked = []
+        for depth in ("3", "5"):
+            monkeypatch.setenv("HAHNPOLY_DEPTH", depth)
+            code, out, _ = run(capsys, "classify", "--preset", "charlier")
+            assert code == EXIT_OK
+            checked.append(json.loads(out)["checkedDThrough"])
+        assert checked == [7, 11]
+        assert builds == [1]
 
     def test_depth_env_var_invalid(self, capsys, monkeypatch):
         monkeypatch.setenv("HAHNPOLY_DEPTH", "three")
@@ -180,6 +195,14 @@ class TestVerify:
         assert code == EXIT_OK
         assert json.loads(out)["passed"] is True
 
+    def test_gram_moment_degree_past_classify(self, capsys):
+        # classify at --n 6 scans d_0..d_13; the gram suite solves moments to y_21, so it reads d_15
+        flags = ["--a=1", "--c=1", "--d=-15", "--e=1", "--q=1", "--omega=1", "--n", "6"]
+        assert run(capsys, "classify", *flags)[0] == EXIT_OK
+        code, out, err = run(capsys, "verify", "--suite", "gram", *flags)
+        assert (code, out) == (EXIT_NEGATIVE, "")
+        assert json.loads(err) == {"error": "admissibility failure: d_15 = 0", "momentDegree": 21}
+
     def test_rodrigues_route_disagreement_exits_mismatch(self, capsys, monkeypatch):
         derived_functional = verify.derived_functional
         monkeypatch.setattr(verify, "derived_functional",
@@ -203,7 +226,8 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", "rodrigues", "--a=1", "--b=0", "--c=1",
                              "--d=-1", "--e=1", "--q=1", "--omega=1")
         assert code == EXIT_NEGATIVE and out == ""
-        assert json.loads(err) == {"error": "admissibility failure: d_1 = 0"}
+        # the Rodrigues suite solves its moment table to y_25
+        assert json.loads(err) == {"error": "admissibility failure: d_1 = 0", "momentDegree": 25}
 
     def test_rodrigues_explicit_pair(self, capsys):
         code, out, _ = run(
@@ -225,6 +249,21 @@ def test_gram_verdict_survives_optimize_flag(extra, expected):
     )
     assert proc.returncode == expected, proc.stderr
     assert json.loads(proc.stdout)["passed"] is (expected == EXIT_OK)
+
+
+def test_closed_stdout_exits_141():
+    # the reader takes 100 bytes of about 1.6 MB and closes the pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(hahnpoly.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hahnpoly.cli", "recurrence", "--preset", "charlier", "--n", "150"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_PIPE == 141
+    assert head.startswith(b"{") and err == b""
 
 
 @pytest.mark.parametrize("command", ["classify", "recurrence", "moments", "verify"])

@@ -2,7 +2,9 @@
 
 Every comparison is exact equality of Fractions and of validity windows
 (max_degree), on all default frames and random tables of depth <= 16; the
-Gram suite is compared check by check on random regular pairs.
+Gram suite is compared check by check on random regular pairs. The
+integer-numerator kernels are also run at 500-2000-bit coefficients on
+frames with negative q and omega, and on the zero and constant polynomials.
 """
 
 from fractions import Fraction as F
@@ -14,8 +16,8 @@ import reference_kernels as ref
 from hahnpoly import classical, functional
 from hahnpoly.classical import PRESETS, RecurrenceTable, check_regular, recurrence
 from hahnpoly.functional import InsufficientMomentsError, MomentFunctional, solve_moments
-from hahnpoly.poly import Poly, to_y_basis, y_basis
-from hahnpoly.qnum import PearsonPair
+from hahnpoly.poly import Poly, op_D, op_D_star, op_L, op_L_star, to_y_basis, y_basis, y_nodes
+from hahnpoly.qnum import HahnFrame, PearsonPair, q_bracket
 from hahnpoly.verify import default_frames, gram_suite
 
 FRAMES = default_frames()
@@ -56,6 +58,16 @@ class TestAgainstOracles:
         q, omega = frame.q, frame.omega
         for alpha, beta in ((q, omega), (1 / q, -omega / q)):  # L and L*
             assert f.compose_affine(alpha, beta) == ref.compose_affine(f, alpha, beta)
+
+    @checked
+    @given(poly_st, poly_st)
+    def test_op_D_and_product(self, frame, f, g):
+        assert op_D(f, frame) == ref.op_D(f, frame)
+        assert op_D_star(f, frame) == ref.op_D_star(f, frame)
+        assert f * g == ref.mul(f, g)
+
+    def test_y_nodes(self, frame):
+        assert y_nodes(frame, 12) == [frame.omega * q_bracket(j, frame.q) for j in range(12)]
 
     @checked
     @given(table_st)
@@ -104,7 +116,7 @@ class TestAgainstOracles:
         assert [len(row) for row in sigma] == [2 * depth - k + 1 for k in range(depth + 1)]
         for k, row in enumerate(sigma):
             for l, s in enumerate(row):
-                assert s == ref.pair(u, table.polys[k] * y_basis(l, frame)), (k, l)
+                assert s == ref.pair(u, ref.mul(table.polys[k], y_basis(l, frame))), (k, l)
 
 
 def test_mixed_moments_errors():
@@ -166,3 +178,76 @@ def test_gram_suite_depth_40(name, monkeypatch):
         "pearson_residual_zero", "gram_off_diagonal_zero", "gram_diagonal_product_of_gammas"
     ]
     assert all(c.passed for c in checks), checks
+
+
+# 500-2000-bit numerators and denominators, of either sign, and zeros
+big_int_st = st.integers(500, 2000).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2 ** bits))
+big_coeff_st = st.just(F(0)) | st.builds(
+    lambda n, d, sign: F(sign * n, d), big_int_st, big_int_st, st.sampled_from((-1, 1))
+)
+big_poly_st = st.lists(big_coeff_st, max_size=7).map(Poly)
+big_table_st = st.lists(big_coeff_st, min_size=1, max_size=8)
+# negative q (so q - 1 and 1/(q - 1) are negative), negative omega (so the root
+# -omega/(q - 1) changes sign), q = 1 (D divides by the constant omega), and a frame of large height
+SIGNED_FRAMES = [
+    HahnFrame(F(-2), F(-3, 7)),
+    HahnFrame(F(-2), F(5)),
+    HahnFrame(F(-1, 3), F(5, 2)),
+    HahnFrame(F(-1, 3), F(-2, 9)),
+    HahnFrame(F(7, 4), F(-11, 3)),
+    HahnFrame(F(1), F(-7, 3)),
+    HahnFrame(F(1), F(-(3 ** 700), 2 ** 900 + 1)),
+    HahnFrame(F(-(2 ** 600 + 1), 3 ** 400), F(-(5 ** 300), 7 ** 200)),
+]
+heavy = settings(deadline=None, max_examples=10)
+
+
+def signed_frame_id(frame):
+    return ",".join(f"{k}={v if len(str(v)) < 12 else 'big'}" for k, v in (("q", frame.q), ("omega", frame.omega)))
+
+
+@pytest.mark.parametrize("frame", SIGNED_FRAMES, ids=signed_frame_id)
+class TestAtLargeHeight:
+    @heavy
+    @given(big_poly_st, big_poly_st)
+    def test_poly_kernels(self, frame, f, g):
+        assert to_y_basis(f, frame) == ref.to_y_basis(f, frame)
+        assert op_L(f, frame) == ref.op_L(f, frame)
+        assert op_L_star(f, frame) == ref.op_L_star(f, frame)
+        assert op_D(f, frame) == ref.op_D(f, frame)
+        assert op_D_star(f, frame) == ref.op_D_star(f, frame)
+        assert f * g == ref.mul(f, g)
+
+    @heavy
+    @given(big_table_st, big_poly_st)
+    def test_moment_kernels(self, frame, values, f):
+        u = MomentFunctional(frame, tuple(values))
+        for name in DIST_OPS:
+            fast, slow = getattr(functional, name)(u), getattr(ref, name)(u)
+            assert (fast.max_degree, fast.moments) == (slow.max_degree, slow.moments), name
+        assert u.power_moments() == ref.power_moments(u)
+        fast = outcome(functional.left_multiply, f, u)
+        slow = outcome(ref.left_multiply, f, u)
+        if isinstance(slow, MomentFunctional):
+            assert (fast.max_degree, fast.moments) == (slow.max_degree, slow.moments)
+        else:
+            assert fast == slow
+
+    @heavy
+    @given(big_coeff_st, big_table_st)
+    def test_zero_and_constant(self, frame, c, values):
+        u = MomentFunctional(frame, tuple(values))
+        g = Poly([1, c])
+        for f in (Poly(), Poly([c])):
+            k = f.coeff(0)  # c, or 0 for the zero polynomial
+            assert f.compose_affine(frame.q, frame.omega) == f
+            assert op_D(f, frame) == Poly() and op_D_star(f, frame) == Poly()
+            assert to_y_basis(f, frame) == list(f.coeffs)
+            assert f * g == g * f == Poly([k, k * c])
+            assert functional.left_multiply(f, u).moments == tuple(k * m for m in u.moments)
+
+
+def test_recurrence_polys_al_salam_carlitz_80():
+    preset = PRESETS["al-salam-carlitz"]
+    table = recurrence(preset.pear, preset.frame, 80)
+    assert table.polys == ref.recurrence_polys(table.beta, table.gamma)

@@ -1,4 +1,5 @@
 import ast
+from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
@@ -51,3 +52,40 @@ def test_sequence_kernel_not_exported():
     # the engine reads the one-pass sequences; d_n, e_n and q_bracket stay the public definitions
     assert not {"pearson_sequences", "PearsonSequences"} & set(hahnpoly.__all__)
     assert {"d_n", "e_n", "q_bracket", "rodrigues_constant"} <= set(hahnpoly.__all__)
+
+
+# Fraction's private names differ between CPython versions: _normalize= was
+# removed in 3.12 and _from_coprime_ints added there; requires-python is >= 3.10
+PRIVATE_FRACTION_NAMES = {"_normalize", "_from_coprime_ints", "_numerator", "_denominator"} | {
+    name for name in vars(Fraction) if name.startswith("_") and not name.endswith("__")
+}
+
+
+def _private_fraction_uses(tree) -> list[int]:
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg in PRIVATE_FRACTION_NAMES:
+            lines.append(node.value.lineno)
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in PRIVATE_FRACTION_NAMES
+            or (isinstance(node.value, ast.Name) and node.value.id == "Fraction"
+                and node.attr.startswith("_") and not node.attr.endswith("__"))
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_private_fraction_lint_detects():
+    snippets = ["Fraction(1, 2, _normalize=False)", "Fraction._from_coprime_ints(1, 2)",
+                "x._numerator * y._denominator", "Fraction._operator_fallbacks"]
+    assert all(_private_fraction_uses(ast.parse(code)) for code in snippets)
+    assert not _private_fraction_uses(ast.parse("Fraction(x.numerator, x.denominator)"))
+
+
+def test_library_uses_no_private_fraction_api():
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _private_fraction_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert SOURCES and not found, found
