@@ -155,22 +155,19 @@ class Poly:
         With f = sum_k n_k x^k / den and beta = bn/bd, h(x) = sum_k n_k bd^(m-k) x^k
         is bd^m den f(x/bd), so h(x + bn) is rounds of synthetic addition
         h_j += bn h_{j+1} (von zur Gathen and Gerhard 1997), and coefficient k of
-        f(alpha x + beta) is h_k an^k / (den bd^(m-k) ad^k). At beta = 0 only the
-        scaling is left, done as Fraction products: they cross-cancel against the
-        small alpha^k without a gcd of the tall coefficients.
+        f(alpha x + beta) is h_k an^k / (den bd^(m-k) ad^k).
         """
         alpha, beta = as_scalar(alpha), as_scalar(beta)
         m = len(self.coeffs) - 1
         an_pows, ad_pows = _powers(alpha.numerator, m), _powers(alpha.denominator, m)
-        if not beta:
-            return Poly._trusted([c * Fraction(a, d) for c, a, d in zip(self.coeffs, an_pows, ad_pows)])
         nums, den = _ints(self.coeffs)
         bn = beta.numerator
         bd_pows = _powers(beta.denominator, m)[::-1]  # bd^(m-k) at index k
         h = [n * p for n, p in zip(nums, bd_pows)]
-        for i in range(m):
-            for j in range(m - 1, i - 1, -1):
-                h[j] += bn * h[j + 1]
+        if bn:
+            for i in range(m):
+                for j in range(m - 1, i - 1, -1):
+                    h[j] += bn * h[j + 1]
         return Poly._trusted(_fracs(
             [c * a for c, a in zip(h, an_pows)], [den * b * a for b, a in zip(bd_pows, ad_pows)]
         ))
@@ -214,8 +211,8 @@ def op_L_star(f: Poly, frame: HahnFrame) -> Poly:
 def op_D(f: Poly, frame: HahnFrame) -> Poly:
     """The divided difference (f(qx + omega) - f(x)) / ((q-1)x + omega).
 
-    At q = 1 the divisor is the constant omega, and at omega = 0 it is (q-1)x.
-    Otherwise it is (q-1)(x - r), r = rn/rd = -omega/(q-1), and the quotient is
+    At q = 1 the divisor is the constant omega. Otherwise it is
+    (q-1)(x - r), r = rn/rd = -omega/(q-1), and the quotient is
     one synthetic division run on the integer polynomial rd^m den num(X/rd),
     whose root is rn. A nonzero remainder raises ArithmeticError.
     """
@@ -223,10 +220,6 @@ def op_D(f: Poly, frame: HahnFrame) -> Poly:
     q, omega = frame.q, frame.omega
     if q == 1:
         return num.scale(1 / omega)
-    if not omega:  # the divisor is (q - 1) x: a shift and a scaling
-        if num.coeff(0):
-            raise ArithmeticError("divided difference left a nonzero remainder")
-        return Poly._trusted(list(num.coeffs[1:])).scale(1 / (q - 1))
     if num.is_zero():
         return num
     nums, den = _ints(num.coeffs)
@@ -263,12 +256,7 @@ def y_nodes(frame: HahnFrame, n: int) -> list[Fraction]:
 
 
 def _y_node_ints(frame: HahnFrame, n: int) -> tuple[list[int], int]:
-    """y_nodes as integer numerators over od qd^(n-2), where [j]_q is sum_{i<j} qn^i qd^(n-2-i).
-
-    At omega = 0 every node is 0, over the denominator 1.
-    """
-    if not frame.omega:
-        return [0] * n, 1
+    """y_nodes as integer numerators over od qd^(n-2), where [j]_q is sum_{i<j} qn^i qd^(n-2-i)."""
     qn, top = frame.q.numerator, max(n - 2, 0)
     brackets, b, qn_i = [0], 0, 1
     for p in reversed(_powers(frame.q.denominator, top)):
@@ -300,10 +288,7 @@ def to_y_basis(f: Poly, frame: HahnFrame) -> list[Fraction]:
     leaves c_0, c_1, ... as the successive remainders: O(deg^2) integer work.
     With f = sum_k n_k x^k / den and nodes N_j / t, g(X) = sum_k n_k t^(m-k) X^k
     is t^m den f(X/t), its nodes are the integers N_j, and c_k = G_k / (den t^(m-k)).
-    At omega = 0, Y_k = x^k.
     """
-    if not frame.omega:
-        return list(f.coeffs)
     nums, den = _ints(f.coeffs)
     nodes, t = _y_node_ints(frame, len(nums))
     t_pows = _powers(t, len(nums) - 1)[::-1]  # t^(m-k) at index k
