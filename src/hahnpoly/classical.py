@@ -25,7 +25,7 @@ from .qnum import (
     pearson_sequences,
     q_bracket,
 )
-from .poly import Poly, _fracs, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis, y_nodes
+from .poly import Poly, _fracs, _ints, _y_node_ints, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis
 from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
@@ -192,30 +192,12 @@ class RecurrenceTable:
     def polys(self) -> tuple[Poly, ...]:
         """P_0..P_{N+1} by P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1}.
 
-        Each row is one integer vector over one denominator, P_n = C_n / D_n:
-        x C_n, beta_n C_n and gamma_n C_{n-1} are brought over the lcm of their
-        denominators, and the new row is divided by its content, so that D_{n+1}
-        is the least common denominator of P_{n+1}.
+        Each row is one integer vector over one denominator, P_n = C_n / D_n,
+        as _chebyshev_rows builds it, so D_n is the least common denominator of P_n.
         """
-        prev, prev_d, cur, cur_d = [], 1, [1], 1
-        polys = [Poly._trusted([Fraction(1)])]
-        for n, b in enumerate(self.beta):
-            g = self.gamma[n] if n else 0
-            den = lcm(cur_d * b.denominator, prev_d * g.denominator)
-            nxt = [0] + [den // cur_d * c for c in cur]
-            if b:
-                sb = den // (cur_d * b.denominator) * b.numerator
-                for k, c in enumerate(cur):
-                    nxt[k] -= sb * c
-            if g:
-                sg = den // (prev_d * g.denominator) * g.numerator
-                for k, c in enumerate(prev):
-                    nxt[k] -= sg * c
-            content = gcd(den, *nxt)
-            nxt, den = [c // content for c in nxt], den // content
-            polys.append(Poly._trusted(_fracs(nxt, [den] * len(nxt))))
-            prev, prev_d, cur, cur_d = cur, cur_d, nxt, den
-        return tuple(polys)
+        # the monomial basis is the Y basis with every node 0
+        rows = _chebyshev_rows(self, self.depth + 1, ([1], 1), -1, ([0] * (self.depth + 2), 1))
+        return tuple(Poly._trusted(_fracs(row, [den] * len(row))) for row, den in rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -303,7 +285,7 @@ def mixed_moments(u: MomentFunctional, table: RecurrenceTable, depth: int) -> li
     The modified Chebyshev algorithm (Gautschi 2004; Wheeler 1974) with the Y
     basis as auxiliary family: since x Y_l = Y_{l+1} + t_l Y_l,
     sigma[k][l] = sigma[k-1][l+1] + (t_l - beta_{k-1}) sigma[k-1][l]
-    - gamma_{k-1} sigma[k-2][l], from sigma[0][l] = y_l: O(depth^2) scalar work.
+    - gamma_{k-1} sigma[k-2][l], from sigma[0][l] = y_l: O(depth^2) integer work.
     As P_0..P_depth is a monic basis, the Gram matrix to that depth is diagonal
     iff sigma[k][l] = 0 for all l < k, and then G[n][n] = sigma[n][n].
     """
@@ -314,15 +296,49 @@ def mixed_moments(u: MomentFunctional, table: RecurrenceTable, depth: int) -> li
             f"mixed moments to depth {depth} need moments up to degree {2 * depth}, "
             f"table stops at {u.max_degree}"
         )
-    nodes = y_nodes(u.frame, 2 * depth)
-    rows = [list(u.moments[: 2 * depth + 1])]
+    rows = _chebyshev_rows(table, depth, _ints(u.moments[: 2 * depth + 1]), 1, _y_node_ints(u.frame, 2 * depth))
+    return [_fracs(row, [den] * len(row)) for row, den in rows]
+
+
+def _chebyshev_rows(
+    table: RecurrenceTable,
+    depth: int,
+    first: tuple[list[int], int],
+    shift: int,
+    node_ints: tuple[list[int], int],
+) -> list[tuple[list[int], int]]:
+    """Rows r_0..r_depth of r_k[l] = r_{k-1}[l+shift] + (t_l - beta_{k-1}) r_{k-1}[l] - gamma_{k-1} r_{k-2}[l].
+
+    This is P_k = (x - beta_{k-1}) P_{k-1} - gamma_{k-1} P_{k-2} in the Y basis,
+    where x Y_l = Y_{l+1} + t_l Y_l. From r_0 = [1] and shift = -1, row k holds
+    the Y coefficients of P_k; from r_0 = the moments and shift = +1, it holds
+    the mixed moments sigma_{k,l} = <u, P_k Y_l>, l <= len(r_0) - 1 - k.
+    node_ints gives t_l as integers over one denominator (see _y_node_ints), at
+    least as many as the longest row after r_0. Each row is an integer vector over
+    one denominator: the three terms are brought over the lcm of theirs, and the
+    new row is divided by its content.
+    """
+    nodes, t = node_ints
+    prev, prev_d = [], 1
+    cur, cur_d = first
+    rows = [first]
     for k in range(1, depth + 1):
-        prev, beta = rows[k - 1], table.beta[k - 1]
-        row = [prev[l + 1] + (nodes[l] - beta) * prev[l] for l in range(2 * depth - k + 1)]
-        if k >= 2:
-            gamma = table.gamma[k - 1]
-            row = [s - gamma * b for s, b in zip(row, rows[k - 2])]
-        rows.append(row)
+        b = table.beta[k - 1]
+        g = table.gamma[k - 1] if k >= 2 else 0
+        den = lcm(cur_d * t * b.denominator, prev_d * g.denominator)
+        # (t_l - beta) r[l] over den is r[l] (nodes[l] nb - bt), and r[l + shift] is r[l + shift] s
+        f = den // (cur_d * t * b.denominator)
+        nb, bt, s = f * b.denominator, f * b.numerator * t, f * t * b.denominator
+        ahead = cur[1:] if shift > 0 else [0] + cur
+        nxt = [s * a + (node * nb - bt) * c for a, node, c in zip(ahead, nodes, cur + [0])]
+        if g:
+            sg = den // (prev_d * g.denominator) * g.numerator
+            for l, c in enumerate(prev[: len(nxt)]):
+                nxt[l] -= sg * c
+        content = gcd(den, *nxt)
+        nxt, den = [c // content for c in nxt], den // content
+        rows.append((nxt, den))
+        prev, prev_d, cur, cur_d = cur, cur_d, nxt, den
     return rows
 
 

@@ -150,27 +150,10 @@ class Poly:
         return Poly._trusted(quot), Poly._trusted(rem[:dd] if dd else [])
 
     def compose_affine(self, alpha: ScalarLike, beta: ScalarLike) -> "Poly":
-        """Substitute x -> alpha*x + beta: an integer Taylor shift, O(deg^2) integer work.
-
-        With f = sum_k n_k x^k / den and beta = bn/bd, h(x) = sum_k n_k bd^(m-k) x^k
-        is bd^m den f(x/bd), so h(x + bn) is rounds of synthetic addition
-        h_j += bn h_{j+1} (von zur Gathen and Gerhard 1997), and coefficient k of
-        f(alpha x + beta) is h_k an^k / (den bd^(m-k) ad^k).
-        """
-        alpha, beta = as_scalar(alpha), as_scalar(beta)
-        m = len(self.coeffs) - 1
-        an_pows, ad_pows = _powers(alpha.numerator, m), _powers(alpha.denominator, m)
+        """Substitute x -> alpha*x + beta: an integer Taylor shift, O(deg^2) integer work."""
         nums, den = _ints(self.coeffs)
-        bn = beta.numerator
-        bd_pows = _powers(beta.denominator, m)[::-1]  # bd^(m-k) at index k
-        h = [n * p for n, p in zip(nums, bd_pows)]
-        if bn:
-            for i in range(m):
-                for j in range(m - 1, i - 1, -1):
-                    h[j] += bn * h[j + 1]
-        return Poly._trusted(_fracs(
-            [c * a for c, a in zip(h, an_pows)], [den * b * a for b, a in zip(bd_pows, ad_pows)]
-        ))
+        out, dens = _compose_ints(nums, as_scalar(alpha), as_scalar(beta))
+        return Poly._trusted(_fracs(out, [den * d for d in dens]))
 
     def __repr__(self):
         if not self.coeffs:
@@ -186,6 +169,26 @@ class Poly:
             else:
                 terms.append(f"{c}*x^{k}")
         return "Poly(" + " + ".join(terms) + ")"
+
+
+def _compose_ints(nums: list[int], alpha: Fraction, beta: Fraction) -> tuple[list[int], list[int]]:
+    """f(alpha x + beta) for f = sum_k nums[k] x^k, as a numerator and a denominator per coefficient.
+
+    With beta = bn/bd, h(x) = sum_k nums[k] bd^(m-k) x^k is bd^m f(x/bd), so
+    h(x + bn) is rounds of synthetic addition h_j += bn h_{j+1} (von zur Gathen
+    and Gerhard 1997), and coefficient k of f(alpha x + beta) is
+    h_k an^k / (bd^(m-k) ad^k).
+    """
+    m = len(nums) - 1
+    an_pows, ad_pows = _powers(alpha.numerator, m), _powers(alpha.denominator, m)
+    bn = beta.numerator
+    bd_pows = _powers(beta.denominator, m)[::-1]  # bd^(m-k) at index k
+    h = [n * p for n, p in zip(nums, bd_pows)]
+    if bn:
+        for i in range(m):
+            for j in range(m - 1, i - 1, -1):
+                h[j] += bn * h[j + 1]
+    return [c * a for c, a in zip(h, an_pows)], [b * a for b, a in zip(bd_pows, ad_pows)]
 
 
 def phi_poly(pear: PearsonPair) -> Poly:
@@ -211,18 +214,22 @@ def op_L_star(f: Poly, frame: HahnFrame) -> Poly:
 def op_D(f: Poly, frame: HahnFrame) -> Poly:
     """The divided difference (f(qx + omega) - f(x)) / ((q-1)x + omega).
 
-    At q = 1 the divisor is the constant omega. Otherwise it is
-    (q-1)(x - r), r = rn/rd = -omega/(q-1), and the quotient is
-    one synthetic division run on the integer polynomial rd^m den num(X/rd),
-    whose root is rn. A nonzero remainder raises ArithmeticError.
+    L f - f is brought over den bd^m ad^m on integers, where f has numerators
+    over den and (q, omega) = (an/ad, bn/bd). At q = 1 the divisor is the
+    constant omega. Otherwise it is (q-1)(x - r), r = rn/rd = -omega/(q-1), and
+    the quotient is one synthetic division run on the integer polynomial
+    rd^m den num(X/rd), whose root is rn. A nonzero remainder raises ArithmeticError.
     """
-    num = op_L(f, frame) - f
     q, omega = frame.q, frame.omega
+    f_nums, den = _ints(f.coeffs)
+    lf, dens = _compose_ints(f_nums, q, omega)
+    common = dens[0] * dens[-1]  # bd^m ad^m; coefficient k of L f is over den bd^(m-k) ad^k
+    nums = [a * (common // d) - n * common for a, d, n in zip(lf, dens, f_nums)]
+    den *= common
+    if not any(nums):
+        return Poly()
     if q == 1:
-        return num.scale(1 / omega)
-    if num.is_zero():
-        return num
-    nums, den = _ints(num.coeffs)
+        return Poly._trusted(_fracs([n * omega.denominator for n in nums], [den * omega.numerator] * len(nums)))
     r, c = -omega / (q - 1), 1 / (q - 1)
     m, rn = len(nums) - 1, r.numerator
     rd_pows = _powers(r.denominator, m)

@@ -8,7 +8,9 @@ equality breaks.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +19,8 @@ from typing import Optional
 from .qnum import HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, q_binomial, q_bracket
 from .poly import (
     Poly,
+    _ints,
+    _y_node_ints,
     leibniz_expand,
     op_D,
     op_D_star,
@@ -42,9 +46,8 @@ from .functional import (
 )
 from . import classical
 from .classical import (
+    _chebyshev_rows,
     derivative_sequence,
-    gram_matrix,
-    mixed_moments,
     psi_k,
     r_polynomial,
     recurrence,
@@ -222,8 +225,12 @@ def gram_suite(
 ) -> list[Check]:
     """Moment/Pearson equivalence plus the Favard-direction Gram oracle.
 
-    Both Gram checks are decided from the mixed moments <u, P_k Y_l> in
-    O(depth^2); the Gram matrix itself is formed only to describe a failure.
+    Both Gram checks are decided from integer rows of the mixed moments
+    sigma_{k,l} = <u, P_k Y_l>, in O(depth^2), and no Gram matrix is formed:
+    G is diagonal iff sigma_{k,l} = 0 for l < k, and then G[n][n] = sigma_{n,n}.
+    A failure names the first four nonzero off-diagonal cells, row by row, each
+    a dot product G[m][n] = sum_{l <= m} c^(m)_l sigma_{n,l} (m <= n) with the
+    Y-basis coefficients c^(m) of P_m, which come from the same recurrence.
     """
     checks = []
     # residual entry n reads y_{n+1}; the Gram checks read y_0..y_{2 depth}
@@ -245,15 +252,23 @@ def gram_suite(
         "" if not bad else f"nonzero residual at Y-degrees {bad[:4]} (cell {bad[0]})",
     ))
     table = recurrence(pear, frame, depth, y0)
-    sigma = mixed_moments(u, table, depth)
-    if any(sigma[k][l] != 0 for k in range(depth + 1) for l in range(k)):
-        gram = gram_matrix(u, table.polys, depth)
-        off = [(m, n) for m in range(depth + 1) for n in range(depth + 1)
-               if m != n and gram[m][n] != 0]
-        diagonal = [gram[n][n] for n in range(depth + 1)]
-    else:
+    sigma = _chebyshev_rows(table, depth, _ints(u.moments[: 2 * depth + 1]), 1, _y_node_ints(frame, 2 * depth))
+    # G[m][n] for n < m is sum_{l <= n} c^(n)_l sigma_{m,l}, so it is 0 while n is below
+    # the first nonzero sigma_{m,l}, l < m, and that sigma itself at the first such n
+    first = [next((l for l, s in enumerate(row[:k]) if s), k) for k, (row, _) in enumerate(sigma)]
+    if first == list(range(depth + 1)):
         off = []
-        diagonal = [sigma[n][n] for n in range(depth + 1)]
+        diagonal = [Fraction(row[k], den) for k, (row, den) in enumerate(sigma)]
+    else:
+        coeffs = _chebyshev_rows(table, depth, ([1], 1), -1, _y_node_ints(frame, depth + 1))
+
+        def gram(lo: int, hi: int) -> int:  # G[lo][hi] = <u, P_lo P_hi> times coeffs[lo][1] sigma[hi][1]
+            return sum(map(operator.mul, coeffs[lo][0], sigma[hi][0]))
+
+        cells = ((m, n) for m in range(depth + 1) for n in range(depth + 1) if m != n)
+        off = list(itertools.islice(
+            (cell for cell in cells if min(cell) >= first[max(cell)] and gram(*sorted(cell))), 4))
+        diagonal = [Fraction(gram(n, n), coeffs[n][1] * sigma[n][1]) for n in range(depth + 1)]
     checks.append(Check(
         "gram_off_diagonal_zero",
         not off,

@@ -2,9 +2,11 @@
 
 Every comparison is exact equality of Fractions and of validity windows
 (max_degree), on all default frames and random tables of depth <= 16; the
-Gram suite is compared check by check on random regular pairs. The
-integer-numerator kernels are also run at 500-2000-bit coefficients on
-frames with negative q and omega, and on the zero and constant polynomials.
+Gram suite is compared check by check on random regular pairs and on the
+presets fuzzed at every moment index, with the Gram matrix and the expanded
+P_n made unreadable. The integer-numerator kernels are also run at
+500-2000-bit coefficients on frames with negative q and omega, and on the
+zero and constant polynomials.
 """
 
 from fractions import Fraction as F
@@ -16,7 +18,7 @@ import reference_kernels as ref
 from hahnpoly import classical, functional
 from hahnpoly.classical import PRESETS, RecurrenceTable, check_regular, recurrence
 from hahnpoly.functional import InsufficientMomentsError, MomentFunctional, solve_moments
-from hahnpoly.poly import Poly, op_D, op_D_star, op_L, op_L_star, to_y_basis, y_basis, y_nodes
+from hahnpoly.poly import Poly, _ints, _y_node_ints, op_D, op_D_star, op_L, op_L_star, to_y_basis, y_basis, y_nodes
 from hahnpoly.qnum import HahnFrame, PearsonPair, q_bracket
 from hahnpoly.verify import default_frames, gram_suite
 
@@ -180,6 +182,55 @@ def test_gram_suite_depth_40(name, monkeypatch):
     assert all(c.passed for c in checks), checks
 
 
+def _preset_gram_inputs(name, depth):
+    preset = PRESETS[name]
+    table = recurrence(preset.pear, preset.frame, depth)
+    u = solve_moments(preset.pear, preset.frame, 1, 2 * depth)
+    return preset.frame, table, u
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_chebyshev_rows_on_presets(name):
+    # sigma rows and Y-coefficient rows, as Fractions, against the oracles to depth 40
+    frame, table, u = _preset_gram_inputs(name, 40)
+    coeffs = classical._chebyshev_rows(table, 40, ([1], 1), -1, _y_node_ints(frame, 41))
+    assert [[F(c, den) for c in row] for row, den in coeffs] == [
+        ref.to_y_basis(p, frame) for p in table.polys[:41]
+    ]
+    sigma = classical.mixed_moments(u, table, 40)
+    for k in (1, 40):  # every row is compared at depth <= 6 in TestAgainstOracles
+        assert sigma[k] == [ref.pair(u, ref.mul(table.polys[k], y_basis(l, frame)))
+                            for l in range(81 - k)], k
+    for k, (row, den) in enumerate(classical._chebyshev_rows(table, 40, _ints(u.moments), 1, _y_node_ints(frame, 80))):
+        assert [F(s, den) for s in row] == sigma[k]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_gram_suite_fuzz_every_index(name):
+    preset = PRESETS[name]
+    for fuzz in [None, *range(max(2 * 10, 21) + 1)]:
+        assert gram_suite(preset.pear, preset.frame, 10, F(1), fuzz) == ref.gram_suite(
+            preset.pear, preset.frame, 10, F(1), fuzz
+        ), fuzz
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_gram_suite_forms_no_gram_matrix(name, monkeypatch):
+    preset = PRESETS[name]
+    runs = [(8, None), (8, 3), (8, 15), (12, 0), (12, 23)]
+    expected = [ref.gram_suite(preset.pear, preset.frame, depth, F(1), fuzz) for depth, fuzz in runs]
+    assert any(not checks[1].passed for checks in expected)  # the failure path is reached
+
+    def unread(*args):
+        raise AssertionError("gram_suite read the Gram matrix or the expanded polynomials")
+
+    monkeypatch.setattr(classical, "gram_matrix", unread)
+    monkeypatch.setattr(classical, "to_y_basis", unread)
+    monkeypatch.setattr(RecurrenceTable, "polys", property(unread))
+    got = [gram_suite(preset.pear, preset.frame, depth, F(1), fuzz) for depth, fuzz in runs]
+    assert got == expected
+
+
 # 500-2000-bit numerators and denominators, of either sign, and zeros
 big_int_st = st.integers(500, 2000).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2 ** bits))
 big_coeff_st = st.just(F(0)) | st.builds(
@@ -245,6 +296,34 @@ class TestAtLargeHeight:
             assert to_y_basis(f, frame) == list(f.coeffs)
             assert f * g == g * f == Poly([k, k * c])
             assert functional.left_multiply(f, u).moments == tuple(k * m for m in u.moments)
+
+
+# the integer L f - f of op_D: negative q and omega, q = 3/5, q = 1 with omega < 0
+OP_D_FRAMES = [
+    HahnFrame(F(-2), F(-3, 7)),
+    HahnFrame(F(-2), F(4)),
+    HahnFrame(F(3, 5), F(-2)),
+    HahnFrame(F(3, 5), F(0)),
+    HahnFrame(F(1), F(-7, 3)),
+    HahnFrame(F(1), F(-(3 ** 700), 2 ** 900 + 1)),
+]
+
+
+@pytest.mark.parametrize("frame", OP_D_FRAMES, ids=signed_frame_id)
+class TestIntegerOpD:
+    @heavy
+    @given(big_poly_st)
+    def test_against_oracle(self, frame, f):
+        assert op_D(f, frame) == ref.op_D(f, frame)
+        assert op_D_star(f, frame) == ref.op_D_star(f, frame)
+
+    @heavy
+    @given(big_coeff_st)
+    def test_zero_and_constant(self, frame, c):
+        for f in (Poly(), Poly([c])):
+            assert op_D(f, frame) == ref.op_D(f, frame) == Poly()
+        # D x = 1 and D (c x) = c on every frame
+        assert op_D(Poly([c, c]), frame) == ref.op_D(Poly([c, c]), frame) == Poly([c])
 
 
 def test_recurrence_polys_al_salam_carlitz_80():
