@@ -22,7 +22,6 @@ from .qnum import (
 )
 from .poly import (
     Poly,
-    leibniz_expand,
     op_D,
     op_D_star,
     op_L,
@@ -52,7 +51,6 @@ from .classical import (
     derivative_sequence,
     get_preset,
     gram_matrix,
-    mixed_moments,
     phi_poly,
     psi_k,
     psi_poly,

@@ -25,7 +25,7 @@ from .qnum import (
     pearson_sequences,
     q_bracket,
 )
-from .poly import Poly, _fracs, _ints, _y_node_ints, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis
+from .poly import Poly, _fracs, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis
 from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
@@ -279,27 +279,6 @@ def gram_matrix(u: MomentFunctional, polys: Sequence[Poly], depth: int) -> list[
     return rows
 
 
-def mixed_moments(u: MomentFunctional, table: RecurrenceTable, depth: int) -> list[list[Fraction]]:
-    """sigma[k][l] = <u, P_k Y_l> for k <= depth and l <= 2 depth - k.
-
-    The modified Chebyshev algorithm (Gautschi 2004; Wheeler 1974) with the Y
-    basis as auxiliary family: since x Y_l = Y_{l+1} + t_l Y_l,
-    sigma[k][l] = sigma[k-1][l+1] + (t_l - beta_{k-1}) sigma[k-1][l]
-    - gamma_{k-1} sigma[k-2][l], from sigma[0][l] = y_l: O(depth^2) integer work.
-    As P_0..P_depth is a monic basis, the Gram matrix to that depth is diagonal
-    iff sigma[k][l] = 0 for all l < k, and then G[n][n] = sigma[n][n].
-    """
-    if depth > table.depth:
-        raise ValueError("not enough recurrence coefficients for the requested depth")
-    if 2 * depth > u.max_degree:
-        raise InsufficientMomentsError(
-            f"mixed moments to depth {depth} need moments up to degree {2 * depth}, "
-            f"table stops at {u.max_degree}"
-        )
-    rows = _chebyshev_rows(table, depth, _ints(u.moments[: 2 * depth + 1]), 1, _y_node_ints(u.frame, 2 * depth))
-    return [_fracs(row, [den] * len(row)) for row, den in rows]
-
-
 def _chebyshev_rows(
     table: RecurrenceTable,
     depth: int,
@@ -312,7 +291,9 @@ def _chebyshev_rows(
     This is P_k = (x - beta_{k-1}) P_{k-1} - gamma_{k-1} P_{k-2} in the Y basis,
     where x Y_l = Y_{l+1} + t_l Y_l. From r_0 = [1] and shift = -1, row k holds
     the Y coefficients of P_k; from r_0 = the moments and shift = +1, it holds
-    the mixed moments sigma_{k,l} = <u, P_k Y_l>, l <= len(r_0) - 1 - k.
+    the mixed moments sigma_{k,l} = <u, P_k Y_l>, l <= len(r_0) - 1 - k: the
+    modified Chebyshev algorithm (Gautschi 2004; Wheeler 1974) with the Y basis
+    as auxiliary family.
     node_ints gives t_l as integers over one denominator (see _y_node_ints), at
     least as many as the longest row after r_0. Each row is an integer vector over
     one denominator: the three terms are brought over the lcm of theirs, and the

@@ -32,6 +32,13 @@ class InputError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is an InputError (exit 1 with JSON), not argparse's usage text and exit 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _parse_rational(text: str, field: str) -> Fraction:
     try:
         return Fraction(text)
@@ -126,8 +133,9 @@ def cmd_classify(args) -> int:
 def cmd_recurrence(args) -> int:
     pear, frame = _resolve_pair(args)
     depth = _depth(args, 12)
+    y0 = _parse_rational(args.y0, "y0") if args.y0 is not None else Fraction(1)
     try:
-        table = recurrence(pear, frame, depth)
+        table = recurrence(pear, frame, depth, y0)
     except RegularityError as exc:
         print(json.dumps({"error": str(exc), "report": exc.report.to_json_dict()}), file=sys.stderr)
         return EXIT_NEGATIVE
@@ -264,12 +272,12 @@ def _pair_flags() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hahnpoly",
         description="Classify Pearson pairs for the Hahn operator and generate/verify "
         "their orthogonal polynomial sequences, in exact rational arithmetic.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parser too
     pair_flags = [_pair_flags()]
 
     p = sub.add_parser("classify", parents=pair_flags, help="regularity report for a pair")
@@ -303,8 +311,8 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
     try:
+        args = _parser.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -12,7 +12,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable
 
-from .qnum import HahnFrame, PearsonPair, ScalarLike, as_scalar, q_binomial
+from .qnum import HahnFrame, PearsonPair, ScalarLike, as_scalar
 
 
 def _ints(xs: Iterable[Fraction]) -> tuple[list[int], int]:
@@ -132,22 +132,6 @@ class Poly:
     def scale(self, c: ScalarLike) -> "Poly":
         c = as_scalar(c)
         return Poly._trusted([c * a for a in self.coeffs])
-
-    def divmod(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact-field polynomial division; returns (quotient, remainder)."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd = divisor.degree()
-        lead = divisor.leading()
-        quot = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            q = rem[i + dd] / lead
-            quot[i] = q
-            if q:
-                for j, c in enumerate(divisor.coeffs):
-                    rem[i + j] -= q * c
-        return Poly._trusted(quot), Poly._trusted(rem[:dd] if dd else [])
 
     def compose_affine(self, alpha: ScalarLike, beta: ScalarLike) -> "Poly":
         """Substitute x -> alpha*x + beta: an integer Taylor shift, O(deg^2) integer work."""
@@ -308,13 +292,3 @@ def to_y_basis(f: Poly, frame: HahnFrame) -> list[Fraction]:
         out.append(rem.pop(0))
     return _fracs(out, [den * p for p in t_pows])
 
-
-def leibniz_expand(f: Poly, g: Poly, frame: HahnFrame, n: int) -> Poly:
-    """D^n(fg) written as sum_k qbinom(n,k) L^k(D^{n-k} f) * D^k g."""
-    if n < 0:
-        raise ValueError("leibniz_expand needs n >= 0")
-    out = Poly()
-    for k in range(n + 1):
-        term = op_iter(op_L, op_iter(op_D, f, frame, n - k), frame, k) * op_iter(op_D, g, frame, k)
-        out = out + q_binomial(n, k, frame.q) * term
-    return out

@@ -41,15 +41,6 @@ class RodriguesWitness:
                 return k
         return None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "lhsMoments": [str(m) for m in self.lhs_moments],
-            "rhsMoments": [str(m) for m in self.rhs_moments],
-            "match": self.match,
-            "firstMismatch": self.first_mismatch,
-        }
-
 
 def phi_product(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
     """Phi(x; n) = prod_{j=1}^n phi(q^j x + omega [j]_q); Phi(.; 0) = 1."""

@@ -8,6 +8,7 @@ equality breaks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -21,7 +22,6 @@ from .poly import (
     Poly,
     _ints,
     _y_node_ints,
-    leibniz_expand,
     op_D,
     op_D_star,
     op_iter,
@@ -59,6 +59,8 @@ from .rodrigues import _phi_factor, _rhs, _witness, moment_depth_for
 # filtered at construction time
 FRAME_Q_VALUES = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5), Fraction(-2)]
 FRAME_OMEGA_VALUES = [Fraction(0), Fraction(1), Fraction(-1, 3)]
+# the Gram suite's Pearson residual reaches Y-degree 20
+RESIDUAL_DEPTH = 20
 
 
 class SuiteArgumentError(ValueError):
@@ -123,6 +125,24 @@ def _op_D_monomial(f: Poly, frame: HahnFrame) -> Poly:
     return Poly(out)
 
 
+def _iterates(op, x, n: int) -> list:
+    """[x, op(x), ..., op^n(x)]."""
+    return list(itertools.accumulate(range(n), lambda acc, _: op(acc), initial=x))
+
+
+def _leibniz(product, h: Poly, frame: HahnFrame, iterates: list):
+    """The q-Leibniz sum for D^n(h g): sum_j [n choose j]_q product(L^j D^{n-j} h, D^j g).
+
+    iterates holds D^0 g, ..., D^n g; g is a polynomial with product operator.mul,
+    or a functional with product left_multiply.
+    """
+    n = len(iterates) - 1
+    dh = _iterates(lambda p: op_D(p, frame), h, n)
+    terms = (product(op_iter(op_L, dh[n - j], frame, j), g_j).scale(q_binomial(n, j, frame.q))
+             for j, g_j in enumerate(iterates))
+    return functools.reduce(operator.add, terms)
+
+
 def identities_suite(
     frames: Optional[list[HahnFrame]] = None,
     cases: int = 200,
@@ -176,7 +196,8 @@ def identities_suite(
                op_D(f * g, fr) == op_D(f, fr) * op_L(g, fr) + f * op_D(g, fr), detail)
         k = rng.randint(0, 4)
         record("leibniz_polynomial",
-               leibniz_expand(f, g, fr, k) == op_iter(op_D, f * g, fr, k), detail)
+               _leibniz(operator.mul, f, fr, _iterates(lambda p: op_D(p, fr), g, k))
+               == op_iter(op_D, f * g, fr, k), detail)
         record("D_division_vs_monomial", op_D(f, fr) == _op_D_monomial(f, fr), detail)
         nb = rng.randint(0, 12)
         record("D_y_basis_diagonal",
@@ -201,13 +222,7 @@ def identities_suite(
                detail)
         nl = rng.randint(0, 3)
         lhs = dist_iter(dist_D, left_multiply(h, u), nl)
-        rhs = None
-        for j in range(nl + 1):
-            term = left_multiply(
-                op_iter(op_L, op_iter(op_D, h, fr, nl - j), fr, j),
-                dist_iter(dist_D, u, j),
-            ).scale(q_binomial(nl, j, q))
-            rhs = term if rhs is None else rhs + term
+        rhs = _leibniz(left_multiply, h, fr, _iterates(dist_D, u, nl))
         record("leibniz_functional",
                all(lhs.moments[mm] == rhs.moments[mm]
                    for mm in range(min(7, lhs.max_degree, rhs.max_degree) + 1)), detail)
@@ -221,7 +236,6 @@ def gram_suite(
     depth: int = 10,
     y0: Fraction = Fraction(1),
     fuzz_moment: Optional[int] = None,
-    residual_depth: int = 20,
 ) -> list[Check]:
     """Moment/Pearson equivalence plus the Favard-direction Gram oracle.
 
@@ -234,7 +248,7 @@ def gram_suite(
     """
     checks = []
     # residual entry n reads y_{n+1}; the Gram checks read y_0..y_{2 depth}
-    table_depth = max(2 * depth, residual_depth + 1)
+    table_depth = max(2 * depth, RESIDUAL_DEPTH + 1)
     if fuzz_moment is not None and not 0 <= fuzz_moment <= table_depth:
         raise SuiteArgumentError(
             f"fuzz_moment {fuzz_moment} is outside the moments the checks read, 0..{table_depth}"
@@ -244,7 +258,7 @@ def gram_suite(
         moments = list(u.moments)
         moments[fuzz_moment] += 1
         u = MomentFunctional(frame, tuple(moments))
-    residual = pearson_residual(pear, u, residual_depth)
+    residual = pearson_residual(pear, u, RESIDUAL_DEPTH)
     bad = [i for i, r in enumerate(residual) if r != 0]
     checks.append(Check(
         "pearson_residual_zero",
@@ -353,40 +367,26 @@ def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
     u = solve_moments(pear, frame, 1, depth)
     table = recurrence(pear, frame, 12)
 
-    ok, detail = True, ""
-    u1 = derived_functional(pear, frame, u, 1)
-    seq1 = derivative_sequence(table, frame, 1)
-    for n in range(7):
-        for m in range(7):
-            expected = (
-                -(q**-n) * d_n(pear, frame, n) / q_bracket(n + 1, q)
-                * pair(u, table.polys[n + 1] * table.polys[n + 1])
-                if m == n
-                else Fraction(0)
-            )
-            if pair(u1, seq1[n] * seq1[m]) != expected:
-                ok, detail = False, f"first-derivative orthogonality broke at (n,m)=({n},{m})"
-    checks.append(Check("derivative_orthogonality_k1", ok, detail))
-
-    ok, detail = True, ""
+    # the k = 1 rows run to n, m <= 6 and decide derivative_orthogonality_k1 too;
+    # each check keeps the detail of its last failing index
+    fails: dict[str, str] = {}
     for k in range(4):
         uk = derived_functional(pear, frame, u, k)
         seqk = derivative_sequence(table, frame, k)
-        for n in range(6):
-            for m in range(6):
-                if m == n:
-                    prod = Fraction(1)
-                    for j in range(1, k + 1):
-                        prod *= d_n(pear, frame, n + k + j - 2) / q_bracket(n + j, q)
-                    expected = (
-                        Fraction(-1) ** k * q ** Fraction(-k * (2 * n + k - 1), 2)
-                        * prod * pair(u, table.polys[n + k] * table.polys[n + k])
-                    )
-                else:
-                    expected = Fraction(0)
-                if pair(uk, seqk[n] * seqk[m]) != expected:
-                    ok, detail = False, f"norm relation broke at (k,n,m)=({k},{n},{m})"
-    checks.append(Check("norm_relation_k_le_3", ok, detail))
+        top = 7 if k == 1 else 6
+        for n in range(top):
+            norm = (Fraction(-1) ** k * q ** Fraction(-k * (2 * n + k - 1), 2)
+                    * math.prod(d_n(pear, frame, n + k + j - 2) / q_bracket(n + j, q) for j in range(1, k + 1))
+                    * pair(u, table.polys[n + k] * table.polys[n + k]))
+            for m in range(top):
+                if pair(uk, seqk[n] * seqk[m]) != (norm if m == n else 0):
+                    if k == 1:
+                        fails["derivative_orthogonality_k1"] = \
+                            f"first-derivative orthogonality broke at (n,m)=({n},{m})"
+                    if max(n, m) < 6:
+                        fails["norm_relation_k_le_3"] = f"norm relation broke at (k,n,m)=({k},{n},{m})"
+    for name in ("derivative_orthogonality_k1", "norm_relation_k_le_3"):
+        checks.append(Check(name, name not in fails, fails.get(name, "")))
 
     bad = [k for k in range(11) if psi_k(pear, frame, k) != _psi_k_recursive(pear, frame, k)]
     checks.append(Check("psi_k_closed_form_vs_recursion", not bad,

@@ -4,7 +4,7 @@ Every dual operation here expands Y-basis polynomials as Poly objects,
 independently of the banded recurrences in hahnpoly.functional and of the
 synthetic-division to_y_basis; the affine substitution is Horner's rule over
 Poly products, and the Gram suite reads the full Gram matrix. The products,
-L, L* and D here run on Fractions (`mul`, and D through Poly.divmod), so no
+L, L* and D here run on Fractions (`mul`, and D through `poly_divmod`), so no
 oracle rests on the integer-numerator kernels of hahnpoly.poly.
 tests/test_kernels.py requires exact equality. from_y_basis and the Hankel
 determinant serve tests/test_poly.py and tests/test_classical.py.
@@ -32,7 +32,7 @@ from hahnpoly.functional import (
 from hahnpoly import poly
 from hahnpoly.poly import Poly, phi_poly
 from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, q_bracket
-from hahnpoly.verify import Check, SuiteArgumentError
+from hahnpoly.verify import RESIDUAL_DEPTH, Check, SuiteArgumentError
 
 # the library builds Y_n afresh on every call; the oracles ask for the same Y_n many times
 y_basis = lru_cache(maxsize=None)(poly.y_basis)
@@ -66,9 +66,23 @@ def op_L_star(f: Poly, frame) -> Poly:
     return compose_affine(f, 1 / frame.q, -frame.omega / frame.q)
 
 
+def poly_divmod(f: Poly, divisor: Poly) -> tuple[Poly, Poly]:
+    """Long division over the rationals: (quotient, remainder)."""
+    if divisor.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(f.coeffs)
+    dd = divisor.degree()
+    quot = [Fraction(0)] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - dd - 1, -1, -1):
+        quot[i] = c = rem[i + dd] / divisor.leading()
+        for j, d in enumerate(divisor.coeffs):
+            rem[i + j] -= c * d
+    return Poly(quot), Poly(rem[:dd])
+
+
 def op_D(f: Poly, frame) -> Poly:
-    """(L f - f) divided by (q-1)x + omega through Poly.divmod."""
-    quot, rem = (op_L(f, frame) - f).divmod(Poly([frame.omega, frame.q - 1]))
+    """(L f - f) divided by (q-1)x + omega through poly_divmod."""
+    quot, rem = poly_divmod(op_L(f, frame) - f, Poly([frame.omega, frame.q - 1]))
     if not rem.is_zero():
         raise ArithmeticError("divided difference left a nonzero remainder")
     return quot
@@ -207,11 +221,10 @@ def gram_suite(
     depth: int = 10,
     y0: Fraction = Fraction(1),
     fuzz_moment: Optional[int] = None,
-    residual_depth: int = 20,
 ) -> list[Check]:
     """hahnpoly.verify.gram_suite with both Gram checks read off the full Gram matrix."""
     checks = []
-    table_depth = max(2 * depth, residual_depth + 1)
+    table_depth = max(2 * depth, RESIDUAL_DEPTH + 1)
     if fuzz_moment is not None and not 0 <= fuzz_moment <= table_depth:
         raise SuiteArgumentError(
             f"fuzz_moment {fuzz_moment} is outside the moments the checks read, 0..{table_depth}"
@@ -221,7 +234,7 @@ def gram_suite(
         moments = list(u.moments)
         moments[fuzz_moment] += 1
         u = MomentFunctional(frame, tuple(moments))
-    residual = pearson_residual(pear, u, residual_depth)
+    residual = pearson_residual(pear, u, RESIDUAL_DEPTH)
     bad = [i for i, r in enumerate(residual) if r != 0]
     checks.append(Check(
         "pearson_residual_zero",

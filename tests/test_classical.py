@@ -21,6 +21,7 @@ from hahnpoly.classical import (
 from hahnpoly.functional import pair, solve_moments
 from hahnpoly.poly import Poly, op_D, op_iter
 from hahnpoly.qnum import HahnFrame, PearsonPair, d_n, e_n, q_bracket
+from hahnpoly import verify
 from hahnpoly.verify import _psi_k_recursive, _theta2_definitional
 from reference_kernels import hankel_determinant
 
@@ -190,6 +191,31 @@ class TestDerivativeSequence:
         q = preset.frame.q
         norm = q_bracket(3, q) * q_bracket(4, q)
         assert seq[2] == op_iter(op_D, table.polys[4], preset.frame, 2).scale(1 / norm)
+
+
+# P_n^[k] + 1 in place of P_n^[k] in the norms suite: the k = 1 rows with n or m = 6
+# decide derivative_orthogonality_k1 alone, and each detail names the last failing index
+NORM_FAULTS = {
+    (1, 6): {"derivative_orthogonality_k1": "first-derivative orthogonality broke at (n,m)=(6,6)"},
+    (2, 3): {"norm_relation_k_le_3": "norm relation broke at (k,n,m)=(2,3,3)"},
+    (1, 2): {"derivative_orthogonality_k1": "first-derivative orthogonality broke at (n,m)=(2,2)",
+             "norm_relation_k_le_3": "norm relation broke at (k,n,m)=(1,2,2)"},
+}
+
+
+@pytest.mark.parametrize("name", ["charlier", "al-salam-carlitz"])
+@pytest.mark.parametrize("fault", sorted(NORM_FAULTS), ids=lambda kn: "k={},n={}".format(*kn))
+def test_norms_suite_fault_injection(monkeypatch, name, fault):
+    def perturbed(table, frame, k):
+        seq = derivative_sequence(table, frame, k)
+        if k == fault[0]:
+            seq[fault[1]] = seq[fault[1]] + Poly([1])
+        return seq
+
+    monkeypatch.setattr(verify, "derivative_sequence", perturbed)
+    preset = get_preset(name)
+    checks = verify.norms_suite(preset.pear, preset.frame)
+    assert {c.name: c.detail for c in checks if not c.passed} == NORM_FAULTS[fault]
 
 
 class TestRPolynomial:

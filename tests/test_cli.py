@@ -54,6 +54,25 @@ class TestArgumentHandling:
         code, _, _ = run(capsys, "classify", "--d", "1", "--q", "1", "--omega", "0")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv, names", [
+        pytest.param(argv, names, id=" ".join(argv)) for argv, names in [
+            (["classify", "--bogus", "1"], "--bogus"),
+            (["classify", "--preset", "charlier", "--n", "abc"], "'abc'"),
+            (["verify", "--suite", "nope"], "'nope'"),
+        ]
+    ])
+    def test_argument_error_exits_with_json(self, capsys, argv, names):
+        # argparse would print usage and exit 2, the code for a negative classification
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert names in json.loads(err)["error"]
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hahnpoly classify")
+
     def test_depth_env_var(self, capsys, monkeypatch):
         monkeypatch.setenv("HAHNPOLY_DEPTH", "3")
         code, out, _ = run(capsys, "moments", "--preset", "charlier")
@@ -121,6 +140,14 @@ class TestRecurrence:
         lines = out.strip().splitlines()
         assert code == EXIT_OK and lines[0] == "n,beta,gamma"
         assert lines[1].startswith("0,1/2,")
+
+    def test_y0_sets_gamma0(self, capsys):
+        # gamma[0] holds <u, 1>; the row recurrence reads gamma from index 1
+        _, plain, _ = run(capsys, "recurrence", "--preset", "charlier", "--n", "2")
+        code, out, _ = run(capsys, "recurrence", "--preset", "charlier", "--n", "2", "--y0", "5")
+        expected = json.loads(plain)
+        expected["gamma"][0] = "5"
+        assert code == EXIT_OK and json.loads(out) == expected
 
     def test_irregular_exits_negative(self, capsys):
         code, _, err = run(

@@ -17,9 +17,10 @@ from hahnpoly.functional import (
     pearson_residual,
     solve_moments,
 )
-from hahnpoly.poly import Poly, op_D, op_iter, op_L, y_basis
-from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, q_binomial
+from hahnpoly.poly import Poly, op_D, op_L, y_basis
+from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair
 from hahnpoly.rodrigues import phi_product
+from hahnpoly.verify import _iterates, _leibniz
 
 CHARLIER = PearsonPair(F(0), F(1), F(0), F(-1), F(1, 2))
 Q1W1 = HahnFrame(F(1), F(1))
@@ -180,13 +181,7 @@ class TestDistributionalOperators:
     def test_functional_leibniz(self, frame, values, f, n):
         u = functional_of(frame, values)
         lhs = dist_iter(dist_D, left_multiply(f, u), n)
-        rhs = None
-        for k in range(n + 1):
-            term = left_multiply(
-                op_iter(op_L, op_iter(op_D, f, frame, n - k), frame, k),
-                dist_iter(dist_D, u, k),
-            ).scale(q_binomial(n, k, frame.q))
-            rhs = term if rhs is None else rhs + term
+        rhs = _leibniz(left_multiply, f, frame, _iterates(dist_D, u, n))
         top = min(6, lhs.max_degree, rhs.max_degree)
         assert lhs.moments[: top + 1] == rhs.moments[: top + 1]
 

@@ -35,6 +35,13 @@ def frame_id(frame):
     return f"q={frame.q},omega={frame.omega}"
 
 
+def sigma_rows(u, table, depth):
+    """The mixed moments sigma_{k,l} = <u, P_k Y_l>, l <= 2 depth - k, as Fractions of the integer rows."""
+    first = _ints(u.moments[: 2 * depth + 1])
+    rows = classical._chebyshev_rows(table, depth, first, 1, _y_node_ints(u.frame, 2 * depth))
+    return [[F(s, den) for s in row] for row, den in rows]
+
+
 def outcome(fn, *args):
     """The result of fn, or the type and message of the error it raised."""
     try:
@@ -114,21 +121,11 @@ class TestAgainstOracles:
         # any beta, gamma define a monic family by the three-term recurrence
         table = RecurrenceTable(tuple(coeffs), (F(1),) + tuple(c + 1 for c in coeffs[:6]))
         u = MomentFunctional(frame, tuple(values[: 2 * depth + 1]))
-        sigma = classical.mixed_moments(u, table, depth)
+        sigma = sigma_rows(u, table, depth)
         assert [len(row) for row in sigma] == [2 * depth - k + 1 for k in range(depth + 1)]
         for k, row in enumerate(sigma):
             for l, s in enumerate(row):
                 assert s == ref.pair(u, ref.mul(table.polys[k], y_basis(l, frame))), (k, l)
-
-
-def test_mixed_moments_errors():
-    preset = PRESETS["charlier"]
-    table = recurrence(preset.pear, preset.frame, 4)
-    u = solve_moments(preset.pear, preset.frame, 1, 8)
-    with pytest.raises(ValueError, match="recurrence coefficients"):
-        classical.mixed_moments(u, table, 5)
-    with pytest.raises(InsufficientMomentsError, match="degree 8"):
-        classical.mixed_moments(u.truncate(7), table, 4)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -197,12 +194,10 @@ def test_chebyshev_rows_on_presets(name):
     assert [[F(c, den) for c in row] for row, den in coeffs] == [
         ref.to_y_basis(p, frame) for p in table.polys[:41]
     ]
-    sigma = classical.mixed_moments(u, table, 40)
+    sigma = sigma_rows(u, table, 40)
     for k in (1, 40):  # every row is compared at depth <= 6 in TestAgainstOracles
         assert sigma[k] == [ref.pair(u, ref.mul(table.polys[k], y_basis(l, frame)))
                             for l in range(81 - k)], k
-    for k, (row, den) in enumerate(classical._chebyshev_rows(table, 40, _ints(u.moments), 1, _y_node_ints(frame, 80))):
-        assert [F(s, den) for s in row] == sigma[k]
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

@@ -111,13 +111,6 @@ class TestVerifyRodrigues:
             witness = verify_rodrigues(pear, Q1W1, u, table, n)
             assert witness.match
 
-    def test_json_payload(self):
-        u = solve_moments(CHARLIER, Q1W1, 1, 20)
-        table = recurrence(CHARLIER, Q1W1, 4)
-        data = verify_rodrigues(CHARLIER, Q1W1, u, table, 2, test_degree=4).to_json_dict()
-        assert data["match"] is True and data["firstMismatch"] is None
-        assert all(isinstance(m, str) for m in data["lhsMoments"])
-
 
 class TestMomentDepthFor:
     def test_sized_window_suffices(self):

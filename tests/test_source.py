@@ -44,8 +44,38 @@ def test_library_has_no_function_cache():
 
 def test_cross_check_routes_not_exported():
     removed = {"check_admissible", "hankel_determinant", "from_y_basis", "y_basis",
-               "op_D_monomial", "hahn_number"}
+               "op_D_monomial", "hahn_number", "mixed_moments", "leibniz_expand"}
     assert not removed & set(hahnpoly.__all__)
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names a module imports (from __future__ aside) and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_dead_import_lint_detects():
+    code = "from .poly import Poly, _ints, _y_node_ints\nimport math\nPoly(math.pi)"
+    assert _unused_imports(ast.parse(code)) == ["_ints (line 1)", "_y_node_ints (line 1)"]
+    assert not _unused_imports(ast.parse("from __future__ import annotations\nimport os.path\nos.sep"))
+
+
+def test_library_has_no_dead_imports():
+    # __init__.py imports to re-export
+    found = [
+        f"{path.name}: {entry}"
+        for path in SOURCES if path.name != "__init__.py"
+        for entry in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert SOURCES and not found, found
 
 
 def test_sequence_kernel_not_exported():
