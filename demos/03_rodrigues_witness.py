@@ -1,23 +1,24 @@
 """Verify the distributional Rodrigues-type identity moment by moment.
 
 P_n u = k_n (D*)^n (Phi(.; n) L^n u), checked as equality of Y-basis
-moment vectors.  `verify --suite rodrigues` also checks the closed form
-Phi(.; n) L^n u against the iterated derived functional u^[n].
+moment vectors.  `verify.rodrigues_suite` (behind `verify --suite
+rodrigues`) also checks the closed form Phi(.; n) L^n u against the
+iterated derived functional u^[n].
 """
 
-from hahnpoly import get_preset, recurrence, solve_moments, verify_rodrigues
+from hahnpoly import get_preset, left_multiply, recurrence, rodrigues_rhs, solve_moments
 from hahnpoly.rodrigues import moment_depth_for
+from hahnpoly.verify import rodrigues_suite
 
 preset = get_preset("little-q-laguerre")
 pear, frame = preset.pear, preset.frame
 
-depth = moment_depth_for(pear, 5, 8) + 12
-u = solve_moments(pear, frame, 1, depth)
-table = recurrence(pear, frame, 6)
+for check in rodrigues_suite(pear, frame, n_max=5, test_degree=8):
+    print(f"{check.name}: passed={check.passed}")
 
-for n in range(6):
-    witness = verify_rodrigues(pear, frame, u, table, n, test_degree=8)
-    print(f"n={n}: match={witness.match}")
-    if n == 2:
-        print("  lhs:", witness.lhs_moments[:5])
-        print("  rhs:", witness.rhs_moments[:5])
+# the two sides at n = 2, on a window wide enough for Y-degree 8
+u = solve_moments(pear, frame, 1, moment_depth_for(pear, 2, 8))
+lhs = left_multiply(recurrence(pear, frame, 2).polys[2], u)
+rhs = rodrigues_rhs(pear, frame, u, 2)
+print("  lhs:", lhs.moments[:5])
+print("  rhs:", rhs.moments[:5])

@@ -58,7 +58,7 @@ from .classical import (
     recurrence,
     theta2,
 )
-from .rodrigues import RodriguesWitness, phi_product, rodrigues_rhs, verify_rodrigues
+from .rodrigues import phi_product, rodrigues_rhs
 
 # the from-imports above also bind the submodules (classical, poly, ...) as names
 __all__ = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -26,6 +27,9 @@ EXIT_MISMATCH = 3
 EXIT_PIPE = 141
 
 DEPTH_ENV = "HAHNPOLY_DEPTH"
+# argparse reads a token like -1/3 as an option, not as the value of the flag before it
+_FLAG = re.compile(r"--[^=]+")
+_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
 
 
 class InputError(Exception):
@@ -307,12 +311,23 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = None  # built on the first main call; $HAHNPOLY_DEPTH is read per call, not here
 
 
+def _join_negative_fractions(argv: list[str]) -> list[str]:
+    """['--y0', '-1/3'] becomes ['--y0=-1/3'], which argparse reads as the flag's value."""
+    out = []
+    for token in argv:
+        if out and _FLAG.fullmatch(out[-1]) and _NEGATIVE_FRACTION.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parser.parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -1,45 +1,16 @@
-"""The distributional Rodrigues-type identity and its verification.
+"""The distributional Rodrigues-type identity, as formulas.
 
-The identity under test: P_n u equals k_n applied n times through the
+The identity: P_n u equals k_n applied n times through the
 reciprocal-frame derivative of Phi(.; n) L^n u, as an exact equality of
-Y-basis moment vectors on the analytically valid window.
+Y-basis moment vectors on the analytically valid window. The check lives
+in verify.rodrigues_suite.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
-
 from .qnum import HahnFrame, PearsonPair, q_bracket, rodrigues_constant
 from .poly import Poly, phi_poly
-from .functional import (
-    MomentFunctional,
-    InsufficientMomentsError,
-    dist_D_star,
-    dist_iter,
-    dist_L,
-    left_multiply,
-)
-from .classical import RecurrenceTable
-
-
-@dataclass(frozen=True)
-class RodriguesWitness:
-    n: int
-    lhs_moments: tuple[Fraction, ...]
-    rhs_moments: tuple[Fraction, ...]
-
-    @property
-    def match(self) -> bool:
-        return self.lhs_moments == self.rhs_moments
-
-    @property
-    def first_mismatch(self) -> Optional[int]:
-        for k, (a, b) in enumerate(zip(self.lhs_moments, self.rhs_moments)):
-            if a != b:
-                return k
-        return None
+from .functional import MomentFunctional, dist_D_star, dist_iter, dist_L, left_multiply
 
 
 def phi_product(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
@@ -70,38 +41,8 @@ def _rhs(pear: PearsonPair, frame: HahnFrame, derived: MomentFunctional, n: int)
     return dist_iter(dist_D_star, derived, n).scale(rodrigues_constant(pear, frame, n))
 
 
-def verify_rodrigues(
-    pear: PearsonPair,
-    frame: HahnFrame,
-    u: MomentFunctional,
-    table: RecurrenceTable,
-    n: int,
-    test_degree: int = 8,
-) -> RodriguesWitness:
-    """Compare <P_n u, Y_m> with the Rodrigues right-hand side for m <= test_degree."""
-    if n >= len(table.polys):
-        raise ValueError(f"recurrence table has no P_{n}")
-    lhs = left_multiply(table.polys[n], u)
-    return _witness(n, lhs, rodrigues_rhs(pear, frame, u, n), test_degree)
-
-
-def _witness(
-    n: int, lhs: MomentFunctional, rhs: MomentFunctional, test_degree: int
-) -> RodriguesWitness:
-    if test_degree > min(lhs.max_degree, rhs.max_degree):
-        raise InsufficientMomentsError(
-            f"test degree {test_degree} exceeds valid window "
-            f"(lhs {lhs.max_degree}, rhs {rhs.max_degree}); enlarge the moment table"
-        )
-    return RodriguesWitness(
-        n,
-        tuple(lhs.moments[: test_degree + 1]),
-        tuple(rhs.moments[: test_degree + 1]),
-    )
-
-
 def moment_depth_for(pear: PearsonPair, n: int, test_degree: int) -> int:
-    """Smallest moment-table degree letting verify_rodrigues reach test_degree."""
+    """Smallest moment-table degree on which P_n u and the right-hand side both reach test_degree."""
     phi = phi_poly(pear)
     deg_phi = phi.degree() or 0
     # lhs consumes deg P_n = n; rhs consumes n*deg(phi) then regains n via (D*)^n

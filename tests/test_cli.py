@@ -67,6 +67,22 @@ class TestArgumentHandling:
         assert (code, out) == (EXIT_INPUT, "")
         assert names in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("base, flag, value", [
+        (["moments", "--preset", "charlier"], "--y0", "-1/3"),
+        (["classify", "--b", "1", "--d", "-1", "--q", "1", "--omega", "1"], "--e", "-1/2"),
+        (["classify", "--b", "1", "--e", "1/2", "--q", "1", "--omega", "1"], "--d", "-3/2"),
+    ], ids=["y0", "e", "d"])
+    def test_negative_fraction_value(self, capsys, base, flag, value):
+        # argparse alone reads -1/3 as an option and reports "expected one argument"
+        split = run(capsys, *base, flag, value)
+        assert split == run(capsys, *base, f"{flag}={value}")
+        assert split[0] != EXIT_INPUT and split[2] == ""
+
+    def test_negative_fraction_from_process_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["hahnpoly", "moments", "--preset", "charlier", "--y0", "-1/3"])
+        assert main() == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["moments"][0] == "-1/3"
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["classify", "--help"])

@@ -1,6 +1,6 @@
 """The scripts in demos/ run to completion and print something.
 
-Demo 02 is the one in-repo user of gram_matrix outside the tests.
+Demo 02 and the norms suite are the in-repo users of gram_matrix outside the tests.
 """
 
 import os

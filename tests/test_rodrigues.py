@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,16 +12,18 @@ from hahnpoly.functional import (
 from hahnpoly.poly import Poly, op_L
 from hahnpoly.qnum import HahnFrame, PearsonPair, rodrigues_constant
 from hahnpoly import verify
-from hahnpoly.rodrigues import (
-    RodriguesWitness,
-    moment_depth_for,
-    phi_product,
-    rodrigues_rhs,
-    verify_rodrigues,
-)
+from hahnpoly.rodrigues import moment_depth_for, phi_product, rodrigues_rhs
 
 CHARLIER = PearsonPair(F(0), F(1), F(0), F(-1), F(1, 2))
 Q1W1 = HahnFrame(F(1), F(1))
+
+
+def assert_rodrigues_holds(pear, frame, u, table, n, test_degree=8):
+    # both windows must reach test_degree, or the slices below compare shorter vectors
+    lhs = left_multiply(table.polys[n], u)
+    rhs = rodrigues_rhs(pear, frame, u, n)
+    assert min(lhs.max_degree, rhs.max_degree) >= test_degree
+    assert lhs.moments[: test_degree + 1] == rhs.moments[: test_degree + 1]
 
 
 class TestPhiProduct:
@@ -78,29 +81,21 @@ class TestVerifyRodrigues:
             u = solve_moments(preset.pear, preset.frame, 1, depth)
             table = recurrence(preset.pear, preset.frame, 6)
             for n in range(4):
-                witness = verify_rodrigues(preset.pear, preset.frame, u, table, n)
-                assert witness.match and witness.first_mismatch is None
+                assert_rodrigues_holds(preset.pear, preset.frame, u, table, n)
 
-    def test_detects_wrong_polynomial(self):
-        u = solve_moments(CHARLIER, Q1W1, 1, 24)
-        table = recurrence(CHARLIER, Q1W1, 6)
-        bad = left_multiply(table.polys[2] + Poly([1]), u)
-        rhs = rodrigues_rhs(CHARLIER, Q1W1, u, 2)
-        witness = RodriguesWitness(2, tuple(bad.moments[:9]), tuple(rhs.moments[:9]))
-        assert not witness.match
-        assert witness.first_mismatch == 0
+    def test_detects_wrong_polynomial(self, monkeypatch):
+        polys = list(recurrence(CHARLIER, Q1W1, 2).polys)
+        polys[2] = polys[2] + Poly([1])
+        monkeypatch.setattr(verify, "recurrence", lambda *args, **kwargs: SimpleNamespace(polys=polys))
+        checks = verify.rodrigues_suite(CHARLIER, Q1W1, n_max=2)
+        assert [c.passed for c in checks] == [True, True, False]
+        assert checks[2].detail == "first mismatch at Y-degree 0"
 
-    def test_window_too_small_raises(self):
-        u = solve_moments(CHARLIER, Q1W1, 1, 6)
-        table = recurrence(CHARLIER, Q1W1, 6)
-        with pytest.raises(InsufficientMomentsError):
-            verify_rodrigues(CHARLIER, Q1W1, u, table, 4, test_degree=8)
-
-    def test_missing_table_entry(self):
-        u = solve_moments(CHARLIER, Q1W1, 1, 24)
-        table = recurrence(CHARLIER, Q1W1, 2)
-        with pytest.raises(ValueError):
-            verify_rodrigues(CHARLIER, Q1W1, u, table, 9)
+    def test_window_too_small_raises(self, monkeypatch):
+        # a table too short for test_degree is an error, never a pass on a shorter window
+        monkeypatch.setattr(verify, "moment_depth_for", lambda pear, n, test_degree: 0)
+        with pytest.raises(InsufficientMomentsError, match="test degree 8 exceeds valid window"):
+            verify.rodrigues_suite(CHARLIER, Q1W1, n_max=4, test_degree=8)
 
     def test_admissible_irregular_pair_still_matches(self):
         # gamma_2 = 0, yet the identity holds for the quasi-orthogonal sequence
@@ -108,8 +103,8 @@ class TestVerifyRodrigues:
         table = recurrence(pear, Q1W1, 6, require_regular=False)
         u = solve_moments(pear, Q1W1, 1, 24)
         for n in range(4):
-            witness = verify_rodrigues(pear, Q1W1, u, table, n)
-            assert witness.match
+            assert_rodrigues_holds(pear, Q1W1, u, table, n)
+        assert all(c.passed for c in verify.rodrigues_suite(pear, Q1W1, n_max=3, require_regular=False))
 
 
 class TestMomentDepthFor:
@@ -119,7 +114,7 @@ class TestMomentDepthFor:
             depth = moment_depth_for(preset.pear, n, 8)
             u = solve_moments(preset.pear, preset.frame, 1, depth)
             table = recurrence(preset.pear, preset.frame, n + 1)
-            assert verify_rodrigues(preset.pear, preset.frame, u, table, n).match
+            assert_rodrigues_holds(preset.pear, preset.frame, u, table, n)
 
 
 class TestRodriguesSuite:

@@ -44,7 +44,8 @@ def test_library_has_no_function_cache():
 
 def test_cross_check_routes_not_exported():
     removed = {"check_admissible", "hankel_determinant", "from_y_basis", "y_basis",
-               "op_D_monomial", "hahn_number", "mixed_moments", "leibniz_expand"}
+               "op_D_monomial", "hahn_number", "mixed_moments", "leibniz_expand",
+               "verify_rodrigues", "RodriguesWitness"}
     assert not removed & set(hahnpoly.__all__)
 
 
@@ -75,6 +76,40 @@ def test_library_has_no_dead_imports():
         for path in SOURCES if path.name != "__init__.py"
         for entry in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
+    assert SOURCES and not found, found
+
+
+def _unreferenced_privates(trees: dict) -> list[str]:
+    """Module-level _private functions and classes that no module reads by name or attribute.
+
+    An import alone is no reference; the dead-import lint flags an import nothing reads.
+    """
+    defined = []
+    used = set()
+    for module, tree in trees.items():
+        defined += [(node.name, f"{module}:{node.lineno}") for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{where} {name}" for name, where in defined if name not in used]
+
+
+def test_private_definition_lint_detects():
+    trees = {
+        "a.py": ast.parse("def _called(): pass\ndef _stranded(): pass\nclass _Lonely: pass\n"
+                          "def _by_attribute(): pass\ndef __getattr__(name): pass"),
+        "b.py": ast.parse("from .a import _called, _stranded\nfrom . import a\n_called()\na._by_attribute()"),
+    }
+    assert _unreferenced_privates(trees) == ["a.py:2 _stranded", "a.py:3 _Lonely"]
+
+
+def test_library_has_no_unreferenced_privates():
+    found = _unreferenced_privates({path.name: ast.parse(path.read_text(), filename=str(path))
+                                    for path in SOURCES})
     assert SOURCES and not found, found
 
 
