@@ -243,10 +243,8 @@ def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list
     return [lhs.moments[n] - rhs.moments[n] for n in range(depth + 1)]
 
 
-def derived_functional(
-    pear: PearsonPair, frame: HahnFrame, u: MomentFunctional, k: int
-) -> MomentFunctional:
-    """The k-th derived functional u^[k] = L(phi u^[k-1]), u^[0] = u."""
+def derived_functional(pear: PearsonPair, u: MomentFunctional, k: int) -> MomentFunctional:
+    """The k-th derived functional u^[k] = L(phi u^[k-1]), u^[0] = u, in the frame of u."""
     if k < 0:
         raise ValueError("derived_functional needs k >= 0")
     phi = phi_poly(pear)

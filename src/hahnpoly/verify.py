@@ -173,8 +173,9 @@ def identities_suite(
         g = random_poly(rng, 6)
         detail = f"case {case}: frame q={fr.q}, omega={fr.omega}"
 
-        record("P2_L_star_L_identity", op_L_star(op_L(f, fr), fr) == f
-               and op_L(op_L_star(f, fr), fr) == f, detail)
+        lf, sf, df, lg = op_L(f, fr), op_L_star(f, fr), op_D(f, fr), op_L(g, fr)
+        fg = f * g
+        record("P2_L_star_L_identity", op_L_star(lf, fr) == f and op_L(sf, fr) == f, detail)
         n = rng.randint(0, 8)
         record("P1_iterated_L_substitution",
                op_iter(op_L, f, fr, n)
@@ -184,21 +185,17 @@ def identities_suite(
                op_iter(op_L_star, f, fr, m)
                == f.compose_affine(q**-m, fr.omega * q_bracket(-m, q)), detail)
         record("P3_D_star_D_commutation",
-               op_D_star(op_D(f, fr), fr) == op_D(op_D_star(f, fr), fr).scale(q), detail)
-        record("P3_D_L_star_commutation",
-               op_D(op_L_star(f, fr), fr) == op_L_star(op_D(f, fr), fr).scale(1 / q), detail)
-        record("P3_D_L_commutation",
-               op_D(op_L(f, fr), fr) == op_L(op_D(f, fr), fr).scale(q), detail)
-        record("P4_D_star_L", op_D_star(op_L(f, fr), fr) == op_D(f, fr).scale(q), detail)
-        record("P4a_L_multiplicative",
-               op_L(f * g, fr) == op_L(f, fr) * op_L(g, fr), detail)
-        record("P5_product_rule",
-               op_D(f * g, fr) == op_D(f, fr) * op_L(g, fr) + f * op_D(g, fr), detail)
+               op_D_star(df, fr) == op_D(op_D_star(f, fr), fr).scale(q), detail)
+        record("P3_D_L_star_commutation", op_D(sf, fr) == op_L_star(df, fr).scale(1 / q), detail)
+        record("P3_D_L_commutation", op_D(lf, fr) == op_L(df, fr).scale(q), detail)
+        record("P4_D_star_L", op_D_star(lf, fr) == df.scale(q), detail)
+        record("P4a_L_multiplicative", op_L(fg, fr) == lf * lg, detail)
+        record("P5_product_rule", op_D(fg, fr) == df * lg + f * op_D(g, fr), detail)
         k = rng.randint(0, 4)
         record("leibniz_polynomial",
                _leibniz(operator.mul, f, fr, _iterates(lambda p: op_D(p, fr), g, k))
-               == op_iter(op_D, f * g, fr, k), detail)
-        record("D_division_vs_monomial", op_D(f, fr) == _op_D_monomial(f, fr), detail)
+               == op_iter(op_D, fg, fr, k), detail)
+        record("D_division_vs_monomial", df == _op_D_monomial(f, fr), detail)
         nb = rng.randint(0, 12)
         record("D_y_basis_diagonal",
                op_D(y_basis(nb, fr), fr)
@@ -206,22 +203,18 @@ def identities_suite(
 
         u = random_functional(rng, fr, 10)
         h = random_poly(rng, 3)
+        lu, du, hu = dist_L(u), dist_D(u), left_multiply(h, u)
+        dh, lh = op_D(h, fr), op_L(h, fr)
         record("P2_functional_L_star_L",
-               dist_L_star(dist_L(u)).agrees_with(u) and dist_L(dist_L_star(u)).agrees_with(u),
-               detail)
-        record("P4_functional_D_star_L",
-               dist_D_star(dist_L(u)).agrees_with(dist_D(u).scale(q)), detail)
-        record("P4a_functional_L_of_fu",
-               dist_L(left_multiply(h, u)).agrees_with(
-                   left_multiply(op_L(h, fr), dist_L(u))), detail)
-        du = dist_D(u)
-        dfu = dist_D(left_multiply(h, u))
+               dist_L_star(lu).agrees_with(u) and dist_L(dist_L_star(u)).agrees_with(u), detail)
+        record("P4_functional_D_star_L", dist_D_star(lu).agrees_with(du.scale(q)), detail)
+        record("P4a_functional_L_of_fu", dist_L(hu).agrees_with(left_multiply(lh, lu)), detail)
+        dhu = dist_D(hu)
         record("P6_functional_product_rule",
-               dfu.agrees_with(left_multiply(op_D(h, fr), dist_L(u)) + left_multiply(h, du))
-               and dfu.agrees_with(left_multiply(op_D(h, fr), u) + left_multiply(op_L(h, fr), du)),
-               detail)
+               dhu.agrees_with(left_multiply(dh, lu) + left_multiply(h, du))
+               and dhu.agrees_with(left_multiply(dh, u) + left_multiply(lh, du)), detail)
         nl = rng.randint(0, 3)
-        lhs = dist_iter(dist_D, left_multiply(h, u), nl)
+        lhs = dist_iter(dist_D, hu, nl)
         rhs = _leibniz(left_multiply, h, fr, _iterates(dist_D, u, nl))
         record("leibniz_functional",
                all(lhs.moments[mm] == rhs.moments[mm]
@@ -267,10 +260,7 @@ def gram_suite(
     ))
     table = recurrence(pear, frame, depth, y0)
     sigma = _chebyshev_rows(table, depth, _ints(u.moments[: 2 * depth + 1]), 1, _y_node_ints(frame, 2 * depth))
-    # G[m][n] for n < m is sum_{l <= n} c^(n)_l sigma_{m,l}, so it is 0 while n is below
-    # the first nonzero sigma_{m,l}, l < m, and that sigma itself at the first such n
-    first = [next((l for l, s in enumerate(row[:k]) if s), k) for k, (row, _) in enumerate(sigma)]
-    if first == list(range(depth + 1)):
+    if not any(any(row[:k]) for k, (row, _) in enumerate(sigma)):
         off = []
         diagonal = [Fraction(row[k], den) for k, (row, den) in enumerate(sigma)]
     else:
@@ -280,25 +270,22 @@ def gram_suite(
             return sum(map(operator.mul, coeffs[lo][0], sigma[hi][0]))
 
         cells = ((m, n) for m in range(depth + 1) for n in range(depth + 1) if m != n)
-        off = list(itertools.islice(
-            (cell for cell in cells if min(cell) >= first[max(cell)] and gram(*sorted(cell))), 4))
+        off = list(itertools.islice((cell for cell in cells if gram(*sorted(cell))), 4))
         diagonal = [Fraction(gram(n, n), coeffs[n][1] * sigma[n][1]) for n in range(depth + 1)]
     checks.append(Check(
         "gram_off_diagonal_zero",
         not off,
         "" if not off else f"nonzero off-diagonal cells {off[:4]}",
     ))
-    diag_ok = True
+    # gamma[0] holds y0, so G[n][n] should be gamma_0 gamma_1 ... gamma_n with no factor 0
     detail = ""
-    expected = y0
-    for nn in range(depth + 1):
-        if nn:
-            expected *= table.gamma[nn]
-        if diagonal[nn] != expected or (nn and table.gamma[nn] == 0):
-            diag_ok = False
+    expected = Fraction(1)
+    for nn, gamma in enumerate(table.gamma):
+        expected *= gamma
+        if diagonal[nn] != expected or gamma == 0:
             detail = f"diagonal mismatch at n={nn}"
             break
-    checks.append(Check("gram_diagonal_product_of_gammas", diag_ok, detail))
+    checks.append(Check("gram_diagonal_product_of_gammas", not detail, detail))
     return checks
 
 
@@ -316,7 +303,7 @@ def rodrigues_suite(
     u^[n] = L(phi u^[n-1]) on their shared window. Walking n upward, each of
     u^[n], L^n u and Phi(.; n) costs one step per n.
     """
-    depth = max(moment_depth_for(pear, n, test_degree) for n in range(n_max + 1))
+    depth = moment_depth_for(pear, n_max, test_degree)  # nondecreasing in n
     u = solve_moments(pear, frame, 1, depth + 2 * n_max + 2)
     table = recurrence(pear, frame, n_max, require_regular=require_regular)
     phi = phi_poly(pear)
@@ -325,7 +312,7 @@ def rodrigues_suite(
     checks = []
     for n in range(n_max + 1):
         if n:
-            iterated = derived_functional(pear, frame, iterated, 1)
+            iterated = derived_functional(pear, iterated, 1)
             shifted = dist_L(shifted)
             product = product * _phi_factor(phi, frame, n)
         closed = left_multiply(product, shifted)
@@ -381,15 +368,18 @@ def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
     # the k = 1 rows run to n, m <= 6 and decide derivative_orthogonality_k1 too;
     # each check keeps the detail of its last failing index
     fails: dict[str, str] = {}
+    squares = [pair(u, p * p) for p in table.polys[:9]]  # <u, P_m^2> for the m = n + k <= 8 read below
+    uk = u
     for k in range(4):
-        uk = derived_functional(pear, frame, u, k)
+        if k:
+            uk = derived_functional(pear, uk, 1)
         seqk = derivative_sequence(table, frame, k)
         top = 7 if k == 1 else 6
         gram = classical.gram_matrix(uk, seqk, top - 1)
         for n in range(top):
             norm = (Fraction(-1) ** k * q ** Fraction(-k * (2 * n + k - 1), 2)
                     * math.prod(d_n(pear, frame, n + k + j - 2) / q_bracket(n + j, q) for j in range(1, k + 1))
-                    * pair(u, table.polys[n + k] * table.polys[n + k]))
+                    * squares[n + k])
             for m in range(top):
                 if gram[n][m] != (norm if m == n else 0):
                     if k == 1:

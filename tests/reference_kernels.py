@@ -256,7 +256,7 @@ def gram_suite(
     for nn in range(depth + 1):
         if nn:
             expected *= table.gamma[nn]
-        if gram[nn][nn] != expected or (nn and table.gamma[nn] == 0):
+        if gram[nn][nn] != expected or table.gamma[nn] == 0:
             diag_ok = False
             detail = f"diagonal mismatch at n={nn}"
             break

@@ -239,7 +239,7 @@ class TestRPolynomial:
 
         preset = get_preset("charlier")
         u = solve_moments(preset.pear, preset.frame, 1, 24)
-        u1 = derived_functional(preset.pear, preset.frame, u, 1)
+        u1 = derived_functional(preset.pear, u, 1)
         for n in range(4):
             q_n = Poly.monomial(n) + (Poly([2, -1]) if n >= 2 else Poly())
             lhs = dist_D_star(left_multiply(q_n, u1))

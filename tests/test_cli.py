@@ -220,6 +220,14 @@ class TestVerify:
         payload = json.loads(out)
         assert not payload["passed"]
 
+    def test_zero_functional_fails_gram_diagonal(self, capsys):
+        # with y0 = 0 every moment vanishes, so G[0][0] = <u, 1> = 0 and u is no regular functional
+        code, out, err = run(capsys, "verify", "--preset", "charlier", "--suite", "gram", "--y0", "0")
+        assert (code, err) == (EXIT_MISMATCH, "")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["charlier:gram_off_diagonal_zero"]["passed"]
+        assert checks["charlier:gram_diagonal_product_of_gammas"]["detail"] == "diagonal mismatch at n=0"
+
     def test_identities_without_pair(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "identities")
         assert code == EXIT_OK

@@ -1,0 +1,48 @@
+import pytest
+
+from hahnpoly import verify
+from hahnpoly.functional import MomentFunctional
+from hahnpoly.poly import Poly
+
+
+def _poly_fault(op):
+    """op, plus x^3 on the image of every f of degree >= 5."""
+    def faulty(f, frame):
+        out = op(f, frame)
+        return out + Poly.monomial(3) if (f.degree() or 0) >= 5 else out
+    return faulty
+
+
+def _functional_fault(op):
+    """op, plus 1 on y_2 of every image."""
+    def faulty(*args):
+        out = op(*args)
+        moments = list(out.moments)
+        moments[2] += 1
+        return MomentFunctional(out.frame, tuple(moments))
+    return faulty
+
+
+# the checks that fail, over 28 cases at the default seed, when one operator is faulty
+IDENTITY_FAULTS = {
+    "op_D": {"D_division_vs_monomial", "D_y_basis_diagonal", "P3_D_L_commutation", "P3_D_L_star_commutation",
+             "P3_D_star_D_commutation", "P4_D_star_L", "P5_product_rule", "leibniz_polynomial"},
+    "op_L": {"P1_iterated_L_substitution", "P2_L_star_L_identity", "P3_D_L_commutation", "P4_D_star_L",
+             "P4a_L_multiplicative", "P5_product_rule", "leibniz_polynomial"},
+    "op_L_star": {"P1_negative_powers", "P2_L_star_L_identity", "P3_D_L_star_commutation"},
+    "op_D_star": {"P3_D_star_D_commutation", "P4_D_star_L"},
+    "dist_L": {"P2_functional_L_star_L", "P4_functional_D_star_L", "P4a_functional_L_of_fu",
+               "P6_functional_product_rule"},
+    "dist_D": {"P4_functional_D_star_L", "P6_functional_product_rule", "leibniz_functional"},
+    "dist_L_star": {"P2_functional_L_star_L"},
+    "left_multiply": {"P4a_functional_L_of_fu", "P6_functional_product_rule", "leibniz_functional"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_FAULTS))
+def test_identities_suite_fault_injection(monkeypatch, name):
+    op = getattr(verify, name)
+    monkeypatch.setattr(verify, name, (_poly_fault if name.startswith("op_") else _functional_fault)(op))
+    checks = verify.identities_suite(cases=28)
+    assert {c.name for c in checks if not c.passed} == IDENTITY_FAULTS[name]
+    assert len(checks) == 17

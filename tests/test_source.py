@@ -113,6 +113,41 @@ def test_library_has_no_unreferenced_privates():
     assert SOURCES and not found, found
 
 
+def _unused_parameters(tree) -> list[str]:
+    """Parameters, self and cls aside, that their function's body never reads (nested bodies count).
+
+    Dunder methods are skipped: the data model fixes their signatures.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.endswith("__"):
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            found += [f"{node.name}({p}) line {node.lineno}" for p in params
+                      if p not in ("self", "cls") and p not in read]
+    return found
+
+
+def test_unused_parameter_lint_detects():
+    code = ("def f(pear, frame, u, *args, k=1, **kw):\n    def g(x):\n        return x + u\n"
+            "    frame = 0\n    return g(pear), k, args\n"
+            "class A:\n    def m(self, other):\n        return self\n    @classmethod\n    def c(cls, v):\n        return v\n"
+            "    def __setattr__(self, name, value):\n        raise AttributeError")
+    assert _unused_parameters(ast.parse(code)) == ["f(frame) line 1", "f(kw) line 1", "m(other) line 7"]
+
+
+def test_library_has_no_unused_parameters():
+    # a parameter nothing reads drops its argument silently
+    found = [
+        f"{path.name}: {entry}"
+        for path in SOURCES
+        for entry in _unused_parameters(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert SOURCES and not found, found
+
+
 def test_sequence_kernel_not_exported():
     # the engine reads the one-pass sequences; d_n, e_n and q_bracket stay the public definitions
     assert not {"pearson_sequences", "PearsonSequences"} & set(hahnpoly.__all__)
