@@ -25,7 +25,7 @@ from .qnum import (
     pearson_sequences,
     q_bracket,
 )
-from .poly import Poly, _fracs, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis
+from .poly import Poly, _fracs, _ints, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis
 from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
@@ -84,14 +84,13 @@ def _scan(pear: PearsonPair, frame: HahnFrame, depth: int) -> tuple[RegularityRe
     d_through = 2 * depth + 1
     s = pearson_sequences(pear, frame, d_through, depth)
     d_failure = next((m for m, dm in enumerate(s.d) if dm == 0), None)
-    phi = phi_poly(pear)
+    phi = _ints((pear.a, pear.b, pear.c))
     phi_failure = None
     n_limit = depth if d_failure is None else min(depth, d_failure - 1)
     for n in range(n_limit + 1):
-        d2n = s.d[2 * n]
-        if d2n == 0:
+        if s.d[2 * n] == 0:
             continue  # condition not evaluable here; the d-scan already failed
-        if phi(-s.e[n] / d2n) == 0:
+        if _phi_root(s, phi, n) == 0:
             phi_failure = n
             break
     # earliest of the two failures wins; ties go to the d-condition
@@ -138,27 +137,40 @@ def theta2(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
     ])
 
 
-def _beta(s: PearsonSequences, omega: Fraction, n: int) -> Fraction:
-    """beta_n = omega [n]_q + [n]_q e_{n-1}/d_{2n-2} - [n+1]_q e_n/d_{2n}, read off the sequences."""
-    out = -s.bracket[n + 1] * s.e[n] / s.d[2 * n]
-    if n >= 1:
-        out += omega * s.bracket[n] + s.bracket[n] * s.e[n - 1] / s.d[2 * n - 2]
-    return out
+def _phi_root(s: PearsonSequences, phi: tuple[list[int], int], n: int) -> int:
+    """Phi_n with phi(-e_n/d_{2n}) = phi(-E_n/(M D_{2n})) = Phi_n / (C (M D_{2n})^2), phi = ([pa, pb, pc], C)."""
+    (a, b, c), _ = phi
+    e, md = s.e[n], s.M * s.d[2 * n]
+    return (a * e - b * md) * e + c * md * md
 
 
-def _gamma(s: PearsonSequences, phi: Poly, n: int) -> Fraction:
-    """gamma_{n+1} as in gamma_coefficient, read off the sequences."""
-    root_value = phi(-s.e[n] / s.d[2 * n])
-    if n == 0:
-        return -root_value / s.d[1]
-    return -s.power[n] * s.bracket[n + 1] * s.d[n - 1] / (s.d[2 * n - 1] * s.d[2 * n + 1]) * root_value
+def _beta(s: PearsonSequences, n: int) -> Fraction:
+    """beta_n as one Fraction: s K_n D_{2n} (W D_{2n-2} + E_{n-1}) - K_{n+1} E_n D_{2n-2}
+    over M S_{n+1} D_{2n-2} D_{2n}, or -K_1 E_0 over M S_1 D_0 at n = 0 (see beta_coefficient)."""
+    num, den = -s.bracket[n + 1] * s.e[n], s.M * s.s_pow[n + 1] * s.d[2 * n]
+    if n:
+        prev = s.d[2 * n - 2]
+        num = num * prev + s.s_pow[1] * s.bracket[n] * s.d[2 * n] * (s.W * prev + s.e[n - 1])
+        den *= prev
+    return Fraction(num, den)
+
+
+def _gamma(s: PearsonSequences, phi: tuple[list[int], int], n: int) -> Fraction:
+    """gamma_{n+1} = -R_n K_{n+1} D_{n-1} L S_n Phi_n / (C M^2 D_{2n-1} D_{2n+1} D_{2n}^2) as one Fraction;
+    D_{n-1}/D_{2n-1} is 1 at n = 0 (see gamma_coefficient)."""
+    md = s.M * s.d[2 * n]
+    num = -s.r_pow[n] * s.bracket[n + 1] * s.L * s.s_pow[n] * _phi_root(s, phi, n)
+    den = phi[1] * md * md * s.d[2 * n + 1]
+    if n:
+        num, den = num * s.d[n - 1], den * s.d[2 * n - 1]
+    return Fraction(num, den)
 
 
 def beta_coefficient(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
     """beta_n = omega [n]_q + [n]_q e_{n-1}/d_{2n-2} - [n+1]_q e_n/d_{2n}."""
     if n < 0:
         raise ValueError("beta_coefficient needs n >= 0")
-    return _beta(pearson_sequences(pear, frame, 2 * n + 1, n), frame.omega, n)
+    return _beta(pearson_sequences(pear, frame, 2 * n + 1, n), n)
 
 
 def gamma_coefficient(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
@@ -170,7 +182,7 @@ def gamma_coefficient(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("gamma_coefficient needs n >= 0")
-    return _gamma(pearson_sequences(pear, frame, 2 * n + 1, n), phi_poly(pear), n)
+    return _gamma(pearson_sequences(pear, frame, 2 * n + 1, n), _ints((pear.a, pear.b, pear.c)), n)
 
 
 @dataclass(frozen=True)
@@ -224,8 +236,8 @@ def recurrence(
         raise RegularityError(report)
     if require_regular and not report.regular:
         raise RegularityError(report)
-    phi = phi_poly(pear)
-    beta = tuple(_beta(s, frame.omega, n) for n in range(depth + 1))
+    phi = _ints((pear.a, pear.b, pear.c))
+    beta = tuple(_beta(s, n) for n in range(depth + 1))
     gamma = (as_scalar(y0),) + tuple(_gamma(s, phi, n) for n in range(depth))
     return RecurrenceTable(beta, gamma)
 

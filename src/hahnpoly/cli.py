@@ -138,6 +138,9 @@ def cmd_recurrence(args) -> int:
     pear, frame = _resolve_pair(args)
     depth = _depth(args, 12)
     y0 = _parse_rational(args.y0, "y0") if args.y0 is not None else Fraction(1)
+    if y0 == 0:  # the paper's u is nonzero
+        print(json.dumps({"error": "y0 = 0: the zero functional has no orthogonal sequence"}), file=sys.stderr)
+        return EXIT_NEGATIVE
     try:
         table = recurrence(pear, frame, depth, y0)
     except RegularityError as exc:

@@ -103,22 +103,25 @@ def solve_moments(
 
     Uses the equivalent three-term recurrence in the Y-basis moments,
     d_n y_{n+1} + (e_n + omega [n]_q d_{n-1}) y_n + [n]_q (c + omega e_{n-1}) y_{n-1} = 0,
-    which is first order in y_{n+1} whenever all d_n are nonzero.
+    which is first order in y_{n+1} whenever all d_n are nonzero. Over -d_n the coefficients are
+    one Fraction each on the integer sequences: -(E_n + s W K_n D_{n-1}) / (M S_n D_n) and
+    -K_n (c' M^2 L S_{n-1}^2 + c'' W E_{n-1}) / (c'' M^2 S_{n-1}^2 D_n), with c = c'/c''.
     """
     top = max(depth - 1, 0)
     s = pearson_sequences(pear, frame, top, top)
-    c, omega = pear.c, frame.omega
+    (c, cd), M, W, mm = pear.c.as_integer_ratio(), s.M, s.W, s.M * s.M
     y = [as_scalar(y0)]
     for n in range(depth):
         dn = s.d[n]
         if dn == 0:
             raise AdmissibilityError(n, moment_degree=depth)
         if n == 0:  # the d_{-1} term carries the factor [0]_q = 0
-            acc = s.e[0] * y[0]
-        else:
-            bracket = s.bracket[n]
-            acc = (s.e[n] + omega * bracket * s.d[n - 1]) * y[n] + bracket * (c + omega * s.e[n - 1]) * y[n - 1]
-        y.append(-acc / dn)
+            y.append(Fraction(-s.e[0], M * dn) * y[0])
+            continue
+        bracket, sq = s.bracket[n], s.s_pow[n - 1] ** 2
+        first = Fraction(-(s.e[n] + s.s_pow[1] * W * bracket * s.d[n - 1]), M * s.s_pow[n] * dn)
+        second = Fraction(-bracket * (c * mm * s.L * sq + cd * W * s.e[n - 1]), cd * mm * sq * dn)
+        y.append(first * y[n] + second * y[n - 1])
     return MomentFunctional(frame, tuple(y))
 
 

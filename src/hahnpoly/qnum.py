@@ -1,13 +1,14 @@
 """Exact q-combinatorics over the rationals.
 
-Everything here is computed with :class:`fractions.Fraction`, so all
-identities downstream can be asserted with ``==`` instead of tolerances.
+Everything here is exact (:class:`fractions.Fraction`, or integers over shared
+denominators), so all identities downstream can be asserted with ``==``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Union
 
 Scalar = Fraction
@@ -134,32 +135,43 @@ def e_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
 
 
 class PearsonSequences(NamedTuple):
-    """q^n, [n]_q and d_n for 0 <= n <= m, and e_n for 0 <= n <= m_e."""
+    """Unreduced integer numerators of q^n, [n]_q, d_n (0 <= n <= m) and e_n (0 <= n <= m_e).
 
-    power: list[Fraction]
-    bracket: list[Fraction]
-    d: list[Fraction]
-    e: list[Fraction]
+    With q = r/s: q^n = R_n/S_n, [n]_q = K_n/S_n, d_n = D_n/(L S_n), e_n = E_n/(M L S_n^2)
+    and omega = W/M, where L = lcm(den a, den d) and M = lcm(den b, den e, den omega).
+    """
+
+    r_pow: list[int]
+    s_pow: list[int]
+    bracket: list[int]
+    d: list[int]
+    e: list[int]
+    L: int
+    M: int
+    W: int
 
 
 def pearson_sequences(pear: PearsonPair, frame: HahnFrame, m: int, m_e: int) -> PearsonSequences:
-    """The sequences that d_n and e_n define, one step per index.
-
-    q^{n+1} = q q^n, [n+1]_q = 1 + q [n]_q and d_{n+1} = q d_n + a, then
-    e_n = e q^n + (omega d_n + b) [n]_q: O(m) scalar work, where calling
-    d_n and e_n per index rebuilds q^n each time.
+    """The sequences that d_n and e_n define, by O(m) integer work: K_{n+1} = S_{n+1} + r K_n,
+    D_n = d' R_n + a' K_n (a = a'/L, d = d'/L) and E_n = M e L R_n S_n + (W D_n + M b L S_n) K_n.
     """
     if not 0 <= m_e <= m:
         raise ValueError(f"pearson_sequences needs 0 <= m_e <= m, got m={m}, m_e={m_e}")
-    q, a = frame.q, pear.a
-    power, bracket, d = [ONE], [Fraction(0)], [pear.d]
+    r, s = frame.q.numerator, frame.q.denominator
+    L = lcm(pear.a.denominator, pear.d.denominator)
+    a, d = pear.a.numerator * (L // pear.a.denominator), pear.d.numerator * (L // pear.d.denominator)
+    r_pow, s_pow, bracket = [1], [1], [0]
     for _ in range(m):
-        power.append(q * power[-1])
-        bracket.append(1 + q * bracket[-1])
-        d.append(q * d[-1] + a)
+        r_pow.append(r * r_pow[-1])
+        s_pow.append(s * s_pow[-1])
+        bracket.append(s_pow[-1] + r * bracket[-1])
+    ds = [d * rn + a * kn for rn, kn in zip(r_pow, bracket)]
     omega, b, e = frame.omega, pear.b, pear.e
-    es = [e * power[n] + (omega * d[n] + b) * bracket[n] for n in range(m_e + 1)]
-    return PearsonSequences(power, bracket, d, es)
+    M = lcm(omega.denominator, b.denominator, e.denominator)
+    W = omega.numerator * (M // omega.denominator)
+    eL, bL = e.numerator * (M // e.denominator) * L, b.numerator * (M // b.denominator) * L
+    es = [(eL * r_pow[n] + bL * bracket[n]) * s_pow[n] + W * ds[n] * bracket[n] for n in range(m_e + 1)]
+    return PearsonSequences(r_pow, s_pow, bracket, ds, es, L, M, W)
 
 
 def rodrigues_constant(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:

@@ -9,10 +9,11 @@ oracle rests on the integer-numerator kernels of hahnpoly.poly.
 tests/test_kernels.py requires exact equality. from_y_basis and the Hankel
 determinant serve tests/test_poly.py and tests/test_classical.py.
 
-The per-index routes of the engine live here too: the regularity scan and
-the moment recurrence call d_n, e_n and q_bracket once per index read, and
-P_n is expanded by Poly products. tests/test_sequences.py compares them with
-the one-pass sequences of hahnpoly.qnum.pearson_sequences.
+The per-index routes of the engine live here too: the regularity scan, the
+moment recurrence, beta_n and gamma_n call d_n, e_n and q_bracket once per
+index read and combine them in Fraction steps, and P_n is expanded by Poly
+products. tests/test_sequences.py compares them with the engine, which reads
+the integer sequences of hahnpoly.qnum.pearson_sequences.
 """
 
 from __future__ import annotations
@@ -299,6 +300,28 @@ def solve_moments_per_index(
             acc += q_bracket(n, q) * (pear.c + omega * e_n(pear, frame, n - 1)) * y[n - 1]
         y.append(-acc / dn)
     return MomentFunctional(frame, tuple(y))
+
+
+def beta_per_index(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
+    """beta_n = omega [n]_q + [n]_q e_{n-1}/d_{2n-2} - [n+1]_q e_n/d_{2n}, in Fraction steps per index."""
+    q = frame.q
+    out = -q_bracket(n + 1, q) * e_n(pear, frame, n) / d_n(pear, frame, 2 * n)
+    if n >= 1:
+        bracket = q_bracket(n, q)
+        out += frame.omega * bracket + bracket * e_n(pear, frame, n - 1) / d_n(pear, frame, 2 * n - 2)
+    return out
+
+
+def gamma_per_index(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
+    """gamma_{n+1} = -q^n [n+1]_q d_{n-1} / (d_{2n-1} d_{2n+1}) phi(-e_n/d_{2n}), in Fraction steps per index.
+
+    At n = 0 the factor d_{-1} cancels against d_{2n-1}: gamma_1 = -phi(-e/d) / d_1.
+    """
+    root_value = phi_poly(pear)(-e_n(pear, frame, n) / d_n(pear, frame, 2 * n))
+    if n == 0:
+        return -root_value / d_n(pear, frame, 1)
+    factor = frame.q**n * q_bracket(n + 1, frame.q) * d_n(pear, frame, n - 1)
+    return -factor / (d_n(pear, frame, 2 * n - 1) * d_n(pear, frame, 2 * n + 1)) * root_value
 
 
 def recurrence_polys(beta: Sequence[Fraction], gamma: Sequence[Fraction]) -> tuple[Poly, ...]:

@@ -165,6 +165,13 @@ class TestRecurrence:
         expected["gamma"][0] = "5"
         assert code == EXIT_OK and json.loads(out) == expected
 
+    @pytest.mark.parametrize("y0", ["0", "0/5", "-0"])
+    def test_zero_functional_exits_negative(self, capsys, y0):
+        # the zero functional has no orthogonal sequence, whatever gamma_1.. the pair gives
+        code, out, err = run(capsys, "recurrence", "--preset", "charlier", "--y0", y0)
+        assert (code, out) == (EXIT_NEGATIVE, "")
+        assert "zero functional" in json.loads(err)["error"]
+
     def test_irregular_exits_negative(self, capsys):
         code, _, err = run(
             capsys, "recurrence", "--d", "-1", "--b", "1", "--q", "1", "--omega", "1"

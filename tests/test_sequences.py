@@ -1,10 +1,12 @@
 """The one-pass q-sequences and what the engine reads off them, against the per-index routes.
 
-pearson_sequences must equal q**n, q_bracket, d_n and e_n index by index;
-check_regular, solve_moments and recurrence (beta, gamma and the in-place
-P_n expansion) must equal the per-index oracles in reference_kernels, on all
-default frames plus q in {5/2, 2/3, -3}, with pairs where some d_m vanishes
-or some gamma_{n+1} is zero included.
+pearson_sequences holds Python ints, and over its denominators they must
+equal q**n, q_bracket, d_n and e_n index by index; check_regular,
+solve_moments and recurrence (beta, gamma and the in-place P_n expansion)
+must equal the per-index oracles in reference_kernels, on all default frames
+plus q in {5/2, 2/3, -3}, with pairs where some d_m vanishes or some
+gamma_{n+1} is zero included. The same checks run on tall draws: pair
+coefficients, and q and omega, with unrelated denominators of 16 to 64 bits.
 """
 
 from fractions import Fraction as F
@@ -27,6 +29,8 @@ from hahnpoly.verify import default_frames
 FRAMES = default_frames() + [HahnFrame(q, omega) for q in (F(5, 2), F(2, 3), F(-3)) for omega in (F(0), F(1))]
 
 coeff_st = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# numerator and denominator drawn apart, so the denominators of one pair share no structure
+tall_st = st.builds(F, st.integers(-(2**64), 2**64), st.integers(2**16, 2**64))
 checked = settings(deadline=None, max_examples=20)
 
 
@@ -35,16 +39,16 @@ def frame_id(frame):
 
 
 @st.composite
-def pairs(draw, frame, max_index=12):
+def pairs(draw, frame, max_index=12, coeffs=coeff_st):
     """A pair, often with d_m = 0 for some m <= max_index or phi(-e_n/d_2n) = 0 for some n <= 4."""
-    a, b, c, d, e = (draw(coeff_st) for _ in range(5))
+    a, b, c, d, e = (draw(coeffs) for _ in range(5))
     shape = draw(st.sampled_from(["free", "d_vanishes", "phi_root"]))
     q, omega = frame.q, frame.omega
     if shape == "d_vanishes":
         m = draw(st.integers(0, max_index))
         d = -a * q_bracket(m, q) / q**m
     elif shape == "phi_root":
-        r, s = draw(coeff_st), draw(coeff_st)
+        r, s = draw(coeffs), draw(coeffs)
         a = a or F(1)
         b, c = -a * (r + s), a * r * s
         n = draw(st.integers(0, 4))
@@ -62,6 +66,42 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+@st.composite
+def tall_frames(draw):
+    q, omega = draw(tall_st), draw(tall_st)
+    assume(q not in (0, -1))
+    return HahnFrame(q, omega)
+
+
+def check_sequences(pear, frame, m, m_e):
+    s = pearson_sequences(pear, frame, m, m_e)
+    for field in s:
+        assert all(type(v) is int for v in (field if isinstance(field, list) else [field]))
+    assert len(s.r_pow) == len(s.s_pow) == len(s.bracket) == len(s.d) == m + 1 and len(s.e) == m_e + 1
+    assert F(s.W, s.M) == frame.omega
+    for n in range(m + 1):
+        assert F(s.r_pow[n], s.s_pow[n]) == frame.q**n
+        assert F(s.bracket[n], s.s_pow[n]) == q_bracket(n, frame.q)
+        assert F(s.d[n], s.L * s.s_pow[n]) == d_n(pear, frame, n)
+    for n in range(m_e + 1):
+        assert F(s.e[n], s.M * s.L * s.s_pow[n] ** 2) == e_n(pear, frame, n)
+
+
+def check_engine(pear, frame, depth):
+    assert check_regular(pear, frame, depth) == ref.check_regular_per_index(pear, frame, depth)
+    assert outcome(solve_moments, pear, frame, F(2, 3), 2 * depth) == outcome(
+        ref.solve_moments_per_index, pear, frame, F(2, 3), 2 * depth)
+
+
+def check_recurrence(pear, frame, depth):
+    report = check_regular(pear, frame, depth)
+    assume(report.admissible)
+    table = recurrence(pear, frame, depth, F(3), require_regular=False)
+    assert table.beta == tuple(ref.beta_per_index(pear, frame, n) for n in range(depth + 1))
+    assert table.gamma == (F(3),) + tuple(ref.gamma_per_index(pear, frame, n) for n in range(depth))
+    assert table.polys == ref.recurrence_polys(table.beta, table.gamma)
+
+
 @pytest.mark.parametrize("frame", FRAMES, ids=frame_id)
 class TestSequences:
     @checked
@@ -69,36 +109,37 @@ class TestSequences:
     def test_against_single_index(self, frame, data):
         pear = data.draw(pairs(frame))
         m = data.draw(st.integers(0, 25))
-        m_e = data.draw(st.integers(0, m))
-        s = pearson_sequences(pear, frame, m, m_e)
-        assert len(s.power) == len(s.bracket) == len(s.d) == m + 1 and len(s.e) == m_e + 1
-        for n in range(m + 1):
-            assert s.power[n] == frame.q**n
-            assert s.bracket[n] == q_bracket(n, frame.q)
-            assert s.d[n] == d_n(pear, frame, n)
-        for n in range(m_e + 1):
-            assert s.e[n] == e_n(pear, frame, n)
+        check_sequences(pear, frame, m, data.draw(st.integers(0, m)))
 
     @checked
     @given(st.data())
     def test_engine_against_per_index(self, frame, data):
-        pear = data.draw(pairs(frame))
-        depth = data.draw(st.integers(0, 10))
-        assert check_regular(pear, frame, depth) == ref.check_regular_per_index(pear, frame, depth)
-        assert outcome(solve_moments, pear, frame, F(2, 3), 2 * depth) == outcome(
-            ref.solve_moments_per_index, pear, frame, F(2, 3), 2 * depth)
+        check_engine(data.draw(pairs(frame)), frame, data.draw(st.integers(0, 10)))
 
     @checked
     @given(st.data())
     def test_recurrence_against_per_index(self, frame, data):
-        pear = data.draw(pairs(frame))
-        depth = data.draw(st.integers(0, 10))
-        report = check_regular(pear, frame, depth)
-        assume(report.admissible)
-        table = recurrence(pear, frame, depth, F(3), require_regular=False)
-        assert table.beta == tuple(beta_coefficient(pear, frame, n) for n in range(depth + 1))
-        assert table.gamma == (F(3),) + tuple(gamma_coefficient(pear, frame, n) for n in range(depth))
-        assert table.polys == ref.recurrence_polys(table.beta, table.gamma)
+        check_recurrence(data.draw(pairs(frame)), frame, data.draw(st.integers(0, 10)))
+
+    @checked
+    @given(st.data())
+    def test_tall_pairs_against_per_index(self, frame, data):
+        pear = data.draw(pairs(frame, coeffs=tall_st))
+        depth = data.draw(st.integers(0, 8))
+        check_sequences(pear, frame, 2 * depth + 1, depth)
+        check_engine(pear, frame, depth)
+        check_recurrence(pear, frame, depth)
+
+
+@checked
+@given(st.data())
+def test_tall_frames_against_per_index(data):
+    frame = data.draw(tall_frames())
+    pear = data.draw(pairs(frame, coeffs=data.draw(st.sampled_from([coeff_st, tall_st]))))
+    depth = data.draw(st.integers(0, 8))
+    check_sequences(pear, frame, 2 * depth + 1, depth)
+    check_engine(pear, frame, depth)
+    check_recurrence(pear, frame, depth)
 
 
 def test_rejects_bad_bounds():
@@ -118,8 +159,8 @@ def test_irregular_table_with_zero_gamma(n0):
     table = recurrence(pear, frame, 8, require_regular=False)
     assert table.gamma[n0 + 1] == 0
     assert all(g != 0 for n, g in enumerate(table.gamma) if n != n0 + 1)
-    assert table.beta == tuple(beta_coefficient(pear, frame, n) for n in range(9))
-    assert table.gamma[1:] == tuple(gamma_coefficient(pear, frame, n) for n in range(8))
+    assert table.beta == tuple(ref.beta_per_index(pear, frame, n) for n in range(9))
+    assert table.gamma[1:] == tuple(ref.gamma_per_index(pear, frame, n) for n in range(8))
     assert table.polys == ref.recurrence_polys(table.beta, table.gamma)
 
 
