@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 invalid input, 2 classification negative
 (admissibility/regularity failure), 3 verification mismatch, 141 stdout
 closed by its reader before the output was written (128 + SIGPIPE).
 Rationals are always rendered as strings like "3/7", never floats.
+`verify --fuzz-moment` and `verify --y0` are read only by the gram suite:
+with a --suite that does not run it (`all` does), they are invalid input.
 """
 
 from __future__ import annotations
@@ -205,6 +207,11 @@ def cmd_verify(args) -> int:
     if args.test_degree < 0:
         raise InputError(f"--test-degree must be >= 0, got {args.test_degree}")
     y0 = _parse_rational(args.y0, "y0") if args.y0 is not None else Fraction(1)
+    unread = [f for f, v in (("--fuzz-moment", args.fuzz_moment), ("--y0", args.y0)) if v is not None]
+    if unread and "gram" not in suites:
+        raise InputError(
+            f"{' and '.join(unread)}: read only by the gram suite, which --suite {args.suite} does not run"
+        )
     try:
         checks = run_suites(
             pear, frame, suites,

@@ -134,28 +134,33 @@ def _x_shift(v: Sequence[int], nodes: Sequence[int], t: int) -> list[int]:
     return [t * v[l + 1] + nodes[l] * v[l] for l in range(len(v) - 1)]
 
 
-def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
-    """The functional f*u, with <f u, g> = <u, f g>.
+def _horner(cs: Sequence[int], y: Sequence[int], nodes: Sequence[int], t: int) -> tuple[list[int], int]:
+    """Moments of f*u from those of u, f = sum_k cs[k] x^k, by Horner's rule over the x-shift.
 
-    Horner's rule over the x-shift: O(deg f * max_degree) integer work.
+    On y over s, cs over c and nodes over t, the result is over s c p, where p = t^deg f
+    is returned with it; it is deg f entries shorter than y. O(deg f * len(y)) integer work.
     """
-    if f.is_zero():
-        return MomentFunctional(u.frame, (Fraction(0),) * (u.max_degree + 1))
-    top = u.max_degree - f.degree()
-    if top < 0:
-        raise InsufficientMomentsError(
-            f"left_multiply by degree {f.degree()} exhausts a table of degree {u.max_degree}"
-        )
-    y, den = _ints(u.moments)
-    cs, cd = _ints(f.coeffs)
-    nodes, t = _y_node_ints(u.frame, u.max_degree)
     out = [cs[-1] * m for m in y]
-    power = 1  # out is over den cd t^i after i shifts
+    power = 1
     for c in reversed(cs[:-1]):
         out = _x_shift(out, nodes, t)
         power *= t
         if c:
             out = [a + c * power * m for a, m in zip(out, y)]
+    return out, power
+
+
+def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
+    """The functional f*u, with <f u, g> = <u, f g>."""
+    if f.is_zero():
+        return MomentFunctional(u.frame, (Fraction(0),) * (u.max_degree + 1))
+    if u.max_degree < f.degree():
+        raise InsufficientMomentsError(
+            f"left_multiply by degree {f.degree()} exhausts a table of degree {u.max_degree}"
+        )
+    y, den = _ints(u.moments)
+    cs, cd = _ints(f.coeffs)
+    out, power = _horner(cs, y, *_y_node_ints(u.frame, u.max_degree))
     return MomentFunctional(u.frame, tuple(_fracs(out, [den * cd * power] * len(out))))
 
 
@@ -236,14 +241,33 @@ def dist_iter(op, u: MomentFunctional, n: int) -> MomentFunctional:
 
 
 def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list[Fraction]:
-    """Entry n is <D(phi u) - psi u, Y_n>, for 0 <= n <= depth."""
-    lhs = dist_D(left_multiply(phi_poly(pear), u))
-    rhs = left_multiply(psi_poly(pear), u)
-    if depth > min(lhs.max_degree, rhs.max_degree):
-        raise InsufficientMomentsError(
-            f"residual to depth {depth} needs a moment table of degree >= {depth + 2}"
-        )
-    return [lhs.moments[n] - rhs.moments[n] for n in range(depth + 1)]
+    """Entry n is <D(phi u) - psi u, Y_n>, for 0 <= n <= depth; it reads y_0..y_{depth+1}.
+
+    On integers: V_n, W_n are the numerators of phi u, psi u from _horner, N_n/t the nodes and
+    q = qn/qd. dist_L's forward substitution gives <L(phi u), Y_n> = O_n/(qn^(n+1) t^n S_V) with
+    O_n = qd^(n+1) t^n V_n - qd N_n O_{n-1}, and _dual_D's [n]_q = b_n/qd^(n-1) then gives D(phi u).
+    """
+    phi, psi = phi_poly(pear).coeffs or (Fraction(0),), psi_poly(pear).coeffs or (Fraction(0),)
+    dp, ds = len(phi) - 1, len(psi) - 1
+    need = max(depth + dp - 1, depth + ds, dp, ds)  # D(phi u) reads one entry less of phi u than psi u
+    if need > u.max_degree:
+        raise InsufficientMomentsError(f"residual to depth {depth} needs a moment table of degree >= {need}")
+    if depth < 0:
+        return []
+    y, den = _ints(u.moments[: depth + 2])
+    cs, cd = _ints(phi + psi)
+    nodes, t = _y_node_ints(u.frame, len(y) - 1)
+    v, pv = _horner(cs[: dp + 1], y, nodes, t)
+    w, pw = _horner(cs[dp + 1:], y, nodes, t)
+    qn, qd = u.frame.q.numerator, u.frame.q.denominator
+    scale = den * cd * pv * pw
+    out = [Fraction(-w[0] * pv, scale)]
+    o, b, a, g, qp = 0, 1, 1, qn, qd  # a = (qd t)^n, g = qn^(n+1), qp = qd^(n+1), b = b_{n+1}
+    for n in range(depth):
+        o = qd * (a * v[n] - nodes[n] * o)
+        out.append(Fraction(-b * o * pw - w[n + 1] * a * g * pv, a * g * scale))
+        a, g, b, qp = a * qd * t, g * qn, qp + qn * b, qp * qd
+    return out
 
 
 def derived_functional(pear: PearsonPair, u: MomentFunctional, k: int) -> MomentFunctional:

@@ -9,6 +9,10 @@ oracle rests on the integer-numerator kernels of hahnpoly.poly.
 tests/test_kernels.py requires exact equality. from_y_basis and the Hankel
 determinant serve tests/test_poly.py and tests/test_classical.py.
 
+The Pearson residual oracle keeps the whole-table route through the
+library's entry-wise dist_D and left_multiply, which the oracles above check;
+the reference gram_suite reads it instead of hahnpoly.functional.pearson_residual.
+
 The per-index routes of the engine live here too: the regularity scan, the
 moment recurrence, beta_n and gamma_n call d_n, e_n and q_bracket once per
 index read and combine them in Fraction steps, and P_n is expanded by Poly
@@ -20,18 +24,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from typing import Optional, Sequence
 
-from hahnpoly import classical
+from hahnpoly import classical, functional
 from hahnpoly.classical import D_ZERO, PHI_ROOT, RegularityReport
-from hahnpoly.functional import (
-    InsufficientMomentsError,
-    MomentFunctional,
-    pearson_residual,
-    solve_moments,
-)
+from hahnpoly.functional import InsufficientMomentsError, MomentFunctional, solve_moments
 from hahnpoly import poly
-from hahnpoly.poly import Poly, phi_poly
+from hahnpoly.poly import Poly, phi_poly, psi_poly
 from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, q_bracket
 from hahnpoly.verify import RESIDUAL_DEPTH, Check, SuiteArgumentError
 
@@ -214,6 +214,36 @@ def hankel_determinant(u: MomentFunctional, order: int) -> Fraction:
                 for cc in range(col, order):
                     mat[r][cc] -= factor * mat[col][cc]
     return det
+
+
+def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list[Fraction]:
+    """hahnpoly.functional.pearson_residual over the whole table: dist_D(phi u) - psi u, read to depth.
+
+    It composes the library's entry-wise dist_D and left_multiply (checked against the
+    basis-expansion routes above). On a table too short for depth, the error names the least
+    table degree at which this route accepts depth, found by trying zero tables of rising degree.
+    """
+    def residual(v: MomentFunctional) -> list[Fraction]:
+        lhs = functional.dist_D(functional.left_multiply(phi_poly(pear), v))
+        rhs = functional.left_multiply(psi_poly(pear), v)
+        if depth > min(lhs.max_degree, rhs.max_degree):
+            raise InsufficientMomentsError("residual window exceeds the table")
+        return [lhs.moments[n] - rhs.moments[n] for n in range(depth + 1)]
+
+    def accepts(degree: int) -> bool:
+        try:
+            residual(MomentFunctional(u.frame, (Fraction(0),) * (degree + 1)))
+        except InsufficientMomentsError:
+            return False
+        return True
+
+    try:
+        return residual(u)
+    except InsufficientMomentsError:
+        need = next(m for m in count() if accepts(m))
+        raise InsufficientMomentsError(
+            f"residual to depth {depth} needs a moment table of degree >= {need}"
+        ) from None
 
 
 def gram_suite(

@@ -235,6 +235,26 @@ class TestVerify:
         assert checks["charlier:gram_off_diagonal_zero"]["passed"]
         assert checks["charlier:gram_diagonal_product_of_gammas"]["detail"] == "diagonal mismatch at n=0"
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["--suite", "rodrigues", "--preset", "charlier", "--fuzz-moment", "3"], "--fuzz-moment"),
+        (["--suite", "norms", "--preset", "charlier", "--y0", "5"], "--y0"),
+        (["--suite", "identities", "--y0=-1/3", "--fuzz-moment=1"], "--fuzz-moment and --y0"),
+    ], ids=["rodrigues", "norms", "identities"])
+    def test_gram_flags_without_gram_suite(self, capsys, argv, flags):
+        # a corruption that no suite reads would pass silently
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        suite = argv[1]
+        assert json.loads(err) == {
+            "error": f"{flags}: read only by the gram suite, which --suite {suite} does not run"
+        }
+
+    def test_gram_flags_with_suite_all(self, capsys):
+        code, out, _ = run(capsys, "verify", "--preset", "charlier", "--suite", "all", "--n", "4",
+                           "--fuzz-moment", "3", "--y0", "2")
+        assert code == EXIT_MISMATCH
+        assert not json.loads(out)["passed"]
+
     def test_identities_without_pair(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "identities")
         assert code == EXIT_OK

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hahnpoly.functional import (
     InsufficientMomentsError,
@@ -18,9 +18,10 @@ from hahnpoly.functional import (
     solve_moments,
 )
 from hahnpoly.poly import Poly, op_D, op_L, y_basis
-from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair
+from hahnpoly.classical import PRESETS
+from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, d_n
 from hahnpoly.rodrigues import phi_product
-from hahnpoly.verify import _iterates, _leibniz
+from hahnpoly.verify import _iterates, _leibniz, default_frames
 
 CHARLIER = PearsonPair(F(0), F(1), F(0), F(-1), F(1, 2))
 Q1W1 = HahnFrame(F(1), F(1))
@@ -206,6 +207,47 @@ class TestPearsonResidual:
         u = functional_of(Q1W1, [1, 2, 3])
         with pytest.raises(InsufficientMomentsError):
             pearson_residual(CHARLIER, u, 5)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_error_names_the_degree_it_needs(self, name):
+        # depth 20 reads y_0..y_21: a table of degree 21 is enough, one of degree 20 is not
+        preset = PRESETS[name]
+        u = solve_moments(preset.pear, preset.frame, 1, 21)
+        assert pearson_residual(preset.pear, u, 20) == [0] * 21
+        with pytest.raises(InsufficientMomentsError, match=r"^residual to depth 20 needs a moment "
+                                                           r"table of degree >= 21$"):
+            pearson_residual(preset.pear, u.truncate(20), 20)
+
+    def test_table_shorter_than_phi(self):
+        # one error for every short table, including one that left_multiply by phi would exhaust
+        pear = PearsonPair(F(1), F(0), F(1), F(-1), F(0))
+        for depth in (-1, 0):
+            with pytest.raises(InsufficientMomentsError, match=f"^residual to depth {depth} needs a "
+                                                               "moment table of degree >= 2$"):
+                pearson_residual(pear, functional_of(Q1W1, [1, 2]), depth)
+
+
+small_st = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+nonzero_st = st.builds(F, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
+
+
+@pytest.mark.parametrize("frame", default_frames(), ids=lambda fr: f"q={fr.q},omega={fr.omega}")
+@settings(deadline=None, max_examples=8)
+@given(small_st, small_st, small_st, nonzero_st, small_st)
+def test_residual_of_a_unit_fuzz(frame, a, b, c, d, e):
+    # The residual is linear in u and zero on the solved table. Adding 1 to y_k adds the
+    # residual of the unit table: the Y_k coefficients of psi Y_n and of -q^-1 phi D* Y_n,
+    # zero for n < k - 1 and -q^(1-k) d_{k-1} at n = k - 1 (leading terms d and a [k-1]_{1/q}).
+    pear = PearsonPair(a, b, c, d, e)
+    try:
+        u = solve_moments(pear, frame, 1, 22)
+    except AdmissibilityError:
+        assume(False)
+    for k in range(1, 22):
+        moments = list(u.moments)
+        moments[k] += 1
+        residual = pearson_residual(pear, MomentFunctional(frame, tuple(moments)), 20)
+        assert residual[:k] == [0] * (k - 1) + [-frame.q ** (1 - k) * d_n(pear, frame, k - 1)], k
 
 
 class TestDerivedFunctional:

@@ -321,6 +321,45 @@ class TestIntegerOpD:
         assert op_D(Poly([c, c]), frame) == ref.op_D(Poly([c, c]), frame) == Poly([c])
 
 
+# default frames, q = 5/2, q = -3, and a frame with 64-bit q and omega
+RESIDUAL_FRAMES = FRAMES + [
+    HahnFrame(F(5, 2), F(1, 3)),
+    HahnFrame(F(-3), F(2, 7)),
+    HahnFrame(F(2 ** 64 - 59, 2 ** 63 + 29), F(-(3 ** 40), 2 ** 61 - 1)),
+]
+# unrelated denominators up to 2^64
+tall_coeff_st = st.builds(F, st.integers(-(2 ** 64), 2 ** 64), st.integers(1, 2 ** 64))
+
+
+@st.composite
+def residual_pair(draw):
+    """A random pair, with a = 0, d = 0, phi = 0 or psi = 0 forced in four of five draws."""
+    a, b, c, d, e = (draw(coeff_st) for _ in range(5))
+    zero = draw(st.sampled_from(("", "a", "d", "phi", "psi")))
+    if zero in ("a", "phi"):
+        a = F(0)
+    if zero == "phi":
+        b = c = F(0)
+    if zero in ("d", "psi"):
+        d = F(0)
+    if zero == "psi":
+        e = F(0)
+    assume(any((a, b, c, d, e)))
+    return PearsonPair(a, b, c, d, e)
+
+
+@pytest.mark.parametrize("frame", RESIDUAL_FRAMES, ids=signed_frame_id)
+@settings(deadline=None, max_examples=25)
+@given(residual_pair(), st.lists(coeff_st | tall_coeff_st, min_size=1, max_size=24))
+def test_pearson_residual_against_whole_table_route(frame, pear, values):
+    # equal entries, or the same error type and message, at every depth from -1 to M + 1
+    u = MomentFunctional(frame, tuple(values))
+    for depth in range(-1, u.max_degree + 2):
+        assert outcome(functional.pearson_residual, pear, u, depth) == outcome(
+            ref.pearson_residual, pear, u, depth
+        ), depth
+
+
 def test_recurrence_polys_al_salam_carlitz_80():
     preset = PRESETS["al-salam-carlitz"]
     table = recurrence(preset.pear, preset.frame, 80)

@@ -6,17 +6,28 @@ from types import ModuleType
 import hahnpoly
 
 SOURCES = sorted(Path(hahnpoly.__file__).parent.glob("*.py"))
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def _assert_lines(paths) -> list[str]:
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
 
 
 def test_library_has_no_assert():
     # python -O strips assert statements, so a check written as one disappears
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
-    ]
+    found = _assert_lines(SOURCES)
     assert SOURCES and not found, found
+
+
+def test_demos_have_no_assert():
+    # a demo that confirms a result under python -O must have checked it
+    found = _assert_lines(DEMOS)
+    assert DEMOS and not found, found
 
 
 def test_all_exports_no_modules():
