@@ -1,14 +1,13 @@
 """Verify the distributional Rodrigues-type identity moment by moment.
 
-P_n u = k_n (D*)^n (Phi(.; n) L^n u), checked as equality of Y-basis
-moment vectors.  `verify.rodrigues_suite` (behind `verify --suite
-rodrigues`) also checks the closed form Phi(.; n) L^n u against the
-iterated derived functional u^[n].
+P_n u = k_n (D*)^n u^[n], checked as equality of Y-basis moment vectors.
+`verify.rodrigues_suite` (behind `verify --suite rodrigues`) also checks
+the closed form Phi(.; n) L^n u of u^[n] against the iterated derived
+functional u^[n] = L(phi u^[n-1]), which `rodrigues_rhs` reads.
 """
 
 from hahnpoly import get_preset, left_multiply, recurrence, rodrigues_rhs, solve_moments
-from hahnpoly.rodrigues import moment_depth_for
-from hahnpoly.verify import rodrigues_suite
+from hahnpoly.verify import moment_depth_for, rodrigues_suite
 
 preset = get_preset("little-q-laguerre")
 pear, frame = preset.pear, preset.frame

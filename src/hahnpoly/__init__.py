@@ -39,6 +39,7 @@ from .functional import (
     left_multiply,
     pair,
     pearson_residual,
+    rodrigues_rhs,
     solve_moments,
 )
 from .classical import (
@@ -58,7 +59,6 @@ from .classical import (
     recurrence,
     theta2,
 )
-from .rodrigues import phi_product, rodrigues_rhs
 
 # the from-imports above also bind the submodules (classical, poly, ...) as names
 __all__ = [

@@ -12,8 +12,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, pearson_sequences
-from .poly import Poly, _fracs, _ints, _powers, _y_node_ints, phi_poly, psi_poly, to_y_basis, y_nodes
+from .qnum import (
+    AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, pearson_sequences, rodrigues_constant,
+)
+from .poly import Poly, _fracs, _ints, _powers, _y_node_ints, phi_poly, psi_poly, to_y_basis
 
 DEFAULT_DEPTH = 24
 
@@ -211,12 +213,11 @@ def dist_L(u: MomentFunctional) -> MomentFunctional:
     Forward substitution through the bidiagonal system of dist_L_star:
     <L u, Y_n> = q^{-n-1} y_n - q^{-1} node_n <L u, Y_{n-1}>.
     """
-    q = u.frame.q
+    q, (nodes, t) = u.frame.q, _y_node_ints(u.frame, len(u.moments))
     qnp, qdp = _powers(q.numerator, len(u.moments)), _powers(q.denominator, len(u.moments))
     out = [Fraction(0)]
-    for n, (m, node) in enumerate(zip(u.moments, y_nodes(u.frame, len(u.moments)))):
-        out.append(_lincomb(qdp[n + 1], qnp[n + 1], m,
-                            -node.numerator * q.denominator, node.denominator * q.numerator, out[-1]))
+    for n, (m, node) in enumerate(zip(u.moments, nodes)):
+        out.append(_lincomb(qdp[n + 1], qnp[n + 1], m, -node * q.denominator, t * q.numerator, out[-1]))
     return MomentFunctional(u.frame, tuple(out[1:]))
 
 
@@ -227,10 +228,10 @@ def dist_L_star(u: MomentFunctional) -> MomentFunctional:
     <L* u, Y_n> = q^{n+1} y_n + q^n omega [n]_q y_{n-1}.
     """
     qnp, qdp = _powers(u.frame.q.numerator, len(u.moments)), _powers(u.frame.q.denominator, len(u.moments))
-    nodes, prev = y_nodes(u.frame, len(u.moments)), (Fraction(0),) + u.moments
+    (nodes, t), prev = _y_node_ints(u.frame, len(u.moments)), (Fraction(0),) + u.moments
     return MomentFunctional(u.frame, tuple(
-        _lincomb(qnp[n + 1], qdp[n + 1], m, qnp[n] * t.numerator, qdp[n] * t.denominator, prev[n])
-        for n, (m, t) in enumerate(zip(u.moments, nodes))
+        _lincomb(qnp[n + 1], qdp[n + 1], m, qnp[n] * node, qdp[n] * t, prev[n])
+        for n, (m, node) in enumerate(zip(u.moments, nodes))
     ))
 
 
@@ -279,3 +280,13 @@ def derived_functional(pear: PearsonPair, u: MomentFunctional, k: int) -> Moment
     for _ in range(k):
         out = dist_L(left_multiply(phi, out))
     return out
+
+
+def rodrigues_rhs(pear: PearsonPair, frame: HahnFrame, u: MomentFunctional, n: int) -> MomentFunctional:
+    """k_n (D*)^n u^[n], the right-hand side of the Rodrigues identity P_n u = k_n (D*)^n u^[n]."""
+    return _rhs(pear, frame, derived_functional(pear, u, n), n)
+
+
+def _rhs(pear: PearsonPair, frame: HahnFrame, derived: MomentFunctional, n: int) -> MomentFunctional:
+    """k_n (D*)^n derived, for derived the n-th derived functional of u."""
+    return dist_iter(dist_D_star, derived, n).scale(rodrigues_constant(pear, frame, n))

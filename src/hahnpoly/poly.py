@@ -240,14 +240,8 @@ def op_iter(op, f: Poly, frame: HahnFrame, n: int) -> Poly:
     return f
 
 
-def y_nodes(frame: HahnFrame, n: int) -> list[Fraction]:
-    """The Newton nodes omega [j]_q of Y_n, for 0 <= j < n, so x Y_j = Y_{j+1} + node_j Y_j."""
-    nums, t = _y_node_ints(frame, n)
-    return _fracs(nums, [t] * n)
-
-
 def _y_node_ints(frame: HahnFrame, n: int) -> tuple[list[int], int]:
-    """y_nodes as integer numerators over od qd^(n-2), where [j]_q is sum_{i<j} qn^i qd^(n-2-i)."""
+    """The Newton nodes omega [j]_q of Y_n, j < n, as integer numerators N_j over one t = od qd^(n-2)."""
     qn, top = frame.q.numerator, max(n - 2, 0)
     brackets, b, qn_i = [0], 0, 1
     for p in reversed(_powers(frame.q.denominator, top)):
@@ -259,17 +253,18 @@ def _y_node_ints(frame: HahnFrame, n: int) -> tuple[list[int], int]:
 
 
 def y_basis(n: int, frame: HahnFrame) -> Poly:
-    """The monic Newton-type basis Y_n = prod_{j<n} (x - node_j), over the nodes of y_nodes.
+    """The monic Newton-type basis Y_n = prod_{j<n} (x - node_j), over the nodes of _y_node_ints.
 
     The divided difference acts diagonally on it: D Y_n = [n]_q Y_{n-1}.
     """
     if n < 0:
         raise ValueError("y_basis needs n >= 0")
-    c = [Fraction(1)]
-    for node in y_nodes(frame, n):
-        # times (x - node): coefficient k becomes c_{k-1} - node c_k
-        c = [-node * c[0]] + [a - node * b for a, b in zip(c, c[1:])] + [c[-1]]
-    return Poly._trusted(c)
+    nodes, t = _y_node_ints(frame, n)
+    c = [1]
+    for node in nodes:
+        # times (t x - N_j), so Y_n = c / t^n: coefficient k becomes t c_{k-1} - N_j c_k
+        c = [-node * c[0]] + [t * a - node * b for a, b in zip(c, c[1:])] + [t * c[-1]]
+    return Poly._trusted(_fracs(c, [t**n] * len(c)))
 
 
 def to_y_basis(f: Poly, frame: HahnFrame) -> list[Fraction]:

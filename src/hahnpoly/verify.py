@@ -34,6 +34,7 @@ from .poly import (
 from .functional import (
     InsufficientMomentsError,
     MomentFunctional,
+    _rhs,
     derived_functional,
     dist_D,
     dist_D_star,
@@ -54,7 +55,6 @@ from .classical import (
     recurrence,
     theta2,
 )
-from .rodrigues import _phi_factor, _rhs, moment_depth_for
 
 # frames used by the randomized identity suite; excluded points are
 # filtered at construction time
@@ -239,6 +239,8 @@ def gram_suite(
     a dot product G[m][n] = sum_{l <= m} c^(m)_l sigma_{n,l} (m <= n) with the
     Y-basis coefficients c^(m) of P_m, which come from the same recurrence.
     """
+    if depth < 0:
+        raise SuiteArgumentError(f"depth must be >= 0, got {depth}")
     checks = []
     # residual entry n reads y_{n+1}; the Gram checks read y_0..y_{2 depth}
     table_depth = max(2 * depth, RESIDUAL_DEPTH + 1)
@@ -289,6 +291,13 @@ def gram_suite(
     return checks
 
 
+def moment_depth_for(pear: PearsonPair, n: int, test_degree: int) -> int:
+    """Smallest moment-table degree on which P_n u and the right-hand side both reach test_degree."""
+    deg_phi = phi_poly(pear).degree() or 0
+    # lhs consumes deg P_n = n; rhs consumes n*deg(phi) then regains n via (D*)^n
+    return test_degree + max(n, n * deg_phi - n)
+
+
 def rodrigues_suite(
     pear: PearsonPair,
     frame: HahnFrame,
@@ -296,35 +305,40 @@ def rodrigues_suite(
     test_degree: int = 8,
     require_regular: bool = True,
 ) -> list[Check]:
-    """The Rodrigues identity for n <= n_max.
+    """The Rodrigues identity P_n u = k_n (D*)^n u^[n] for n <= n_max.
 
-    Check rodrigues_n{n} also requires the closed form Phi(.; n) L^n u, which the
-    right-hand side differentiates, to agree with the iterated derived functional
-    u^[n] = L(phi u^[n-1]) on their shared window. Walking n upward, each of
-    u^[n], L^n u and Phi(.; n) costs one step per n.
+    P_n u is row n of the mixed moments sigma_{n,l} = <u, P_n Y_l> of the Gram check.
+    The right-hand side differentiates the closed form Phi(.; n) L^n u of u^[n],
+    Phi(x; n) = prod_{j=1}^n phi(q^j x + omega [j]_q), and check rodrigues_n{n} also
+    requires it to agree with the library's u^[n] = L(phi u^[n-1]) on their shared
+    window. Walking n upward, each of u^[n], L^n u and Phi(.; n) costs one step per n.
     """
+    for name, value in (("n_max", n_max), ("test_degree", test_degree)):
+        if value < 0:
+            raise SuiteArgumentError(f"{name} must be >= 0, got {value}")
     depth = moment_depth_for(pear, n_max, test_degree)  # nondecreasing in n
     u = solve_moments(pear, frame, 1, depth + 2 * n_max + 2)
     table = recurrence(pear, frame, n_max, require_regular=require_regular)
+    sigma = _chebyshev_rows(table, n_max, _ints(u.moments), 1, _y_node_ints(frame, u.max_degree))
     phi = phi_poly(pear)
     iterated = shifted = u
     product = Poly([1])
     checks = []
-    for n in range(n_max + 1):
+    for n, (row, den) in enumerate(sigma):
         if n:
             iterated = derived_functional(pear, iterated, 1)
             shifted = dist_L(shifted)
-            product = product * _phi_factor(phi, frame, n)
+            product = product * phi.compose_affine(frame.q**n, frame.omega * q_bracket(n, frame.q))
         closed = left_multiply(product, shifted)
-        lhs = left_multiply(table.polys[n], u)
         rhs = _rhs(pear, frame, closed, n)
-        if test_degree > min(lhs.max_degree, rhs.max_degree):
+        if test_degree > min(len(row) - 1, rhs.max_degree):
             raise InsufficientMomentsError(
                 f"test degree {test_degree} exceeds valid window "
-                f"(lhs {lhs.max_degree}, rhs {rhs.max_degree}); enlarge the moment table"
+                f"(lhs {len(row) - 1}, rhs {rhs.max_degree}); enlarge the moment table"
             )
         problems = []
-        mismatch = _first_difference(lhs.moments[: test_degree + 1], rhs.moments[: test_degree + 1])
+        lhs = [Fraction(m, den) for m in row[: test_degree + 1]]
+        mismatch = _first_difference(lhs, rhs.moments[: test_degree + 1])
         if mismatch is not None:
             problems.append(f"first mismatch at Y-degree {mismatch}")
         split = _first_difference(closed.moments, iterated.moments)

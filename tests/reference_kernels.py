@@ -18,6 +18,10 @@ moment recurrence, beta_n and gamma_n call d_n, e_n and q_bracket once per
 index read and combine them in Fraction steps, and P_n is expanded by Poly
 products. tests/test_sequences.py compares them with the engine, which reads
 the integer sequences of hahnpoly.qnum.pearson_sequences.
+
+phi_product is the Phi(.; n) of the closed form Phi(.; n) L^n u of the derived
+functional; tests/test_rodrigues.py compares that closed form with
+hahnpoly.functional.rodrigues_rhs, which reads the iterated derived_functional.
 """
 
 from __future__ import annotations
@@ -352,6 +356,20 @@ def gamma_per_index(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
         return -root_value / d_n(pear, frame, 1)
     factor = frame.q**n * q_bracket(n + 1, frame.q) * d_n(pear, frame, n - 1)
     return -factor / (d_n(pear, frame, 2 * n - 1) * d_n(pear, frame, 2 * n + 1)) * root_value
+
+
+def phi_product(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
+    """Phi(x; n) = prod_{j=1}^n phi(q^j x + omega [j]_q), Phi(.; 0) = 1, in Poly products.
+
+    Phi(.; n) L^n u is the closed form of the n-th derived functional u^[n], which
+    hahnpoly.functional.derived_functional builds as L(phi u^[n-1]).
+    """
+    if n < 0:
+        raise ValueError("phi_product needs n >= 0")
+    out = Poly([1])
+    for j in range(1, n + 1):
+        out = mul(out, compose_affine(phi_poly(pear), frame.q**j, frame.omega * q_bracket(j, frame.q)))
+    return out
 
 
 def recurrence_polys(beta: Sequence[Fraction], gamma: Sequence[Fraction]) -> tuple[Poly, ...]:

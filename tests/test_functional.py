@@ -20,8 +20,8 @@ from hahnpoly.functional import (
 from hahnpoly.poly import Poly, op_D, op_L, y_basis
 from hahnpoly.classical import PRESETS
 from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, d_n
-from hahnpoly.rodrigues import phi_product
 from hahnpoly.verify import _iterates, _leibniz, default_frames
+from reference_kernels import phi_product
 
 CHARLIER = PearsonPair(F(0), F(1), F(0), F(-1), F(1, 2))
 Q1W1 = HahnFrame(F(1), F(1))

@@ -18,9 +18,9 @@ import reference_kernels as ref
 from hahnpoly import classical, functional
 from hahnpoly.classical import PRESETS, RecurrenceTable, check_regular, recurrence
 from hahnpoly.functional import InsufficientMomentsError, MomentFunctional, solve_moments
-from hahnpoly.poly import Poly, _ints, _y_node_ints, op_D, op_D_star, op_L, op_L_star, to_y_basis, y_basis, y_nodes
+from hahnpoly.poly import Poly, _ints, _y_node_ints, op_D, op_D_star, op_L, op_L_star, to_y_basis, y_basis
 from hahnpoly.qnum import HahnFrame, PearsonPair, q_bracket
-from hahnpoly.verify import default_frames, gram_suite
+from hahnpoly.verify import SuiteArgumentError, default_frames, gram_suite
 
 FRAMES = default_frames()
 DIST_OPS = ("dist_D", "dist_D_star", "dist_L", "dist_L_star")
@@ -76,7 +76,14 @@ class TestAgainstOracles:
         assert f * g == ref.mul(f, g)
 
     def test_y_nodes(self, frame):
-        assert y_nodes(frame, 12) == [frame.omega * q_bracket(j, frame.q) for j in range(12)]
+        nodes, t = _y_node_ints(frame, 12)
+        expected = [frame.omega * q_bracket(j, frame.q) for j in range(12)]
+        assert [F(node, t) for node in nodes] == expected
+        # y_basis multiplies out prod (t x - N_j) on integers; the oracle multiplies Fraction factors
+        product = Poly([1])
+        for n, node in enumerate(expected):
+            assert y_basis(n, frame) == product
+            product = ref.mul(product, Poly([-node, 1]))
 
     @checked
     @given(table_st)
@@ -177,6 +184,12 @@ def test_gram_suite_depth_40(name, monkeypatch):
         "pearson_residual_zero", "gram_off_diagonal_zero", "gram_diagonal_product_of_gammas"
     ]
     assert all(c.passed for c in checks), checks
+
+
+def test_gram_suite_negative_depth_rejected():
+    preset = PRESETS["charlier"]
+    with pytest.raises(SuiteArgumentError, match="depth must be >= 0, got -1"):
+        gram_suite(preset.pear, preset.frame, depth=-1)
 
 
 def _preset_gram_inputs(name, depth):

@@ -1,18 +1,24 @@
+import random
 from fractions import Fraction as F
-from types import SimpleNamespace
 
 import pytest
 
-from hahnpoly.classical import PRESETS, get_preset, recurrence
+from hahnpoly.classical import PRESETS, RecurrenceTable, get_preset, recurrence
 from hahnpoly.functional import (
     InsufficientMomentsError,
+    MomentFunctional,
+    _rhs,
+    dist_iter,
+    dist_L,
     left_multiply,
+    rodrigues_rhs,
     solve_moments,
 )
 from hahnpoly.poly import Poly, op_L
 from hahnpoly.qnum import HahnFrame, PearsonPair, rodrigues_constant
 from hahnpoly import verify
-from hahnpoly.rodrigues import moment_depth_for, phi_product, rodrigues_rhs
+from hahnpoly.verify import SuiteArgumentError, moment_depth_for
+from reference_kernels import phi_product
 
 CHARLIER = PearsonPair(F(0), F(1), F(0), F(-1), F(1, 2))
 Q1W1 = HahnFrame(F(1), F(1))
@@ -84,9 +90,11 @@ class TestVerifyRodrigues:
                 assert_rodrigues_holds(preset.pear, preset.frame, u, table, n)
 
     def test_detects_wrong_polynomial(self, monkeypatch):
-        polys = list(recurrence(CHARLIER, Q1W1, 2).polys)
-        polys[2] = polys[2] + Poly([1])
-        monkeypatch.setattr(verify, "recurrence", lambda *args, **kwargs: SimpleNamespace(polys=polys))
+        # gamma_1 - 1 turns P_2 = (x - beta_1) P_1 - gamma_1 P_0 into P_2 + 1
+        table = recurrence(CHARLIER, Q1W1, 2)
+        wrong = RecurrenceTable(table.beta, (table.gamma[0], table.gamma[1] - 1) + table.gamma[2:])
+        assert wrong.polys[2] == table.polys[2] + Poly([1])
+        monkeypatch.setattr(verify, "recurrence", lambda *args, **kwargs: wrong)
         checks = verify.rodrigues_suite(CHARLIER, Q1W1, n_max=2)
         assert [c.passed for c in checks] == [True, True, False]
         assert checks[2].detail == "first mismatch at Y-degree 0"
@@ -135,3 +143,65 @@ class TestRodriguesSuite:
         checks = verify.rodrigues_suite(CHARLIER, Q1W1, n_max=2)
         assert [c.passed for c in checks] == [True, True, False]
         assert checks[2].detail == "first mismatch at Y-degree 2"
+
+    @pytest.mark.parametrize("argument", ["n_max", "test_degree"])
+    def test_negative_argument_rejected(self, argument):
+        # test_degree = -1 would compare no Y-degree and still pass every check
+        with pytest.raises(SuiteArgumentError, match=f"{argument} must be >= 0, got -1"):
+            verify.rodrigues_suite(CHARLIER, Q1W1, **{argument: -1})
+
+
+# Frames and pairs on which the two forms of u^[n] are compared: negative and
+# non-integer q, a 64-bit (q, omega), zero coefficients (phi = 0, d = 0, so d_n
+# may vanish and the pair is inadmissible) and 64-bit coefficients.
+ROUTE_FRAMES = [
+    HahnFrame(F(1), F(1)),
+    HahnFrame(F(1, 2), F(0)),
+    HahnFrame(F(3, 5), F(-1, 3)),
+    HahnFrame(F(-3), F(1)),
+    HahnFrame(F(5, 2), F(-2, 3)),
+    HahnFrame(F(2**63 - 25, 2**61 + 1), F(-(2**62) - 3, 2**60 - 7)),
+]
+
+
+def _route_coefficient(rng):
+    kind = rng.random()
+    if kind < 0.2:
+        return F(0)
+    if kind < 0.3:
+        return F(rng.randint(-(2**63), 2**63), rng.randint(1, 2**63))
+    return F(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _route_pair(rng):
+    while True:
+        coeffs = [_route_coefficient(rng) for _ in range(5)]
+        if any(coeffs):  # PearsonPair rejects phi = psi = 0
+            return PearsonPair(*coeffs)
+
+
+def _closed_form_rhs(pear, frame, u, n):
+    """k_n (D*)^n of Phi(.; n) L^n u, the closed form of u^[n]."""
+    return _rhs(pear, frame, left_multiply(phi_product(pear, frame, n), dist_iter(dist_L, u, n)), n)
+
+
+def _route_outcome(fn, *args):
+    """The moments and window of fn's result, or the type of the error it raised."""
+    try:
+        out = fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return out.max_degree, out.moments
+
+
+def test_rodrigues_rhs_matches_closed_form():
+    # rodrigues_rhs reads the iterated derived_functional; the oracle differentiates Phi(.; n) L^n u
+    rng = random.Random(20)
+    for case in range(1500):
+        frame = ROUTE_FRAMES[case % len(ROUTE_FRAMES)]
+        pear = _route_pair(rng)
+        u = MomentFunctional(frame, tuple(F(rng.randint(-9, 9), rng.randint(1, 5))
+                                          for _ in range(rng.randint(1, 22))))
+        n = rng.randint(0, 6)
+        assert _route_outcome(rodrigues_rhs, pear, frame, u, n) == _route_outcome(
+            _closed_form_rhs, pear, frame, u, n), (case, pear, frame, n, u.max_degree)

@@ -1,12 +1,14 @@
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
 import hahnpoly
 
+REPO = Path(__file__).resolve().parents[1]
 SOURCES = sorted(Path(hahnpoly.__file__).parent.glob("*.py"))
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+DEMOS = sorted((REPO / "demos").glob("*.py"))
 
 
 def _assert_lines(paths) -> list[str]:
@@ -53,10 +55,27 @@ def test_library_has_no_function_cache():
     assert SOURCES and not found, found
 
 
+def _layout_modules(readme: str) -> list[str]:
+    """The src/hahnpoly modules that the bullets of the README's "## Layout" section name."""
+    section = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^- `src/hahnpoly/([^`]+\.py)`", section, flags=re.MULTILINE)
+
+
+def test_layout_lint_detects():
+    readme = ("# x\n\n## Layout\n\n- `src/hahnpoly/a.py` — a\n  `src/hahnpoly/b.py`\n"
+              "- `src/hahnpoly/c.py`\n\n## Next\n- `src/hahnpoly/d.py`")
+    assert _layout_modules(readme) == ["a.py", "c.py"]
+
+
+def test_readme_layout_names_every_module():
+    # a module added or deleted without its Layout line leaves the README out of date
+    assert sorted(_layout_modules((REPO / "README.md").read_text())) == [path.name for path in SOURCES]
+
+
 def test_cross_check_routes_not_exported():
     removed = {"check_admissible", "hankel_determinant", "from_y_basis", "y_basis",
                "op_D_monomial", "hahn_number", "mixed_moments", "leibniz_expand",
-               "verify_rodrigues", "RodriguesWitness"}
+               "verify_rodrigues", "RodriguesWitness", "phi_product"}
     assert not removed & set(hahnpoly.__all__)
 
 
