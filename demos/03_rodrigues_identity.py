@@ -18,6 +18,6 @@ for check in rodrigues_suite(pear, frame, n_max=5, test_degree=8):
 # the two sides at n = 2, on a window wide enough for Y-degree 8
 u = solve_moments(pear, frame, 1, moment_depth_for(pear, 2, 8))
 lhs = left_multiply(recurrence(pear, frame, 2).polys[2], u)
-rhs = rodrigues_rhs(pear, frame, u, 2)
+rhs = rodrigues_rhs(pear, u, 2)
 print("  lhs:", lhs.moments[:5])
 print("  rhs:", rhs.moments[:5])

@@ -25,7 +25,7 @@ from .qnum import (
     pearson_sequences,
     q_bracket,
 )
-from .poly import Poly, _fracs, _ints, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis
+from .poly import Poly, _fracs, _y_node_ints, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis
 from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
@@ -84,13 +84,12 @@ def _scan(pear: PearsonPair, frame: HahnFrame, depth: int) -> tuple[RegularityRe
     d_through = 2 * depth + 1
     s = pearson_sequences(pear, frame, d_through, depth)
     d_failure = next((m for m, dm in enumerate(s.d) if dm == 0), None)
-    phi = _ints((pear.a, pear.b, pear.c))
     phi_failure = None
     n_limit = depth if d_failure is None else min(depth, d_failure - 1)
     for n in range(n_limit + 1):
         if s.d[2 * n] == 0:
             continue  # condition not evaluable here; the d-scan already failed
-        if _phi_root(s, phi, n) == 0:
+        if _phi_root(s, n) == 0:
             phi_failure = n
             break
     # earliest of the two failures wins; ties go to the d-condition
@@ -137,9 +136,9 @@ def theta2(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
     ])
 
 
-def _phi_root(s: PearsonSequences, phi: tuple[list[int], int], n: int) -> int:
-    """Phi_n with phi(-e_n/d_{2n}) = phi(-E_n/(M D_{2n})) = Phi_n / (C (M D_{2n})^2), phi = ([pa, pb, pc], C)."""
-    (a, b, c), _ = phi
+def _phi_root(s: PearsonSequences, n: int) -> int:
+    """Phi_n with phi(-e_n/d_{2n}) = phi(-E_n/(M D_{2n})) = Phi_n / (C (M D_{2n})^2), s.phi = [pa, pb, pc]."""
+    a, b, c = s.phi
     e, md = s.e[n], s.M * s.d[2 * n]
     return (a * e - b * md) * e + c * md * md
 
@@ -155,12 +154,12 @@ def _beta(s: PearsonSequences, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _gamma(s: PearsonSequences, phi: tuple[list[int], int], n: int) -> Fraction:
+def _gamma(s: PearsonSequences, n: int) -> Fraction:
     """gamma_{n+1} = -R_n K_{n+1} D_{n-1} L S_n Phi_n / (C M^2 D_{2n-1} D_{2n+1} D_{2n}^2) as one Fraction;
     D_{n-1}/D_{2n-1} is 1 at n = 0 (see gamma_coefficient)."""
     md = s.M * s.d[2 * n]
-    num = -s.r_pow[n] * s.bracket[n + 1] * s.L * s.s_pow[n] * _phi_root(s, phi, n)
-    den = phi[1] * md * md * s.d[2 * n + 1]
+    num = -s.r_pow[n] * s.bracket[n + 1] * s.L * s.s_pow[n] * _phi_root(s, n)
+    den = s.C * md * md * s.d[2 * n + 1]
     if n:
         num, den = num * s.d[n - 1], den * s.d[2 * n - 1]
     return Fraction(num, den)
@@ -182,7 +181,7 @@ def gamma_coefficient(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("gamma_coefficient needs n >= 0")
-    return _gamma(pearson_sequences(pear, frame, 2 * n + 1, n), _ints((pear.a, pear.b, pear.c)), n)
+    return _gamma(pearson_sequences(pear, frame, 2 * n + 1, n), n)
 
 
 @dataclass(frozen=True)
@@ -207,8 +206,7 @@ class RecurrenceTable:
         Each row is one integer vector over one denominator, P_n = C_n / D_n,
         as _chebyshev_rows builds it, so D_n is the least common denominator of P_n.
         """
-        # the monomial basis is the Y basis with every node 0
-        rows = _chebyshev_rows(self, self.depth + 1, ([1], 1), -1, ([0] * (self.depth + 2), 1))
+        rows = _chebyshev_rows(self, self.depth + 1, ([1], 1), -1, None)
         return tuple(Poly._trusted(_fracs(row, [den] * len(row))) for row, den in rows)
 
     def to_json_dict(self) -> dict:
@@ -236,9 +234,8 @@ def recurrence(
         raise RegularityError(report)
     if require_regular and not report.regular:
         raise RegularityError(report)
-    phi = _ints((pear.a, pear.b, pear.c))
     beta = tuple(_beta(s, n) for n in range(depth + 1))
-    gamma = (as_scalar(y0),) + tuple(_gamma(s, phi, n) for n in range(depth))
+    gamma = (as_scalar(y0),) + tuple(_gamma(s, n) for n in range(depth))
     return RecurrenceTable(beta, gamma)
 
 
@@ -296,7 +293,7 @@ def _chebyshev_rows(
     depth: int,
     first: tuple[list[int], int],
     shift: int,
-    node_ints: tuple[list[int], int],
+    frame: Optional[HahnFrame],
 ) -> list[tuple[list[int], int]]:
     """Rows r_0..r_depth of r_k[l] = r_{k-1}[l+shift] + (t_l - beta_{k-1}) r_{k-1}[l] - gamma_{k-1} r_{k-2}[l].
 
@@ -306,12 +303,12 @@ def _chebyshev_rows(
     the mixed moments sigma_{k,l} = <u, P_k Y_l>, l <= len(r_0) - 1 - k: the
     modified Chebyshev algorithm (Gautschi 2004; Wheeler 1974) with the Y basis
     as auxiliary family.
-    node_ints gives t_l as integers over one denominator (see _y_node_ints), at
-    least as many as the longest row after r_0. Each row is an integer vector over
-    one denominator: the three terms are brought over the lcm of theirs, and the
-    new row is divided by its content.
+    The nodes t_l are those of _y_node_ints(frame), or all 0 (the monomials) at
+    frame None. Each row is an integer vector over one denominator: the three
+    terms are brought over the lcm of theirs, and the new row is divided by its content.
     """
-    nodes, t = node_ints
+    count = max(len(first[0]) - 1, depth + 1)  # the nodes the longest row after r_0 reads
+    nodes, t = ([0] * count, 1) if frame is None else _y_node_ints(frame, count)
     prev, prev_d = [], 1
     cur, cur_d = first
     rows = [first]

@@ -6,6 +6,8 @@ closed by its reader before the output was written (128 + SIGPIPE).
 Rationals are always rendered as strings like "3/7", never floats.
 `verify --fuzz-moment` and `verify --y0` are read only by the gram suite:
 with a --suite that does not run it (`all` does), they are invalid input.
+Each command builds only the format it prints: csv and human never build the
+JSON payload, so `recurrence --format csv` never expands a P_n.
 """
 
 from __future__ import annotations
@@ -102,9 +104,9 @@ def _resolve_pair(args) -> tuple[PearsonPair, HahnFrame]:
     return pear, frame
 
 
-def _emit(payload: dict, fmt: str, human_lines, csv_rows):
+def _emit(fmt: str, payload, human_lines, csv_rows):
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     elif fmt == "csv":
         for row in csv_rows():
             print(",".join(str(cell) for cell in row))
@@ -117,7 +119,6 @@ def cmd_classify(args) -> int:
     pear, frame = _resolve_pair(args)
     depth = _depth(args, 12)
     report = check_regular(pear, frame, depth)
-    payload = report.to_json_dict()
 
     def human():
         if report.regular:
@@ -129,10 +130,10 @@ def cmd_classify(args) -> int:
 
     def csv_rows():
         yield ("field", "value")
-        for k, v in payload.items():
+        for k, v in report.to_json_dict().items():
             yield (k, json.dumps(v) if isinstance(v, dict) else v)
 
-    _emit(payload, args.format, human, csv_rows)
+    _emit(args.format, report.to_json_dict, human, csv_rows)
     return EXIT_OK if report.regular else EXIT_NEGATIVE
 
 
@@ -148,7 +149,6 @@ def cmd_recurrence(args) -> int:
     except RegularityError as exc:
         print(json.dumps({"error": str(exc), "report": exc.report.to_json_dict()}), file=sys.stderr)
         return EXIT_NEGATIVE
-    payload = table.to_json_dict()
 
     def human():
         for n in range(depth + 1):
@@ -162,7 +162,7 @@ def cmd_recurrence(args) -> int:
         for n in range(depth + 1):
             yield (n, table.beta[n], table.gamma[n] if n else "")
 
-    _emit(payload, args.format, human, csv_rows)
+    _emit(args.format, table.to_json_dict, human, csv_rows)
     return EXIT_OK
 
 
@@ -176,8 +176,9 @@ def cmd_moments(args) -> int:
         print(json.dumps({"error": str(exc), "index": exc.index}), file=sys.stderr)
         return EXIT_NEGATIVE
     power = u.power_moments()
-    payload = u.to_json_dict()
-    payload["powerMoments"] = [str(m) for m in power]
+
+    def payload():
+        return {**u.to_json_dict(), "powerMoments": [str(m) for m in power]}
 
     def human():
         for n in range(depth + 1):
@@ -188,7 +189,7 @@ def cmd_moments(args) -> int:
         for n in range(depth + 1):
             yield (n, u.moments[n], power[n])
 
-    _emit(payload, args.format, human, csv_rows)
+    _emit(args.format, payload, human, csv_rows)
     return EXIT_OK
 
 
@@ -227,11 +228,9 @@ def cmd_verify(args) -> int:
         print(json.dumps(error), file=sys.stderr)
         return EXIT_NEGATIVE
     passed = all(c.passed for c in checks)
-    payload = {
-        "suites": suites,
-        "passed": passed,
-        "checks": [c.to_json_dict() for c in checks],
-    }
+
+    def payload():
+        return {"suites": suites, "passed": passed, "checks": [c.to_json_dict() for c in checks]}
 
     def human():
         for c in checks:
@@ -243,20 +242,21 @@ def cmd_verify(args) -> int:
         for c in checks:
             yield (c.name, c.passed, c.detail)
 
-    _emit(payload, args.format, human, csv_rows)
+    _emit(args.format, payload, human, csv_rows)
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
 def cmd_presets(args) -> int:
-    payload = {
-        name: {
-            "a": str(p.pear.a), "b": str(p.pear.b), "c": str(p.pear.c),
-            "d": str(p.pear.d), "e": str(p.pear.e),
-            "q": str(p.frame.q), "omega": str(p.frame.omega),
-            "description": p.description,
+    def payload():
+        return {
+            name: {
+                "a": str(p.pear.a), "b": str(p.pear.b), "c": str(p.pear.c),
+                "d": str(p.pear.d), "e": str(p.pear.e),
+                "q": str(p.frame.q), "omega": str(p.frame.omega),
+                "description": p.description,
+            }
+            for name, p in PRESETS.items()
         }
-        for name, p in PRESETS.items()
-    }
 
     def human():
         for name, p in PRESETS.items():
@@ -267,7 +267,7 @@ def cmd_presets(args) -> int:
         for name, p in PRESETS.items():
             yield (name, p.pear.a, p.pear.b, p.pear.c, p.pear.d, p.pear.e, p.frame.q, p.frame.omega)
 
-    _emit(payload, args.format, human, csv_rows)
+    _emit(args.format, payload, human, csv_rows)
     return EXIT_OK
 
 

@@ -13,9 +13,10 @@ from math import gcd
 from typing import Sequence
 
 from .qnum import (
-    AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, pearson_sequences, rodrigues_constant,
+    AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar, pearson_sequences,
+    rodrigues_constant,
 )
-from .poly import Poly, _fracs, _ints, _powers, _y_node_ints, phi_poly, psi_poly, to_y_basis
+from .poly import Poly, _fracs, _powers, _y_node_ints, phi_poly, psi_poly, to_y_basis
 
 DEFAULT_DEPTH = 24
 
@@ -111,7 +112,7 @@ def solve_moments(
     """
     top = max(depth - 1, 0)
     s = pearson_sequences(pear, frame, top, top)
-    (c, cd), M, W, mm = pear.c.as_integer_ratio(), s.M, s.W, s.M * s.M
+    c, cd, M, W, mm = s.phi[2], s.C, s.M, s.W, s.M * s.M
     y = [as_scalar(y0)]
     for n in range(depth):
         dn = s.d[n]
@@ -166,19 +167,19 @@ def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
     return MomentFunctional(u.frame, tuple(_fracs(out, [den * cd * power] * len(out))))
 
 
-def _dual_D(frame: HahnFrame, y: Sequence[Fraction], factor: Fraction) -> MomentFunctional:
-    """Entries factor * [n]_q y_{n-1} for 0 <= n <= len(y): the dual of D Y_n = [n]_q Y_{n-1}.
+def _dual_D(v: MomentFunctional, factor: Fraction) -> MomentFunctional:
+    """Entries factor * [n]_q v_{n-1} for 0 <= n <= len(v.moments): the dual of D Y_n = [n]_q Y_{n-1}.
 
     The small factor runs on integers, [n]_q = b_n / qd^(n-1) with
     b_{n+1} = qd^n + qn b_n; each entry is then one Fraction product, whose
-    cross-cancellation stays cheap however tall y_{n-1} is.
+    cross-cancellation stays cheap however tall v_{n-1} is.
     """
-    qn, qd = frame.q.numerator, frame.q.denominator
+    qn, qd = v.frame.q.numerator, v.frame.q.denominator
     out, b = [Fraction(0)], 1
-    for m, p in zip(y, _powers(qd, len(y))):
+    for m, p in zip(v.moments, _powers(qd, len(v.moments))):
         out.append(m * Fraction(factor.numerator * b, factor.denominator * p))
         b = qd * p + qn * b
-    return MomentFunctional(frame, tuple(out))
+    return MomentFunctional(v.frame, tuple(out))
 
 
 def dist_D(u: MomentFunctional) -> MomentFunctional:
@@ -187,7 +188,7 @@ def dist_D(u: MomentFunctional) -> MomentFunctional:
     By identity P4 this is q^{-1} D*(L u), so <D u, Y_n> = -[n]_q <L u, Y_{n-1}>.
     D* lowers degree by one, so the result is valid one index further.
     """
-    return _dual_D(u.frame, dist_L(u).moments, Fraction(-1))
+    return _dual_D(dist_L(u), Fraction(-1))
 
 
 def dist_D_star(u: MomentFunctional) -> MomentFunctional:
@@ -197,7 +198,7 @@ def dist_D_star(u: MomentFunctional) -> MomentFunctional:
     <D* u, f> = -q <u, D f>, and D Y_n = [n]_q Y_{n-1} makes it
     <D* u, Y_n> = -q [n]_q y_{n-1}.
     """
-    return _dual_D(u.frame, u.moments, -u.frame.q)
+    return _dual_D(u, -u.frame.q)
 
 
 def _lincomb(an: int, ad: int, x: Fraction, bn: int, bd: int, y: Fraction) -> Fraction:
@@ -282,11 +283,11 @@ def derived_functional(pear: PearsonPair, u: MomentFunctional, k: int) -> Moment
     return out
 
 
-def rodrigues_rhs(pear: PearsonPair, frame: HahnFrame, u: MomentFunctional, n: int) -> MomentFunctional:
-    """k_n (D*)^n u^[n], the right-hand side of the Rodrigues identity P_n u = k_n (D*)^n u^[n]."""
-    return _rhs(pear, frame, derived_functional(pear, u, n), n)
+def rodrigues_rhs(pear: PearsonPair, u: MomentFunctional, n: int) -> MomentFunctional:
+    """k_n (D*)^n u^[n], all in the frame of u: the right-hand side of the Rodrigues identity."""
+    return _rhs(pear, derived_functional(pear, u, n), n)
 
 
-def _rhs(pear: PearsonPair, frame: HahnFrame, derived: MomentFunctional, n: int) -> MomentFunctional:
-    """k_n (D*)^n derived, for derived the n-th derived functional of u."""
-    return dist_iter(dist_D_star, derived, n).scale(rodrigues_constant(pear, frame, n))
+def _rhs(pear: PearsonPair, derived: MomentFunctional, n: int) -> MomentFunctional:
+    """k_n (D*)^n derived, for derived the n-th derived functional of u; k_n and D* are in derived.frame."""
+    return dist_iter(dist_D_star, derived, n).scale(rodrigues_constant(pear, derived.frame, n))

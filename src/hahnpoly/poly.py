@@ -8,18 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import lcm
 from operator import mul
 from typing import Iterable
 
-from .qnum import HahnFrame, PearsonPair, ScalarLike, as_scalar
-
-
-def _ints(xs: Iterable[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over one common denominator: xs[k] == nums[k] / den."""
-    xs = list(xs)
-    den = lcm(*[x.denominator for x in xs])
-    return [x.numerator * (den // x.denominator) for x in xs], den
+from .qnum import HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar
 
 
 def _fracs(nums: Iterable[int], dens: Iterable[int]) -> list[Fraction]:

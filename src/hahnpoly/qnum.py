@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
@@ -91,6 +91,13 @@ class PearsonPair:
             raise ValueError("phi and psi cannot both be the zero polynomial")
 
 
+def _ints(xs: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator: xs[k] == nums[k] / den."""
+    xs = list(xs)
+    den = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def q_bracket(n: int, q: ScalarLike) -> Fraction:
     """[n]_q = (q^n - 1)/(q - 1), or n itself at q = 1.
 
@@ -135,10 +142,11 @@ def e_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
 
 
 class PearsonSequences(NamedTuple):
-    """Unreduced integer numerators of q^n, [n]_q, d_n (0 <= n <= m) and e_n (0 <= n <= m_e).
+    """Unreduced integer numerators of q^n, [n]_q, d_n (0 <= n <= m) and e_n (0 <= n <= m_e), and of the pair.
 
-    With q = r/s: q^n = R_n/S_n, [n]_q = K_n/S_n, d_n = D_n/(L S_n), e_n = E_n/(M L S_n^2)
-    and omega = W/M, where L = lcm(den a, den d) and M = lcm(den b, den e, den omega).
+    With q = r/s: q^n = R_n/S_n, [n]_q = K_n/S_n, d_n = D_n/(L S_n), e_n = E_n/(M L S_n^2),
+    omega = W/M and (a, b, c) = phi/C, where L = lcm(den a, den d), M = lcm(den omega, den b, den e)
+    and C = lcm(den a, den b, den c).
     """
 
     r_pow: list[int]
@@ -149,6 +157,8 @@ class PearsonSequences(NamedTuple):
     L: int
     M: int
     W: int
+    phi: list[int]
+    C: int
 
 
 def pearson_sequences(pear: PearsonPair, frame: HahnFrame, m: int, m_e: int) -> PearsonSequences:
@@ -158,20 +168,16 @@ def pearson_sequences(pear: PearsonPair, frame: HahnFrame, m: int, m_e: int) -> 
     if not 0 <= m_e <= m:
         raise ValueError(f"pearson_sequences needs 0 <= m_e <= m, got m={m}, m_e={m_e}")
     r, s = frame.q.numerator, frame.q.denominator
-    L = lcm(pear.a.denominator, pear.d.denominator)
-    a, d = pear.a.numerator * (L // pear.a.denominator), pear.d.numerator * (L // pear.d.denominator)
+    (a, d), L = _ints((pear.a, pear.d))
+    (W, b, e), M = _ints((frame.omega, pear.b, pear.e))
     r_pow, s_pow, bracket = [1], [1], [0]
     for _ in range(m):
         r_pow.append(r * r_pow[-1])
         s_pow.append(s * s_pow[-1])
         bracket.append(s_pow[-1] + r * bracket[-1])
     ds = [d * rn + a * kn for rn, kn in zip(r_pow, bracket)]
-    omega, b, e = frame.omega, pear.b, pear.e
-    M = lcm(omega.denominator, b.denominator, e.denominator)
-    W = omega.numerator * (M // omega.denominator)
-    eL, bL = e.numerator * (M // e.denominator) * L, b.numerator * (M // b.denominator) * L
-    es = [(eL * r_pow[n] + bL * bracket[n]) * s_pow[n] + W * ds[n] * bracket[n] for n in range(m_e + 1)]
-    return PearsonSequences(r_pow, s_pow, bracket, ds, es, L, M, W)
+    es = [(e * r_pow[n] + b * bracket[n]) * L * s_pow[n] + W * ds[n] * bracket[n] for n in range(m_e + 1)]
+    return PearsonSequences(r_pow, s_pow, bracket, ds, es, L, M, W, *_ints((pear.a, pear.b, pear.c)))
 
 
 def rodrigues_constant(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .qnum import HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, q_binomial, q_bracket
+from .qnum import HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar, d_n, e_n, q_binomial, q_bracket
 from .poly import (
     Poly,
-    _ints,
-    _y_node_ints,
     op_D,
     op_D_star,
     op_iter,
@@ -261,12 +259,12 @@ def gram_suite(
         "" if not bad else f"nonzero residual at Y-degrees {bad[:4]} (cell {bad[0]})",
     ))
     table = recurrence(pear, frame, depth, y0)
-    sigma = _chebyshev_rows(table, depth, _ints(u.moments[: 2 * depth + 1]), 1, _y_node_ints(frame, 2 * depth))
+    sigma = _chebyshev_rows(table, depth, _ints(u.moments[: 2 * depth + 1]), 1, frame)
     if not any(any(row[:k]) for k, (row, _) in enumerate(sigma)):
         off = []
         diagonal = [Fraction(row[k], den) for k, (row, den) in enumerate(sigma)]
     else:
-        coeffs = _chebyshev_rows(table, depth, ([1], 1), -1, _y_node_ints(frame, depth + 1))
+        coeffs = _chebyshev_rows(table, depth, ([1], 1), -1, frame)
 
         def gram(lo: int, hi: int) -> int:  # G[lo][hi] = <u, P_lo P_hi> times coeffs[lo][1] sigma[hi][1]
             return sum(map(operator.mul, coeffs[lo][0], sigma[hi][0]))
@@ -319,7 +317,7 @@ def rodrigues_suite(
     depth = moment_depth_for(pear, n_max, test_degree)  # nondecreasing in n
     u = solve_moments(pear, frame, 1, depth + 2 * n_max + 2)
     table = recurrence(pear, frame, n_max, require_regular=require_regular)
-    sigma = _chebyshev_rows(table, n_max, _ints(u.moments), 1, _y_node_ints(frame, u.max_degree))
+    sigma = _chebyshev_rows(table, n_max, _ints(u.moments), 1, frame)
     phi = phi_poly(pear)
     iterated = shifted = u
     product = Poly([1])
@@ -330,7 +328,7 @@ def rodrigues_suite(
             shifted = dist_L(shifted)
             product = product * phi.compose_affine(frame.q**n, frame.omega * q_bracket(n, frame.q))
         closed = left_multiply(product, shifted)
-        rhs = _rhs(pear, frame, closed, n)
+        rhs = _rhs(pear, closed, n)
         if test_degree > min(len(row) - 1, rhs.max_degree):
             raise InsufficientMomentsError(
                 f"test degree {test_degree} exceeds valid window "

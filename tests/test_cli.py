@@ -18,6 +18,7 @@ from hahnpoly.cli import (
     build_parser,
     main,
 )
+from hahnpoly.classical import RecurrenceTable
 from hahnpoly.functional import MomentFunctional
 
 
@@ -164,6 +165,20 @@ class TestRecurrence:
         expected = json.loads(plain)
         expected["gamma"][0] = "5"
         assert code == EXIT_OK and json.loads(out) == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "human"])
+    def test_deep_table_without_json(self, capsys, monkeypatch, fmt):
+        # the JSON payload at N = 100 holds P_n coefficients past Python's 4300-digit str limit
+        def unreachable(self):
+            raise AssertionError("built the JSON payload")
+
+        monkeypatch.setattr(RecurrenceTable, "to_json_dict", unreachable)
+        if fmt == "csv":  # csv prints no P_n, so it never expands one
+            monkeypatch.setattr(RecurrenceTable, "polys", property(unreachable))
+        code, out, err = run(capsys, "recurrence", "--preset", "al-salam-carlitz", "--n", "100", "--format", fmt)
+        assert (code, err) == (EXIT_OK, "")
+        assert len(out.splitlines()) == (102 if fmt == "csv" else 106)
+        assert ("P_" in out) == (fmt == "human")
 
     @pytest.mark.parametrize("y0", ["0", "0/5", "-0"])
     def test_zero_functional_exits_negative(self, capsys, y0):

@@ -38,7 +38,7 @@ def frame_id(frame):
 def sigma_rows(u, table, depth):
     """The mixed moments sigma_{k,l} = <u, P_k Y_l>, l <= 2 depth - k, as Fractions of the integer rows."""
     first = _ints(u.moments[: 2 * depth + 1])
-    rows = classical._chebyshev_rows(table, depth, first, 1, _y_node_ints(u.frame, 2 * depth))
+    rows = classical._chebyshev_rows(table, depth, first, 1, u.frame)
     return [[F(s, den) for s in row] for row, den in rows]
 
 
@@ -203,7 +203,7 @@ def _preset_gram_inputs(name, depth):
 def test_chebyshev_rows_on_presets(name):
     # sigma rows and Y-coefficient rows, as Fractions, against the oracles to depth 40
     frame, table, u = _preset_gram_inputs(name, 40)
-    coeffs = classical._chebyshev_rows(table, 40, ([1], 1), -1, _y_node_ints(frame, 41))
+    coeffs = classical._chebyshev_rows(table, 40, ([1], 1), -1, frame)
     assert [[F(c, den) for c in row] for row, den in coeffs] == [
         ref.to_y_basis(p, frame) for p in table.polys[:41]
     ]

@@ -27,7 +27,7 @@ Q1W1 = HahnFrame(F(1), F(1))
 def assert_rodrigues_holds(pear, frame, u, table, n, test_degree=8):
     # both windows must reach test_degree, or the slices below compare shorter vectors
     lhs = left_multiply(table.polys[n], u)
-    rhs = rodrigues_rhs(pear, frame, u, n)
+    rhs = rodrigues_rhs(pear, u, n)
     assert min(lhs.max_degree, rhs.max_degree) >= test_degree
     assert lhs.moments[: test_degree + 1] == rhs.moments[: test_degree + 1]
 
@@ -61,7 +61,7 @@ class TestPhiProduct:
 class TestRodriguesRhs:
     def test_n0_is_identity(self):
         u = solve_moments(CHARLIER, Q1W1, 1, 12)
-        assert rodrigues_rhs(CHARLIER, Q1W1, u, 0).moments[:13] == u.moments
+        assert rodrigues_rhs(CHARLIER, u, 0).moments[:13] == u.moments
 
     def test_n1_equals_p1_u(self):
         # at n = 1 the identity collapses to P_1 u = q k_1 psi u
@@ -69,7 +69,7 @@ class TestRodriguesRhs:
             pear, frame = preset.pear, preset.frame
             u = solve_moments(pear, frame, 1, 16)
             table = recurrence(pear, frame, 4)
-            rhs = rodrigues_rhs(pear, frame, u, 1)
+            rhs = rodrigues_rhs(pear, u, 1)
             lhs = left_multiply(table.polys[1], u)
             for m in range(10):
                 assert rhs.moments[m] == lhs.moments[m]
@@ -78,6 +78,15 @@ class TestRodriguesRhs:
             ).scale(frame.q * rodrigues_constant(pear, frame, 1))
             for m in range(10):
                 assert rhs.moments[m] == direct.moments[m]
+
+
+    def test_frame_comes_from_the_functional(self):
+        # k_n, D* and u^[n] all read u.frame; a separate frame argument is gone
+        preset = get_preset("little-q-laguerre")
+        u = solve_moments(preset.pear, preset.frame, 1, moment_depth_for(preset.pear, 2, 8))
+        assert rodrigues_rhs(preset.pear, u, 2).moments[2] == 60
+        with pytest.raises(TypeError):
+            rodrigues_rhs(preset.pear, HahnFrame(F(2), F(1)), u, 2)
 
 
 class TestVerifyRodrigues:
@@ -138,8 +147,8 @@ class TestRodriguesSuite:
 
     def test_witness_mismatch_names_degree(self, monkeypatch):
         rhs = verify._rhs
-        monkeypatch.setattr(verify, "_rhs", lambda pear, frame, derived, n: rhs(
-            pear, frame, derived, n).scale(1 if n < 2 else 3))
+        monkeypatch.setattr(verify, "_rhs", lambda pear, derived, n: rhs(
+            pear, derived, n).scale(1 if n < 2 else 3))
         checks = verify.rodrigues_suite(CHARLIER, Q1W1, n_max=2)
         assert [c.passed for c in checks] == [True, True, False]
         assert checks[2].detail == "first mismatch at Y-degree 2"
@@ -182,7 +191,7 @@ def _route_pair(rng):
 
 def _closed_form_rhs(pear, frame, u, n):
     """k_n (D*)^n of Phi(.; n) L^n u, the closed form of u^[n]."""
-    return _rhs(pear, frame, left_multiply(phi_product(pear, frame, n), dist_iter(dist_L, u, n)), n)
+    return _rhs(pear, left_multiply(phi_product(pear, frame, n), dist_iter(dist_L, u, n)), n)
 
 
 def _route_outcome(fn, *args):
@@ -203,5 +212,5 @@ def test_rodrigues_rhs_matches_closed_form():
         u = MomentFunctional(frame, tuple(F(rng.randint(-9, 9), rng.randint(1, 5))
                                           for _ in range(rng.randint(1, 22))))
         n = rng.randint(0, 6)
-        assert _route_outcome(rodrigues_rhs, pear, frame, u, n) == _route_outcome(
+        assert _route_outcome(rodrigues_rhs, pear, u, n) == _route_outcome(
             _closed_form_rhs, pear, frame, u, n), (case, pear, frame, n, u.max_degree)

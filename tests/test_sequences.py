@@ -1,7 +1,7 @@
 """The one-pass q-sequences and what the engine reads off them, against the per-index routes.
 
 pearson_sequences holds Python ints, and over its denominators they must
-equal q**n, q_bracket, d_n and e_n index by index; check_regular,
+equal q**n, q_bracket, d_n and e_n index by index, and omega and a, b, c; check_regular,
 solve_moments and recurrence (beta, gamma and the in-place P_n expansion)
 must equal the per-index oracles in reference_kernels, on all default frames
 plus q in {5/2, 2/3, -3}, with pairs where some d_m vanishes or some
@@ -79,6 +79,7 @@ def check_sequences(pear, frame, m, m_e):
         assert all(type(v) is int for v in (field if isinstance(field, list) else [field]))
     assert len(s.r_pow) == len(s.s_pow) == len(s.bracket) == len(s.d) == m + 1 and len(s.e) == m_e + 1
     assert F(s.W, s.M) == frame.omega
+    assert [F(p, s.C) for p in s.phi] == [pear.a, pear.b, pear.c]
     for n in range(m + 1):
         assert F(s.r_pow[n], s.s_pow[n]) == frame.q**n
         assert F(s.bracket[n], s.s_pow[n]) == q_bracket(n, frame.q)

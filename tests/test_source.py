@@ -79,6 +79,38 @@ def test_cross_check_routes_not_exported():
     assert not removed & set(hahnpoly.__all__)
 
 
+def _separate_frame(tree, names) -> list[str]:
+    """Module-level functions in names that take a MomentFunctional-annotated parameter and a frame parameter."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            functional = any(arg.annotation is not None
+                             and re.search(r"\bMomentFunctional\b", ast.unparse(arg.annotation)) for arg in args)
+            if functional and any(arg.arg == "frame" for arg in args):
+                found.append(f"{node.name} (line {node.lineno})")
+    return found
+
+
+def test_separate_frame_lint_detects():
+    code = ("def f(pear, frame: HahnFrame, u: MomentFunctional, n): pass\n"
+            "def g(u: 'Optional[MomentFunctional]', *, frame=None): pass\n"
+            "def h(pear, u: MomentFunctional, n): pass\n"
+            "def k(table, frame: HahnFrame): pass\n"
+            "def _private(u: MomentFunctional, frame): pass\n")
+    assert _separate_frame(ast.parse(code), {"f", "g", "h", "k"}) == ["f (line 1)", "g (line 2)"]
+
+
+def test_functional_api_takes_no_separate_frame():
+    # a functional carries its frame; a second frame argument can silently disagree with it
+    found = [
+        f"{path.name}: {entry}"
+        for path in SOURCES
+        for entry in _separate_frame(ast.parse(path.read_text(), filename=str(path)), set(hahnpoly.__all__))
+    ]
+    assert SOURCES and not found, found
+
+
 def _unused_imports(tree) -> list[str]:
     """Names a module imports (from __future__ aside) and never reads."""
     imported = {}
