@@ -7,7 +7,8 @@ Rationals are always rendered as strings like "3/7", never floats.
 `verify --fuzz-moment` and `verify --y0` are read only by the gram suite:
 with a --suite that does not run it (`all` does), they are invalid input.
 Each command builds only the format it prints: csv and human never build the
-JSON payload, so `recurrence --format csv` never expands a P_n.
+JSON payload, so `recurrence --format csv` never expands a P_n, and
+`--format human` expands only the P_0..P_4 it prints.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .qnum import AdmissibilityError, HahnFrame, PearsonPair
 from .functional import DEFAULT_DEPTH, solve_moments
-from .classical import PRESETS, RegularityError, check_regular, get_preset, recurrence
+from .classical import PRESETS, RecurrenceTable, RegularityError, check_regular, get_preset, recurrence
 from .verify import SuiteArgumentError, run_suites
 
 EXIT_OK = 0
@@ -154,7 +155,8 @@ def cmd_recurrence(args) -> int:
         for n in range(depth + 1):
             gamma = table.gamma[n] if n else "-"
             yield f"n={n}: beta={table.beta[n]} gamma={gamma}"
-        for n, p in enumerate(table.polys[: min(5, len(table.polys))]):
+        top = min(depth, 3)  # P_0..P_4 need beta_0..beta_3 and gamma_0..gamma_3 only
+        for n, p in enumerate(RecurrenceTable(table.beta[: top + 1], table.gamma[: top + 1]).polys):
             yield f"P_{n} = {p!r}"
 
     def csv_rows():

@@ -35,6 +35,14 @@ class MomentFunctional:
         if not self.moments:
             raise ValueError("a moment table needs at least y_0")
 
+    @classmethod
+    def _trusted(cls, frame: HahnFrame, moments: tuple[Fraction, ...]) -> "MomentFunctional":
+        """Wrap a nonempty tuple of Fractions that the kernels built: no as_scalar."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "frame", frame)
+        object.__setattr__(out, "moments", moments)
+        return out
+
     @property
     def max_degree(self) -> int:
         return len(self.moments) - 1
@@ -48,13 +56,13 @@ class MomentFunctional:
 
     def scale(self, c: ScalarLike) -> "MomentFunctional":
         c = as_scalar(c)
-        return MomentFunctional(self.frame, tuple(c * m for m in self.moments))
+        return MomentFunctional._trusted(self.frame, tuple(c * m for m in self.moments))
 
     def __add__(self, other: "MomentFunctional") -> "MomentFunctional":
         if self.frame != other.frame:
             raise ValueError("cannot add functionals over different frames")
         n = min(self.max_degree, other.max_degree)
-        return MomentFunctional(
+        return MomentFunctional._trusted(
             self.frame, tuple(self.moments[k] + other.moments[k] for k in range(n + 1))
         )
 
@@ -125,7 +133,7 @@ def solve_moments(
         first = Fraction(-(s.e[n] + s.s_pow[1] * W * bracket * s.d[n - 1]), M * s.s_pow[n] * dn)
         second = Fraction(-bracket * (c * mm * s.L * sq + cd * W * s.e[n - 1]), cd * mm * sq * dn)
         y.append(first * y[n] + second * y[n - 1])
-    return MomentFunctional(frame, tuple(y))
+    return MomentFunctional._trusted(frame, tuple(y))
 
 
 def _x_shift(v: Sequence[int], nodes: Sequence[int], t: int) -> list[int]:
@@ -156,7 +164,7 @@ def _horner(cs: Sequence[int], y: Sequence[int], nodes: Sequence[int], t: int) -
 def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
     """The functional f*u, with <f u, g> = <u, f g>."""
     if f.is_zero():
-        return MomentFunctional(u.frame, (Fraction(0),) * (u.max_degree + 1))
+        return MomentFunctional._trusted(u.frame, (Fraction(0),) * (u.max_degree + 1))
     if u.max_degree < f.degree():
         raise InsufficientMomentsError(
             f"left_multiply by degree {f.degree()} exhausts a table of degree {u.max_degree}"
@@ -164,7 +172,7 @@ def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
     y, den = _ints(u.moments)
     cs, cd = _ints(f.coeffs)
     out, power = _horner(cs, y, *_y_node_ints(u.frame, u.max_degree))
-    return MomentFunctional(u.frame, tuple(_fracs(out, [den * cd * power] * len(out))))
+    return MomentFunctional._trusted(u.frame, tuple(_fracs(out, [den * cd * power] * len(out))))
 
 
 def _dual_D(v: MomentFunctional, factor: Fraction) -> MomentFunctional:
@@ -179,7 +187,7 @@ def _dual_D(v: MomentFunctional, factor: Fraction) -> MomentFunctional:
     for m, p in zip(v.moments, _powers(qd, len(v.moments))):
         out.append(m * Fraction(factor.numerator * b, factor.denominator * p))
         b = qd * p + qn * b
-    return MomentFunctional(v.frame, tuple(out))
+    return MomentFunctional._trusted(v.frame, tuple(out))
 
 
 def dist_D(u: MomentFunctional) -> MomentFunctional:
@@ -219,7 +227,7 @@ def dist_L(u: MomentFunctional) -> MomentFunctional:
     out = [Fraction(0)]
     for n, (m, node) in enumerate(zip(u.moments, nodes)):
         out.append(_lincomb(qdp[n + 1], qnp[n + 1], m, -node * q.denominator, t * q.numerator, out[-1]))
-    return MomentFunctional(u.frame, tuple(out[1:]))
+    return MomentFunctional._trusted(u.frame, tuple(out[1:]))
 
 
 def dist_L_star(u: MomentFunctional) -> MomentFunctional:
@@ -230,7 +238,7 @@ def dist_L_star(u: MomentFunctional) -> MomentFunctional:
     """
     qnp, qdp = _powers(u.frame.q.numerator, len(u.moments)), _powers(u.frame.q.denominator, len(u.moments))
     (nodes, t), prev = _y_node_ints(u.frame, len(u.moments)), (Fraction(0),) + u.moments
-    return MomentFunctional(u.frame, tuple(
+    return MomentFunctional._trusted(u.frame, tuple(
         _lincomb(qnp[n + 1], qdp[n + 1], m, qnp[n] * node, qdp[n] * t, prev[n])
         for n, (m, node) in enumerate(zip(u.moments, nodes))
     ))

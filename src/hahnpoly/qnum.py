@@ -2,19 +2,19 @@
 
 Everything here is exact (:class:`fractions.Fraction`, or integers over shared
 denominators), so all identities downstream can be asserted with ``==``.
+With q = r/s, the q-numbers [n]_q, [n]_q! and the q-binomial are each one
+reduced Fraction over integer products of r^j - s^j and powers of s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial, lcm
 from typing import Iterable, NamedTuple, Union
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
-
-ONE = Fraction(1)
 
 
 class AdmissibilityError(ValueError):
@@ -102,14 +102,28 @@ def q_bracket(n: int, q: ScalarLike) -> Fraction:
     """[n]_q = (q^n - 1)/(q - 1), or n itself at q = 1.
 
     Negative n is allowed through the same rational formula (requires
-    q != 0 there).
+    q != 0 there). With q = r/s this is (r^n - s^n) / ((r - s) s^(n-1)),
+    and s (s^m - r^m) / (r^m (r - s)) at n = -m.
     """
     q = as_scalar(q)
     if q == 1:
         return Fraction(n)
     if n < 0 and q == 0:
         raise ValueError("q_bracket with n < 0 needs q != 0")
-    return (q**n - 1) / (q - 1)
+    r, s = q.numerator, q.denominator
+    if n > 0:
+        return Fraction(r**n - s**n, (r - s) * s ** (n - 1))
+    m = -n
+    return Fraction(s * (s**m - r**m), r**m * (r - s))
+
+
+def _bracket_product(n: int, r: int, s: int) -> int:
+    """B_n = prod_{j=1}^n (r^j - s^j), so that [n]_q! = B_n / ((r - s)^n s^(n(n-1)/2)) at q = r/s."""
+    out, rj, sj = 1, 1, 1
+    for _ in range(n):
+        rj, sj = rj * r, sj * s
+        out *= rj - sj
+    return out
 
 
 def q_factorial(n: int, q: ScalarLike) -> Fraction:
@@ -117,18 +131,26 @@ def q_factorial(n: int, q: ScalarLike) -> Fraction:
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
     q = as_scalar(q)
-    out = ONE
-    for j in range(1, n + 1):
-        out *= q_bracket(j, q)
-    return out
+    if q == 1:
+        return Fraction(factorial(n))
+    r, s = q.numerator, q.denominator
+    return Fraction(_bracket_product(n, r, s), (r - s) ** n * s ** (n * (n - 1) // 2))
 
 
 def q_binomial(n: int, k: int, q: ScalarLike) -> Fraction:
-    """The q-binomial [n]_q! / ([k]_q! [n-k]_q!), 0 <= k <= n."""
+    """The q-binomial [n]_q! / ([k]_q! [n-k]_q!), 0 <= k <= n.
+
+    With q = r/s the factors (r - s) and most powers of s cancel, leaving one
+    Fraction over the bracket products: B_n / (B_k B_{n-k} s^(k(n-k))).
+    """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"q_binomial needs 0 <= k <= n, got n={n}, k={k}")
     q = as_scalar(q)
-    return q_factorial(n, q) / (q_factorial(k, q) * q_factorial(n - k, q))
+    if q == 1:
+        return Fraction(comb(n, k))
+    r, s = q.numerator, q.denominator
+    return Fraction(_bracket_product(n, r, s),
+                    _bracket_product(k, r, s) * _bracket_product(n - k, r, s) * s ** (k * (n - k)))
 
 
 def d_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:

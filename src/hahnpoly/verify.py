@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .qnum import HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar, d_n, e_n, q_binomial, q_bracket
+from .qnum import HahnFrame, PearsonPair, _ints, d_n, e_n, q_binomial, q_bracket
 from .poly import (
     Poly,
+    _fracs,
     op_D,
     op_D_star,
     op_iter,
@@ -100,28 +101,28 @@ def random_functional(rng: random.Random, frame: HahnFrame, depth: int) -> Momen
     )
 
 
-def _hahn_number(n: int, k: int, q: ScalarLike, omega: ScalarLike) -> Fraction:
-    """The coefficient [n,k]_{q,omega} = omega^k * sum_{j=0}^{n-1-k} C(k+j,j) q^j.
-
-    Zero whenever n <= k (empty sum); [n,0] reduces to [n]_q.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("hahn_number needs n, k >= 0")
-    q = as_scalar(q)
-    omega = as_scalar(omega)
-    total = Fraction(0)
-    for j in range(n - k):
-        total += math.comb(k + j, j) * q**j
-    return omega**k * total
-
-
 def _op_D_monomial(f: Poly, frame: HahnFrame) -> Poly:
-    """op_D through its action on monomials, D x^n = sum_k [n,k]_{q,omega} x^{n-1-k}."""
-    out = [Fraction(0)] * len(f.coeffs)
-    for n, c in enumerate(f.coeffs):
-        for k in range(n):
-            out[n - 1 - k] += c * _hahn_number(n, k, frame.q, frame.omega)
-    return Poly(out)
+    """op_D through its action on monomials, D x^n = sum_k [n,k]_{q,omega} x^{n-1-k}.
+
+    [n,k]_{q,omega} = omega^k sum_{j=0}^{n-1-k} C(k+j,j) q^j. With q = r/s it is
+    omega^k T_k(n) / s^(n-1-k) for the integer Pascal table T_0(n) = s^(n-1) [n]_q,
+    T_k(n) = T_{k-1}(n-1) + r T_k(n-1), zero for n <= k. The power of s depends on the
+    output degree m = n-1-k alone, so each output coefficient is one Fraction.
+    """
+    r, s = frame.q.numerator, frame.q.denominator
+    cs, cd = _ints(f.coeffs)
+    deg = len(cs) - 1
+    wn, wd = frame.omega.numerator, frame.omega.denominator
+    weights = [wn**k * wd ** (deg - 1 - k) for k in range(deg)]  # omega^k over wd^(deg-1)
+    out = [0] * deg
+    row, sn = [], 1  # row[k] = T_k(n), sn = s^(n-1)
+    for n in range(1, deg + 1):
+        row = [sn + r * row[0] if row else sn] + [a + r * b for a, b in zip(row, row[1:] + [0])]
+        sn *= s
+        if cs[n]:
+            for k, t in enumerate(row):
+                out[n - 1 - k] += cs[n] * weights[k] * t
+    return Poly._trusted(_fracs(out, [cd * wd ** (deg - 1) * s**m for m in range(deg)]))
 
 
 def _iterates(op, x, n: int) -> list:
@@ -205,7 +206,9 @@ def identities_suite(
         dh, lh = op_D(h, fr), op_L(h, fr)
         record("P2_functional_L_star_L",
                dist_L_star(lu).agrees_with(u) and dist_L(dist_L_star(u)).agrees_with(u), detail)
-        record("P4_functional_D_star_L", dist_D_star(lu).agrees_with(du.scale(q)), detail)
+        dslu = dist_D_star(lu)  # <D* v, f> = -q <v, D f> is its defining pairing
+        record("P4_functional_D_star_L",
+               dslu.agrees_with(du.scale(q)) and pair(dslu, f) == -q * pair(lu, df), detail)
         record("P4a_functional_L_of_fu", dist_L(hu).agrees_with(left_multiply(lh, lu)), detail)
         dhu = dist_D(hu)
         record("P6_functional_product_rule",

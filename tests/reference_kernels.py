@@ -22,10 +22,17 @@ the integer sequences of hahnpoly.qnum.pearson_sequences.
 phi_product is the Phi(.; n) of the closed form Phi(.; n) L^n u of the derived
 functional; tests/test_rodrigues.py compares that closed form with
 hahnpoly.functional.rodrigues_rhs, which reads the iterated derived_functional.
+
+The q-numbers are the Fraction definitions: [n]_q = (q^n - 1)/(q - 1), [n]_q! as a
+product of brackets and the q-binomial as a ratio of factorials. hahnpoly.qnum forms
+each as one Fraction over integer products; tests/test_qnum.py compares the two, and
+the per-index oracles below read this q_bracket. _hahn_number is the closed sum behind
+the monomial expansion of D, the oracle of the Pascal table in hahnpoly.verify._op_D_monomial.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -36,8 +43,51 @@ from hahnpoly.classical import D_ZERO, PHI_ROOT, RegularityReport
 from hahnpoly.functional import InsufficientMomentsError, MomentFunctional, solve_moments
 from hahnpoly import poly
 from hahnpoly.poly import Poly, phi_poly, psi_poly
-from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, q_bracket
+from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n
 from hahnpoly.verify import RESIDUAL_DEPTH, Check, SuiteArgumentError
+
+
+def q_bracket(n: int, q: ScalarLike) -> Fraction:
+    """[n]_q = (q^n - 1)/(q - 1), or n itself at q = 1; n < 0 needs q != 0."""
+    q = as_scalar(q)
+    if q == 1:
+        return Fraction(n)
+    if n < 0 and q == 0:
+        raise ValueError("q_bracket with n < 0 needs q != 0")
+    return (q**n - 1) / (q - 1)
+
+
+def q_factorial(n: int, q: ScalarLike) -> Fraction:
+    """[1]_q [2]_q ... [n]_q, one Fraction product per factor."""
+    if n < 0:
+        raise ValueError("q_factorial needs n >= 0")
+    out = Fraction(1)
+    for j in range(1, n + 1):
+        out *= q_bracket(j, q)
+    return out
+
+
+def q_binomial(n: int, k: int, q: ScalarLike) -> Fraction:
+    """[n]_q! / ([k]_q! [n-k]_q!), 0 <= k <= n."""
+    if k < 0 or n < 0 or k > n:
+        raise ValueError(f"q_binomial needs 0 <= k <= n, got n={n}, k={k}")
+    return q_factorial(n, q) / (q_factorial(k, q) * q_factorial(n - k, q))
+
+
+def _hahn_number(n: int, k: int, q: ScalarLike, omega: ScalarLike) -> Fraction:
+    """The coefficient [n,k]_{q,omega} = omega^k * sum_{j=0}^{n-1-k} C(k+j,j) q^j.
+
+    Zero whenever n <= k (empty sum); [n,0] reduces to [n]_q.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("hahn_number needs n, k >= 0")
+    q = as_scalar(q)
+    omega = as_scalar(omega)
+    total = Fraction(0)
+    for j in range(n - k):
+        total += math.comb(k + j, j) * q**j
+    return omega**k * total
+
 
 # the library builds Y_n afresh on every call; the oracles ask for the same Y_n many times
 y_basis = lru_cache(maxsize=None)(poly.y_basis)

@@ -180,6 +180,21 @@ class TestRecurrence:
         assert len(out.splitlines()) == (102 if fmt == "csv" else 106)
         assert ("P_" in out) == (fmt == "human")
 
+    def test_human_expands_only_the_printed_polys(self, capsys, monkeypatch):
+        # human prints P_0..P_4, which a depth-3 table holds; P_100 of this table is megabytes
+        expand = RecurrenceTable.polys.func
+        depths = []
+
+        def recording(self):
+            depths.append(self.depth)
+            return expand(self)
+
+        monkeypatch.setattr(RecurrenceTable, "polys", property(recording))
+        code, out, err = run(capsys, "recurrence", "--preset", "al-salam-carlitz", "--n", "100", "--format", "human")
+        assert (code, err) == (EXIT_OK, "")
+        assert depths and max(depths) <= 3
+        assert [line.split(" = ")[0] for line in out.splitlines()[101:]] == [f"P_{n}" for n in range(5)]
+
     @pytest.mark.parametrize("y0", ["0", "0/5", "-0"])
     def test_zero_functional_exits_negative(self, capsys, y0):
         # the zero functional has no orthogonal sequence, whatever gamma_1.. the pair gives

@@ -15,8 +15,8 @@ from hahnpoly.poly import (
     y_basis,
 )
 from hahnpoly.qnum import HahnFrame, q_bracket
-from hahnpoly.verify import _hahn_number as hahn_number, _iterates, _leibniz, _op_D_monomial as op_D_monomial
-from reference_kernels import from_y_basis, poly_divmod
+from hahnpoly.verify import FRAME_OMEGA_VALUES, _iterates, _leibniz, _op_D_monomial as op_D_monomial, default_frames
+from reference_kernels import _hahn_number as hahn_number, from_y_basis, poly_divmod
 
 FRAMES = [
     HahnFrame(F(1), F(1)),
@@ -150,6 +150,21 @@ class TestDividedDifference:
             q = frame.q
             for n in range(1, 10):
                 assert op_D_star(Poly.monomial(n), frame).leading() == q ** (1 - n) * q_bracket(n, q)
+
+    @pytest.mark.parametrize("frame", default_frames() + [HahnFrame(q, omega) for q in (F(5, 2), F(-3))
+                                                          for omega in FRAME_OMEGA_VALUES], ids=repr)
+    def test_monomial_route_matches_hahn_numbers(self, frame):
+        # the Pascal-table route of the identities suite against the closed sum, term by term
+        def expansion(f):
+            out = Poly()
+            for n, c in enumerate(f.coeffs):
+                for k in range(n):
+                    out = out + Poly.monomial(n - 1 - k, c * hahn_number(n, k, frame.q, frame.omega))
+            return out
+
+        dense = Poly([F((-1) ** j * (j + 1), j % 4 + 1) for j in range(15)])
+        for f in [Poly(), *(Poly.monomial(n, F(-3, 2)) for n in range(15)), dense]:
+            assert op_D_monomial(f, frame) == expansion(f), (f, frame)
 
     @settings(deadline=None)
     @given(poly_st, frames_st)

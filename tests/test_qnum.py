@@ -13,7 +13,9 @@ from hahnpoly.qnum import (
     q_factorial,
     rodrigues_constant,
 )
-from hahnpoly.verify import _hahn_number as hahn_number
+from hahnpoly.verify import FRAME_Q_VALUES
+import reference_kernels as ref
+from reference_kernels import _hahn_number as hahn_number
 
 Q_TEST_SET = [F(1), F(2), F(1, 2), F(3, 5), F(-2), F(-1, 3)]
 
@@ -88,6 +90,46 @@ class TestFactorialBinomial:
             for n in range(2, 16):
                 for k in range(1, n):
                     assert q_binomial(n, k, q) == q_binomial(n - 1, k - 1, q) + q**k * q_binomial(n - 1, k, q)
+
+
+# the frame q values, values away from them with taller r and s, q = 0, and q = -1,
+# where [2]_q = 0 and a factorial of degree 2 or more in the denominator must still raise
+ORACLE_Q = FRAME_Q_VALUES + [F(5, 2), F(-3), F(2, 3), F(0), F(-1)]
+
+
+def outcome(fn, *args):
+    """The value fn(*args) with its type, or the type of the error it raises."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return "raises", type(exc)
+    return type(value), value
+
+
+class TestIntegerRoutesMatchDefinitions:
+    """The one-Fraction q-numbers against the Fraction definitions in reference_kernels."""
+
+    @pytest.mark.parametrize("q", ORACLE_Q, ids=str)
+    def test_bracket(self, q):
+        for n in range(-8, 41):
+            assert outcome(q_bracket, n, q) == outcome(ref.q_bracket, n, q), n
+
+    @pytest.mark.parametrize("q", ORACLE_Q, ids=str)
+    def test_factorial(self, q):
+        for n in range(-8, 41):
+            assert outcome(q_factorial, n, q) == outcome(ref.q_factorial, n, q), n
+
+    @pytest.mark.parametrize("q", ORACLE_Q, ids=str)
+    def test_binomial(self, q):
+        for n in range(-8, 41):
+            for k in range(-2, max(n, 0) + 3):
+                assert outcome(q_binomial, n, k, q) == outcome(ref.q_binomial, n, k, q), (n, k)
+
+    @pytest.mark.parametrize("q", [3, "3/7", "-2", 1.5], ids=str)
+    def test_coerces_q_like_the_definitions(self, q):
+        # int and 'p/q' strings are read as rationals; a float is a TypeError
+        for fn, args in ((q_bracket, (5,)), (q_factorial, (4,)), (q_binomial, (6, 2))):
+            assert outcome(fn, *args, q) == outcome(getattr(ref, fn.__name__), *args, q)
 
 
 class TestHahnNumber:
