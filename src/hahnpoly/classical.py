@@ -19,13 +19,14 @@ from .qnum import (
     PearsonPair,
     PearsonSequences,
     ScalarLike,
+    _ints,
     as_scalar,
     d_n,
     e_n,
     pearson_sequences,
     q_bracket,
 )
-from .poly import Poly, _fracs, _y_node_ints, op_D, op_D_star, op_iter, phi_poly, psi_poly, to_y_basis
+from .poly import Poly, _fracs, _iterates, _y_node_ints, op_D, op_D_star, phi_poly, psi_poly, to_y_basis
 from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
@@ -92,12 +93,12 @@ def _scan(pear: PearsonPair, frame: HahnFrame, depth: int) -> tuple[RegularityRe
         if _phi_root(s, n) == 0:
             phi_failure = n
             break
-    # earliest of the two failures wins; ties go to the d-condition
+    # the phi scan stops before d_failure, so a phi failure is always the earlier one
     failure = None
-    if d_failure is not None and (phi_failure is None or d_failure <= phi_failure):
-        failure = (d_failure, D_ZERO)
-    elif phi_failure is not None:
+    if phi_failure is not None:
         failure = (phi_failure, PHI_ROOT)
+    elif d_failure is not None:
+        failure = (d_failure, D_ZERO)
     report = RegularityReport(
         admissible=d_failure is None,
         first_admissibility_failure=d_failure,
@@ -206,7 +207,7 @@ class RecurrenceTable:
         Each row is one integer vector over one denominator, P_n = C_n / D_n,
         as _chebyshev_rows builds it, so D_n is the least common denominator of P_n.
         """
-        rows = _chebyshev_rows(self, self.depth + 1, ([1], 1), -1, None)
+        rows = _chebyshev_rows(self, self.depth + 1, None)
         return tuple(Poly._trusted(_fracs(row, [den] * len(row))) for row, den in rows)
 
     def to_json_dict(self) -> dict:
@@ -245,7 +246,7 @@ def derivative_sequence(table: RecurrenceTable, frame: HahnFrame, k: int) -> lis
         raise ValueError("derivative_sequence needs k >= 0")
     out = []
     for n in range(len(table.polys) - k):
-        p = op_iter(op_D, table.polys[n + k], frame, k)
+        p = _iterates(op_D, table.polys[n + k], k, frame)[-1]
         norm = Fraction(1)
         for j in range(1, k + 1):
             norm *= q_bracket(n + j, frame.q)
@@ -291,22 +292,22 @@ def gram_matrix(u: MomentFunctional, polys: Sequence[Poly], depth: int) -> list[
 def _chebyshev_rows(
     table: RecurrenceTable,
     depth: int,
-    first: tuple[list[int], int],
-    shift: int,
     frame: Optional[HahnFrame],
+    moments: Sequence[Fraction] = (),
 ) -> list[tuple[list[int], int]]:
     """Rows r_0..r_depth of r_k[l] = r_{k-1}[l+shift] + (t_l - beta_{k-1}) r_{k-1}[l] - gamma_{k-1} r_{k-2}[l].
 
     This is P_k = (x - beta_{k-1}) P_{k-1} - gamma_{k-1} P_{k-2} in the Y basis,
-    where x Y_l = Y_{l+1} + t_l Y_l. From r_0 = [1] and shift = -1, row k holds
-    the Y coefficients of P_k; from r_0 = the moments and shift = +1, it holds
-    the mixed moments sigma_{k,l} = <u, P_k Y_l>, l <= len(r_0) - 1 - k: the
-    modified Chebyshev algorithm (Gautschi 2004; Wheeler 1974) with the Y basis
-    as auxiliary family.
+    where x Y_l = Y_{l+1} + t_l Y_l. Without moments, r_0 = [1] and shift = -1, so
+    row k holds the Y coefficients of P_k; with them, r_0 = the moments and
+    shift = +1, so row k holds the mixed moments sigma_{k,l} = <u, P_k Y_l>,
+    l <= len(moments) - 1 - k: the modified Chebyshev algorithm (Gautschi 2004;
+    Wheeler 1974) with the Y basis as auxiliary family.
     The nodes t_l are those of _y_node_ints(frame), or all 0 (the monomials) at
     frame None. Each row is an integer vector over one denominator: the three
     terms are brought over the lcm of theirs, and the new row is divided by its content.
     """
+    first, shift = (_ints(moments), 1) if moments else (([1], 1), -1)
     count = max(len(first[0]) - 1, depth + 1)  # the nodes the longest row after r_0 reads
     nodes, t = ([0] * count, 1) if frame is None else _y_node_ints(frame, count)
     prev, prev_d = [], 1
@@ -340,34 +341,25 @@ class Preset:
     description: str
 
 
-def _preset(name, a, b, c, d, e, q, omega, description) -> Preset:
-    return Preset(
-        name,
-        PearsonPair(Fraction(a), Fraction(b), Fraction(c), Fraction(d), Fraction(e)),
-        HahnFrame(Fraction(q), Fraction(omega)),
-        description,
-    )
-
-
 # Rational-parameter catalog. The recurrence values quoted in tests are all
 # derived by running this engine and confirmed against the Gram oracle.
 PRESETS: dict[str, Preset] = {
     p.name: p
     for p in [
-        _preset(
-            "charlier", 0, 1, 0, -1, Fraction(1, 2), 1, 1,
+        Preset(
+            "charlier", PearsonPair(0, 1, 0, -1, Fraction(1, 2)), HahnFrame(1, 1),
             "q=1, omega=1, phi=x, psi=1/2-x; forward-difference lattice, beta_n=n+1/2, gamma_{n+1}=(n+1)/2",
         ),
-        _preset(
-            "meixner", 0, 1, 2, -1, Fraction(1, 3), 1, 1,
+        Preset(
+            "meixner", PearsonPair(0, 1, 2, -1, Fraction(1, 3)), HahnFrame(1, 1),
             "q=1, omega=1, phi=x+2, psi=1/3-x; degree-one phi with nonzero constant term",
         ),
-        _preset(
-            "al-salam-carlitz", 1, -3, 2, -4, 1, Fraction(1, 2), 0,
+        Preset(
+            "al-salam-carlitz", PearsonPair(1, -3, 2, -4, 1), HahnFrame(Fraction(1, 2), 0),
             "q=1/2, omega=0, phi=(x-1)(x-2), psi=-4x+1; quadratic phi on the q-lattice",
         ),
-        _preset(
-            "little-q-laguerre", 0, 1, 0, -1, Fraction(1, 2), Fraction(1, 2), 0,
+        Preset(
+            "little-q-laguerre", PearsonPair(0, 1, 0, -1, Fraction(1, 2)), HahnFrame(Fraction(1, 2), 0),
             "q=1/2, omega=0, phi=x, psi=1/2-x; degree-one phi on the q-lattice",
         ),
     ]

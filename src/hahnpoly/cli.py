@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 invalid input, 2 classification negative
 (admissibility/regularity failure), 3 verification mismatch, 141 stdout
 closed by its reader before the output was written (128 + SIGPIPE).
 Rationals are always rendered as strings like "3/7", never floats.
+`verify --suite` takes a name from verify.SUITES, or `all` for each of them in
+that order; a check passes exactly when its detail is empty.
 `verify --fuzz-moment` and `verify --y0` are read only by the gram suite:
 with a --suite that does not run it (`all` does), they are invalid input.
 Each command builds only the format it prints: csv and human never build the
@@ -23,7 +25,7 @@ from fractions import Fraction
 from .qnum import AdmissibilityError, HahnFrame, PearsonPair
 from .functional import DEFAULT_DEPTH, solve_moments
 from .classical import PRESETS, RecurrenceTable, RegularityError, check_regular, get_preset, recurrence
-from .verify import SuiteArgumentError, run_suites
+from .verify import SUITES, SuiteArgumentError, run_suites
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -196,7 +198,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = ["gram", "rodrigues", "norms", "identities"] if args.suite == "all" else [args.suite]
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
     pear = frame = None
     pair_flags = any(getattr(args, f) is not None for f in ("a", "b", "c", "d", "e"))
     frame_flags = args.q is not None or args.omega is not None
@@ -306,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("verify", parents=pair_flags, help="run exact verification suites")
-    p.add_argument("--suite", choices=["gram", "rodrigues", "norms", "identities", "all"],
-                   default="all")
+    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
     p.add_argument("--test-degree", type=int, default=8)
     p.add_argument("--fuzz-moment", type=int,
                    help="corrupt moment y_k before the gram suite (expected to fail)")

@@ -16,7 +16,7 @@ from .qnum import (
     AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar, pearson_sequences,
     rodrigues_constant,
 )
-from .poly import Poly, _fracs, _powers, _y_node_ints, phi_poly, psi_poly, to_y_basis
+from .poly import Poly, _fracs, _iterates, _powers, _y_node_ints, phi_poly, psi_poly, to_y_basis
 
 DEFAULT_DEPTH = 24
 
@@ -244,12 +244,6 @@ def dist_L_star(u: MomentFunctional) -> MomentFunctional:
     ))
 
 
-def dist_iter(op, u: MomentFunctional, n: int) -> MomentFunctional:
-    for _ in range(n):
-        u = op(u)
-    return u
-
-
 def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list[Fraction]:
     """Entry n is <D(phi u) - psi u, Y_n>, for 0 <= n <= depth; it reads y_0..y_{depth+1}.
 
@@ -285,10 +279,7 @@ def derived_functional(pear: PearsonPair, u: MomentFunctional, k: int) -> Moment
     if k < 0:
         raise ValueError("derived_functional needs k >= 0")
     phi = phi_poly(pear)
-    out = u
-    for _ in range(k):
-        out = dist_L(left_multiply(phi, out))
-    return out
+    return _iterates(lambda v: dist_L(left_multiply(phi, v)), u, k)[-1]
 
 
 def rodrigues_rhs(pear: PearsonPair, u: MomentFunctional, n: int) -> MomentFunctional:
@@ -298,4 +289,4 @@ def rodrigues_rhs(pear: PearsonPair, u: MomentFunctional, n: int) -> MomentFunct
 
 def _rhs(pear: PearsonPair, derived: MomentFunctional, n: int) -> MomentFunctional:
     """k_n (D*)^n derived, for derived the n-th derived functional of u; k_n and D* are in derived.frame."""
-    return dist_iter(dist_D_star, derived, n).scale(rodrigues_constant(pear, derived.frame, n))
+    return _iterates(dist_D_star, derived, n)[-1].scale(rodrigues_constant(pear, derived.frame, n))

@@ -226,10 +226,9 @@ def op_D_star(f: Poly, frame: HahnFrame) -> Poly:
     return op_D(f, frame.reciprocal())
 
 
-def op_iter(op, f: Poly, frame: HahnFrame, n: int) -> Poly:
-    for _ in range(n):
-        f = op(f, frame)
-    return f
+def _iterates(op, x, n: int, *args) -> list:
+    """[x, op(x, *args), ..., op^n(x, *args)]; the n-th iterate is [-1]."""
+    return list(accumulate(range(n), lambda acc, _: op(acc, *args), initial=x))
 
 
 def _y_node_ints(frame: HahnFrame, n: int) -> tuple[list[int], int]:

@@ -21,9 +21,9 @@ from .qnum import HahnFrame, PearsonPair, _ints, d_n, e_n, q_binomial, q_bracket
 from .poly import (
     Poly,
     _fracs,
+    _iterates,
     op_D,
     op_D_star,
-    op_iter,
     op_L,
     op_L_star,
     phi_poly,
@@ -37,7 +37,6 @@ from .functional import (
     derived_functional,
     dist_D,
     dist_D_star,
-    dist_iter,
     dist_L,
     dist_L_star,
     left_multiply,
@@ -61,6 +60,8 @@ FRAME_Q_VALUES = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5), Frac
 FRAME_OMEGA_VALUES = [Fraction(0), Fraction(1), Fraction(-1, 3)]
 # the Gram suite's Pearson residual reaches Y-degree 20
 RESIDUAL_DEPTH = 20
+# the suites `verify --suite all` runs, in the order its JSON lists them
+SUITES = ("gram", "rodrigues", "norms", "identities")
 
 
 class SuiteArgumentError(ValueError):
@@ -69,9 +70,14 @@ class SuiteArgumentError(ValueError):
 
 @dataclass
 class Check:
+    """One named identity; detail says where it broke, and is empty exactly when it held."""
+
     name: str
-    passed: bool
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return not self.detail
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
@@ -125,11 +131,6 @@ def _op_D_monomial(f: Poly, frame: HahnFrame) -> Poly:
     return Poly._trusted(_fracs(out, [cd * wd ** (deg - 1) * s**m for m in range(deg)]))
 
 
-def _iterates(op, x, n: int) -> list:
-    """[x, op(x), ..., op^n(x)]."""
-    return list(itertools.accumulate(range(n), lambda acc, _: op(acc), initial=x))
-
-
 def _leibniz(product, h: Poly, frame: HahnFrame, iterates: list):
     """The q-Leibniz sum for D^n(h g): sum_j [n choose j]_q product(L^j D^{n-j} h, D^j g).
 
@@ -137,8 +138,8 @@ def _leibniz(product, h: Poly, frame: HahnFrame, iterates: list):
     or a functional with product left_multiply.
     """
     n = len(iterates) - 1
-    dh = _iterates(lambda p: op_D(p, frame), h, n)
-    terms = (product(op_iter(op_L, dh[n - j], frame, j), g_j).scale(q_binomial(n, j, frame.q))
+    dh = _iterates(op_D, h, n, frame)
+    terms = (product(_iterates(op_L, dh[n - j], j, frame)[-1], g_j).scale(q_binomial(n, j, frame.q))
              for j, g_j in enumerate(iterates))
     return functools.reduce(operator.add, terms)
 
@@ -177,11 +178,11 @@ def identities_suite(
         record("P2_L_star_L_identity", op_L_star(lf, fr) == f and op_L(sf, fr) == f, detail)
         n = rng.randint(0, 8)
         record("P1_iterated_L_substitution",
-               op_iter(op_L, f, fr, n)
+               _iterates(op_L, f, n, fr)[-1]
                == f.compose_affine(q**n, fr.omega * q_bracket(n, q)), detail)
         m = rng.randint(1, 4)
         record("P1_negative_powers",
-               op_iter(op_L_star, f, fr, m)
+               _iterates(op_L_star, f, m, fr)[-1]
                == f.compose_affine(q**-m, fr.omega * q_bracket(-m, q)), detail)
         record("P3_D_star_D_commutation",
                op_D_star(df, fr) == op_D(op_D_star(f, fr), fr).scale(q), detail)
@@ -192,8 +193,8 @@ def identities_suite(
         record("P5_product_rule", op_D(fg, fr) == df * lg + f * op_D(g, fr), detail)
         k = rng.randint(0, 4)
         record("leibniz_polynomial",
-               _leibniz(operator.mul, f, fr, _iterates(lambda p: op_D(p, fr), g, k))
-               == op_iter(op_D, fg, fr, k), detail)
+               _leibniz(operator.mul, f, fr, _iterates(op_D, g, k, fr))
+               == _iterates(op_D, fg, k, fr)[-1], detail)
         record("D_division_vs_monomial", df == _op_D_monomial(f, fr), detail)
         nb = rng.randint(0, 12)
         record("D_y_basis_diagonal",
@@ -215,13 +216,13 @@ def identities_suite(
                dhu.agrees_with(left_multiply(dh, lu) + left_multiply(h, du))
                and dhu.agrees_with(left_multiply(dh, u) + left_multiply(lh, du)), detail)
         nl = rng.randint(0, 3)
-        lhs = dist_iter(dist_D, hu, nl)
+        lhs = _iterates(dist_D, hu, nl)[-1]
         rhs = _leibniz(left_multiply, h, fr, _iterates(dist_D, u, nl))
         record("leibniz_functional",
                all(lhs.moments[mm] == rhs.moments[mm]
                    for mm in range(min(7, lhs.max_degree, rhs.max_degree) + 1)), detail)
 
-    return [Check(name, name not in fails, fails.get(name, "")) for name in counts]
+    return [Check(name, fails.get(name, "")) for name in counts]
 
 
 def gram_suite(
@@ -257,17 +258,15 @@ def gram_suite(
     residual = pearson_residual(pear, u, RESIDUAL_DEPTH)
     bad = [i for i, r in enumerate(residual) if r != 0]
     checks.append(Check(
-        "pearson_residual_zero",
-        not bad,
-        "" if not bad else f"nonzero residual at Y-degrees {bad[:4]} (cell {bad[0]})",
+        "pearson_residual_zero", f"nonzero residual at Y-degrees {bad[:4]} (cell {bad[0]})" if bad else ""
     ))
     table = recurrence(pear, frame, depth, y0)
-    sigma = _chebyshev_rows(table, depth, _ints(u.moments[: 2 * depth + 1]), 1, frame)
+    sigma = _chebyshev_rows(table, depth, frame, u.moments[: 2 * depth + 1])
     if not any(any(row[:k]) for k, (row, _) in enumerate(sigma)):
         off = []
         diagonal = [Fraction(row[k], den) for k, (row, den) in enumerate(sigma)]
     else:
-        coeffs = _chebyshev_rows(table, depth, ([1], 1), -1, frame)
+        coeffs = _chebyshev_rows(table, depth, frame)
 
         def gram(lo: int, hi: int) -> int:  # G[lo][hi] = <u, P_lo P_hi> times coeffs[lo][1] sigma[hi][1]
             return sum(map(operator.mul, coeffs[lo][0], sigma[hi][0]))
@@ -275,11 +274,7 @@ def gram_suite(
         cells = ((m, n) for m in range(depth + 1) for n in range(depth + 1) if m != n)
         off = list(itertools.islice((cell for cell in cells if gram(*sorted(cell))), 4))
         diagonal = [Fraction(gram(n, n), coeffs[n][1] * sigma[n][1]) for n in range(depth + 1)]
-    checks.append(Check(
-        "gram_off_diagonal_zero",
-        not off,
-        "" if not off else f"nonzero off-diagonal cells {off[:4]}",
-    ))
+    checks.append(Check("gram_off_diagonal_zero", f"nonzero off-diagonal cells {off[:4]}" if off else ""))
     # gamma[0] holds y0, so G[n][n] should be gamma_0 gamma_1 ... gamma_n with no factor 0
     detail = ""
     expected = Fraction(1)
@@ -288,7 +283,7 @@ def gram_suite(
         if diagonal[nn] != expected or gamma == 0:
             detail = f"diagonal mismatch at n={nn}"
             break
-    checks.append(Check("gram_diagonal_product_of_gammas", not detail, detail))
+    checks.append(Check("gram_diagonal_product_of_gammas", detail))
     return checks
 
 
@@ -320,7 +315,7 @@ def rodrigues_suite(
     depth = moment_depth_for(pear, n_max, test_degree)  # nondecreasing in n
     u = solve_moments(pear, frame, 1, depth + 2 * n_max + 2)
     table = recurrence(pear, frame, n_max, require_regular=require_regular)
-    sigma = _chebyshev_rows(table, n_max, _ints(u.moments), 1, frame)
+    sigma = _chebyshev_rows(table, n_max, frame, u.moments)
     phi = phi_poly(pear)
     iterated = shifted = u
     product = Poly([1])
@@ -345,7 +340,7 @@ def rodrigues_suite(
         split = _first_difference(closed.moments, iterated.moments)
         if split is not None:
             problems.append(f"derived-functional routes disagree at Y-degree {split}")
-        checks.append(Check(f"rodrigues_n{n}", not problems, "; ".join(problems)))
+        checks.append(Check(f"rodrigues_n{n}", "; ".join(problems)))
     return checks
 
 
@@ -403,17 +398,15 @@ def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
                     if max(n, m) < 6:
                         fails["norm_relation_k_le_3"] = f"norm relation broke at (k,n,m)=({k},{n},{m})"
     for name in ("derivative_orthogonality_k1", "norm_relation_k_le_3"):
-        checks.append(Check(name, name not in fails, fails.get(name, "")))
+        checks.append(Check(name, fails.get(name, "")))
 
     bad = [k for k in range(11) if psi_k(pear, frame, k) != _psi_k_recursive(pear, frame, k)]
-    checks.append(Check("psi_k_closed_form_vs_recursion", not bad,
-                        "" if not bad else f"mismatch at k={bad[0]}"))
+    checks.append(Check("psi_k_closed_form_vs_recursion", f"mismatch at k={bad[0]}" if bad else ""))
 
     bad = [n for n in range(1, 9) if theta2(pear, frame, n) != _theta2_definitional(pear, frame, n)]
-    checks.append(Check("theta2_dual_computation", not bad,
-                        "" if not bad else f"mismatch at n={bad[0]}"))
+    checks.append(Check("theta2_dual_computation", f"mismatch at n={bad[0]}" if bad else ""))
 
-    ok, detail = True, ""
+    detail = ""
     for n in range(7):
         derived_pair = PearsonPair(pear.a, pear.b, pear.c,
                                    d_n(pear, frame, 2 * n), e_n(pear, frame, n))
@@ -421,18 +414,18 @@ def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
         expected = -phi_poly(pear)(-e_n(pear, frame, n) / d_n(pear, frame, 2 * n)) \
             / d_n(pear, frame, 2 * n + 1)
         if got != expected:
-            ok, detail = False, f"gamma_1^[n] mismatch at n={n}"
-    checks.append(Check("gamma1_of_derived_functional", ok, detail))
+            detail = f"gamma_1^[n] mismatch at n={n}"
+    checks.append(Check("gamma1_of_derived_functional", detail))
 
-    ok, detail = True, ""
+    detail = ""
     rng = random.Random(7)
     for n in range(7):
         q_n = Poly.monomial(n) + (random_poly(rng, n - 1) if n >= 1 else Poly())
         r = r_polynomial(pear, frame, q_n)
         want = q ** (1 - n) * d_n(pear, frame, n)
         if r.degree() != n + 1 or r.leading() != want:
-            ok, detail = False, f"R_{{n+1}} leading coefficient wrong at n={n}"
-    checks.append(Check("r_polynomial_leading_coefficient", ok, detail))
+            detail = f"R_{{n+1}} leading coefficient wrong at n={n}"
+    checks.append(Check("r_polynomial_leading_coefficient", detail))
 
     return checks
 
@@ -449,23 +442,20 @@ def run_suites(
 ) -> list[Check]:
     checks = []
     if "identities" in suites:
-        frames = [frame] if frame is not None else None
-        checks += identities_suite(frames=frames)
-    needs_pair = [s for s in ("gram", "rodrigues", "norms") if s in suites]
-    if needs_pair:
-        if pear is None:
-            targets = [(p.pear, p.frame, p.name) for p in classical.PRESETS.values()]
-        else:
-            targets = [(pear, frame, label)]
-        for pp, fr, name in targets:
-            if "gram" in suites:
-                for c in gram_suite(pp, fr, depth, y0, fuzz_moment):
-                    checks.append(Check(f"{name}:{c.name}", c.passed, c.detail))
-            if "rodrigues" in suites:
-                # the Rodrigues formula holds without regularity; only admissibility is needed
-                for c in rodrigues_suite(pp, fr, min(5, depth), test_degree, require_regular=False):
-                    checks.append(Check(f"{name}:{c.name}", c.passed, c.detail))
-            if "norms" in suites:
-                for c in norms_suite(pp, fr):
-                    checks.append(Check(f"{name}:{c.name}", c.passed, c.detail))
+        checks += identities_suite(frames=[frame] if frame is not None else None)
+    # the suites run once per (pair, frame) target, in this order
+    runners = {
+        "gram": lambda pp, fr: gram_suite(pp, fr, depth, y0, fuzz_moment),
+        # the Rodrigues formula holds without regularity; only admissibility is needed
+        "rodrigues": lambda pp, fr: rodrigues_suite(pp, fr, min(5, depth), test_degree, require_regular=False),
+        "norms": norms_suite,
+    }
+    chosen = [run for suite, run in runners.items() if suite in suites]
+    if pear is None:
+        targets = [(p.pear, p.frame, p.name) for p in classical.PRESETS.values()]
+    else:
+        targets = [(pear, frame, label)]
+    for pp, fr, name in targets:
+        for run in chosen:
+            checks += [Check(f"{name}:{c.name}", c.detail) for c in run(pp, fr)]
     return checks

@@ -322,30 +322,22 @@ def gram_suite(
     residual = pearson_residual(pear, u, RESIDUAL_DEPTH)
     bad = [i for i, r in enumerate(residual) if r != 0]
     checks.append(Check(
-        "pearson_residual_zero",
-        not bad,
-        "" if not bad else f"nonzero residual at Y-degrees {bad[:4]} (cell {bad[0]})",
+        "pearson_residual_zero", f"nonzero residual at Y-degrees {bad[:4]} (cell {bad[0]})" if bad else ""
     ))
     table = classical.recurrence(pear, frame, depth, y0)
     gram = classical.gram_matrix(u, table.polys, depth)
     off = [(m, n) for m in range(depth + 1) for n in range(depth + 1)
            if m != n and gram[m][n] != 0]
-    checks.append(Check(
-        "gram_off_diagonal_zero",
-        not off,
-        "" if not off else f"nonzero off-diagonal cells {off[:4]}",
-    ))
-    diag_ok = True
+    checks.append(Check("gram_off_diagonal_zero", f"nonzero off-diagonal cells {off[:4]}" if off else ""))
     detail = ""
     expected = y0
     for nn in range(depth + 1):
         if nn:
             expected *= table.gamma[nn]
         if gram[nn][nn] != expected or table.gamma[nn] == 0:
-            diag_ok = False
             detail = f"diagonal mismatch at n={nn}"
             break
-    checks.append(Check("gram_diagonal_product_of_gammas", diag_ok, detail))
+    checks.append(Check("gram_diagonal_product_of_gammas", detail))
     return checks
 
 

@@ -19,7 +19,7 @@ from hahnpoly.classical import (
     theta2,
 )
 from hahnpoly.functional import pair, solve_moments
-from hahnpoly.poly import Poly, op_D, op_iter
+from hahnpoly.poly import Poly, _iterates, op_D
 from hahnpoly.qnum import HahnFrame, PearsonPair, d_n, e_n, q_bracket
 from hahnpoly import verify
 from hahnpoly.verify import _psi_k_recursive, _theta2_definitional
@@ -190,7 +190,7 @@ class TestDerivativeSequence:
         seq = derivative_sequence(table, preset.frame, 2)
         q = preset.frame.q
         norm = q_bracket(3, q) * q_bracket(4, q)
-        assert seq[2] == op_iter(op_D, table.polys[4], preset.frame, 2).scale(1 / norm)
+        assert seq[2] == _iterates(op_D, table.polys[4], 2, preset.frame)[-1].scale(1 / norm)
 
 
 # P_n^[k] + 1 in place of P_n^[k] in the norms suite: the k = 1 rows with n or m = 6
@@ -296,3 +296,29 @@ class TestPresets:
     def test_all_presets_regular_to_15(self):
         for preset in PRESETS.values():
             assert check_regular(preset.pear, preset.frame, 15).regular
+
+
+def _lqa(n):  # little q-Laguerre, base Q = 2, a = 2/3: A_n = Q^n (1 - a Q^(n+1))
+    return 2**n * (1 - F(2, 3) * 2 ** (n + 1))
+
+
+def _lqc(n):  # C_n = a Q^n (1 - Q^n)
+    return F(2, 3) * 2**n * (1 - 2**n)
+
+
+# beta_n and gamma_n (n >= 1) of the presets that are classical families; al-salam-carlitz is none
+PRESET_FAMILIES = {
+    "charlier": (lambda n: n + F(1, 2), lambda n: F(n, 2)),  # Charlier, mu = 1/2
+    "meixner": (lambda n: n + F(1, 3), lambda n: F(7 * n, 3)),  # Charlier, mu = 7/3, shifted by -2
+    # little q-Laguerre, scaled by -3/2: beta_n = -(3/2)(A_n + C_n), gamma_n = (9/4) A_{n-1} C_n
+    "little-q-laguerre": (lambda n: -F(3, 2) * (_lqa(n) + _lqc(n)), lambda n: F(9, 4) * _lqa(n - 1) * _lqc(n)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_FAMILIES))
+def test_preset_recurrence_is_its_family(name):
+    beta, gamma = PRESET_FAMILIES[name]
+    preset = get_preset(name)
+    table = recurrence(preset.pear, preset.frame, 40)
+    assert list(table.beta) == [beta(n) for n in range(41)]
+    assert list(table.gamma[1:]) == [gamma(n) for n in range(1, 41)]

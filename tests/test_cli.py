@@ -237,6 +237,38 @@ class TestMoments:
         assert json.loads(err)["index"] == 2
 
 
+class TestCheckRecord:
+    def test_passed_reads_the_detail(self):
+        assert verify.Check("x", "broke at n=1").passed is False
+        assert verify.Check("x").passed is True
+
+    def test_passed_is_read_only(self):
+        with pytest.raises(AttributeError):
+            verify.Check("x").passed = False
+
+    def test_json_keeps_passed(self):
+        assert verify.Check("x", "broke at n=1").to_json_dict() == {
+            "name": "x", "passed": False, "detail": "broke at n=1"
+        }
+
+
+class TestSuiteList:
+    def test_suite_choices(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command").choices["verify"]
+        assert next(a for a in sub._actions if a.dest == "suite").choices == [*verify.SUITES, "all"]
+
+    def test_suite_all_lists_every_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--preset", "charlier", "--suite", "all", "--n", "2")
+        assert code == EXIT_OK
+        assert json.loads(out)["suites"] == list(verify.SUITES)
+
+    def test_every_listed_suite_runs(self):
+        preset = hahnpoly.get_preset("charlier")
+        for suite in verify.SUITES:
+            checks = verify.run_suites(preset.pear, preset.frame, [suite], depth=4)
+            assert checks and all(c.passed for c in checks), suite
+
+
 class TestVerify:
     def test_gram_suite_preset(self, capsys):
         code, out, _ = run(

@@ -9,7 +9,6 @@ from hahnpoly.functional import (
     derived_functional,
     dist_D,
     dist_D_star,
-    dist_iter,
     dist_L,
     dist_L_star,
     left_multiply,
@@ -17,10 +16,10 @@ from hahnpoly.functional import (
     pearson_residual,
     solve_moments,
 )
-from hahnpoly.poly import Poly, op_D, op_L, y_basis
+from hahnpoly.poly import Poly, _iterates, op_D, op_L, y_basis
 from hahnpoly.classical import PRESETS
 from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, d_n
-from hahnpoly.verify import _iterates, _leibniz, default_frames
+from hahnpoly.verify import _leibniz, default_frames
 from reference_kernels import phi_product
 
 CHARLIER = PearsonPair(F(0), F(1), F(0), F(-1), F(1, 2))
@@ -181,7 +180,7 @@ class TestDistributionalOperators:
            st.integers(min_value=0, max_value=3))
     def test_functional_leibniz(self, frame, values, f, n):
         u = functional_of(frame, values)
-        lhs = dist_iter(dist_D, left_multiply(f, u), n)
+        lhs = _iterates(dist_D, left_multiply(f, u), n)[-1]
         rhs = _leibniz(left_multiply, f, frame, _iterates(dist_D, u, n))
         top = min(6, lhs.max_degree, rhs.max_degree)
         assert lhs.moments[: top + 1] == rhs.moments[: top + 1]
@@ -266,7 +265,7 @@ class TestDerivedFunctional:
         frame = HahnFrame(F(1, 2), F(0))
         u = solve_moments(pear, frame, 1, 20)
         iterated = derived_functional(pear, u, 2)
-        closed = left_multiply(phi_product(pear, frame, 2), dist_iter(dist_L, u, 2))
+        closed = left_multiply(phi_product(pear, frame, 2), _iterates(dist_L, u, 2)[-1])
         assert iterated.agrees_with(closed)
 
 

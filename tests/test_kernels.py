@@ -18,7 +18,7 @@ import reference_kernels as ref
 from hahnpoly import classical, functional
 from hahnpoly.classical import PRESETS, RecurrenceTable, check_regular, recurrence
 from hahnpoly.functional import InsufficientMomentsError, MomentFunctional, solve_moments
-from hahnpoly.poly import Poly, _ints, _y_node_ints, op_D, op_D_star, op_L, op_L_star, to_y_basis, y_basis
+from hahnpoly.poly import Poly, _y_node_ints, op_D, op_D_star, op_L, op_L_star, to_y_basis, y_basis
 from hahnpoly.qnum import HahnFrame, PearsonPair, q_bracket
 from hahnpoly.verify import SuiteArgumentError, default_frames, gram_suite
 
@@ -37,8 +37,7 @@ def frame_id(frame):
 
 def sigma_rows(u, table, depth):
     """The mixed moments sigma_{k,l} = <u, P_k Y_l>, l <= 2 depth - k, as Fractions of the integer rows."""
-    first = _ints(u.moments[: 2 * depth + 1])
-    rows = classical._chebyshev_rows(table, depth, first, 1, u.frame)
+    rows = classical._chebyshev_rows(table, depth, u.frame, u.moments[: 2 * depth + 1])
     return [[F(s, den) for s in row] for row, den in rows]
 
 
@@ -203,7 +202,7 @@ def _preset_gram_inputs(name, depth):
 def test_chebyshev_rows_on_presets(name):
     # sigma rows and Y-coefficient rows, as Fractions, against the oracles to depth 40
     frame, table, u = _preset_gram_inputs(name, 40)
-    coeffs = classical._chebyshev_rows(table, 40, ([1], 1), -1, frame)
+    coeffs = classical._chebyshev_rows(table, 40, frame)
     assert [[F(c, den) for c in row] for row, den in coeffs] == [
         ref.to_y_basis(p, frame) for p in table.polys[:41]
     ]

@@ -6,16 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from hahnpoly.poly import (
     Poly,
+    _iterates,
     op_D,
     op_D_star,
-    op_iter,
     op_L,
     op_L_star,
     to_y_basis,
     y_basis,
 )
 from hahnpoly.qnum import HahnFrame, q_bracket
-from hahnpoly.verify import FRAME_OMEGA_VALUES, _iterates, _leibniz, _op_D_monomial as op_D_monomial, default_frames
+from hahnpoly.verify import FRAME_OMEGA_VALUES, _leibniz, _op_D_monomial as op_D_monomial, default_frames
 from reference_kernels import _hahn_number as hahn_number, from_y_basis, poly_divmod
 
 FRAMES = [
@@ -111,13 +111,18 @@ class TestSubstitution:
     @given(poly_st, frames_st, st.integers(min_value=0, max_value=8))
     def test_iterated_L_substitution(self, f, frame, n):
         expected = f.compose_affine(frame.q**n, frame.omega * q_bracket(n, frame.q))
-        assert op_iter(op_L, f, frame, n) == expected
+        assert _iterates(op_L, f, n, frame)[-1] == expected
 
     @settings(deadline=None)
     @given(poly_st, frames_st, st.integers(min_value=1, max_value=5))
     def test_iterated_L_star_is_negative_power(self, f, frame, n):
         expected = f.compose_affine(frame.q**-n, frame.omega * q_bracket(-n, frame.q))
-        assert op_iter(op_L_star, f, frame, n) == expected
+        assert _iterates(op_L_star, f, n, frame)[-1] == expected
+
+    def test_iterates_lists_every_power(self):
+        frame, f = HahnFrame(F(2), F(1)), Poly([1, 2, 3])
+        assert _iterates(op_L, f, 0, frame) == [f]
+        assert _iterates(op_L, f, 2, frame) == [f, op_L(f, frame), op_L(op_L(f, frame), frame)]
 
 
 class TestDividedDifference:
@@ -227,7 +232,7 @@ class TestYBasis:
 
 def leibniz_expand(f, g, frame, n):
     """D^n(fg) by the q-Leibniz sum of hahnpoly.verify."""
-    return _leibniz(mul, f, frame, _iterates(lambda p: op_D(p, frame), g, n))
+    return _leibniz(mul, f, frame, _iterates(op_D, g, n, frame))
 
 
 class TestLeibniz:
@@ -248,4 +253,4 @@ class TestLeibniz:
         st.integers(min_value=0, max_value=4),
     )
     def test_matches_iterated_operator(self, f, g, frame, n):
-        assert leibniz_expand(f, g, frame, n) == op_iter(op_D, f * g, frame, n)
+        assert leibniz_expand(f, g, frame, n) == _iterates(op_D, f * g, n, frame)[-1]

@@ -8,13 +8,12 @@ from hahnpoly.functional import (
     InsufficientMomentsError,
     MomentFunctional,
     _rhs,
-    dist_iter,
     dist_L,
     left_multiply,
     rodrigues_rhs,
     solve_moments,
 )
-from hahnpoly.poly import Poly, op_L
+from hahnpoly.poly import Poly, _iterates, op_L
 from hahnpoly.qnum import HahnFrame, PearsonPair, rodrigues_constant
 from hahnpoly import verify
 from hahnpoly.verify import SuiteArgumentError, moment_depth_for
@@ -191,7 +190,7 @@ def _route_pair(rng):
 
 def _closed_form_rhs(pear, frame, u, n):
     """k_n (D*)^n of Phi(.; n) L^n u, the closed form of u^[n]."""
-    return _rhs(pear, left_multiply(phi_product(pear, frame, n), dist_iter(dist_L, u, n)), n)
+    return _rhs(pear, left_multiply(phi_product(pear, frame, n), _iterates(dist_L, u, n)[-1]), n)
 
 
 def _route_outcome(fn, *args):
