@@ -26,7 +26,7 @@ from .qnum import (
     pearson_sequences,
     q_bracket,
 )
-from .poly import Poly, _fracs, _iterates, _y_node_ints, op_D, op_D_star, phi_poly, psi_poly, to_y_basis
+from .poly import Poly, _iterates, _y_node_ints, op_D, op_D_star, phi_poly, psi_poly, to_y_basis
 from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
@@ -208,7 +208,7 @@ class RecurrenceTable:
         as _chebyshev_rows builds it, so D_n is the least common denominator of P_n.
         """
         rows = _chebyshev_rows(self, self.depth + 1, None)
-        return tuple(Poly._trusted(_fracs(row, [den] * len(row))) for row, den in rows)
+        return tuple(Poly._from_ints(row, den) for row, den in rows)
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,6 +8,7 @@ Rationals are always rendered as strings like "3/7", never floats.
 that order; a check passes exactly when its detail is empty.
 `verify --fuzz-moment` and `verify --y0` are read only by the gram suite:
 with a --suite that does not run it (`all` does), they are invalid input.
+`classify` reads no moment table, so `classify --y0` is invalid input too.
 Each command builds only the format it prints: csv and human never build the
 JSON payload, so `recurrence --format csv` never expands a P_n, and
 `--format human` expands only the P_0..P_4 it prints.
@@ -121,6 +122,8 @@ def _emit(fmt: str, payload, human_lines, csv_rows):
 def cmd_classify(args) -> int:
     pear, frame = _resolve_pair(args)
     depth = _depth(args, 12)
+    if args.y0 is not None:
+        raise InputError("--y0: classify reads no moment table; recurrence, moments and verify --suite gram do")
     report = check_regular(pear, frame, depth)
 
     def human():

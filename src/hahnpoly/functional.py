@@ -170,9 +170,8 @@ def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
             f"left_multiply by degree {f.degree()} exhausts a table of degree {u.max_degree}"
         )
     y, den = _ints(u.moments)
-    cs, cd = _ints(f.coeffs)
-    out, power = _horner(cs, y, *_y_node_ints(u.frame, u.max_degree))
-    return MomentFunctional._trusted(u.frame, tuple(_fracs(out, [den * cd * power] * len(out))))
+    out, power = _horner(f.nums, y, *_y_node_ints(u.frame, u.max_degree))
+    return MomentFunctional._trusted(u.frame, tuple(_fracs(out, [den * f.den * power] * len(out))))
 
 
 def _dual_D(v: MomentFunctional, factor: Fraction) -> MomentFunctional:

@@ -1,15 +1,19 @@
 """Dense exact polynomials and the Hahn operator calculus on them.
 
-Coefficients are stored lowest degree first, trailing zeros stripped; the
-zero polynomial stores nothing and reports ``degree() is None``.
+A Poly is stored as integer numerators over one denominator: coefficient k,
+lowest degree first, is nums[k] / den, with den > 0, gcd(den, *nums) == 1 and
+no trailing zero, so equal polynomials have equal (nums, den). The zero
+polynomial is ((), 1) and reports ``degree() is None``. The kernels read and
+return that form; ``coeffs`` builds the reduced Fractions on read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
+from math import gcd
 from operator import mul
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .qnum import HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar
 
@@ -25,27 +29,31 @@ def _powers(base: int, top: int) -> list[int]:
 
 
 class Poly:
-    """Immutable univariate polynomial over exact rationals."""
+    """Immutable univariate polynomial over exact rationals, as (nums, den) in lowest terms."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs: Iterable[ScalarLike] = ()):
+        return cls._from_ints(*_ints([as_scalar(c) for c in coeffs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def _trusted(cls, cs: list[Fraction]) -> "Poly":
-        """Wrap a list of Fractions that the kernels built: strips trailing zeros in place, no as_scalar."""
-        while cs and cs[-1] == 0:
-            cs.pop()
+    def _from_ints(cls, nums: list[int], den: int) -> "Poly":
+        """sum_k nums[k] x^k / den in canonical form: strips trailing zeros in place, divides out the content."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", tuple(cs))
+        object.__setattr__(out, "nums", tuple(nums) if g == 1 else tuple(n // g for n in nums))
+        object.__setattr__(out, "den", den // g)
         return out
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, lowest degree first."""
+        return tuple(map(Fraction, self.nums, repeat(self.den)))
 
     @staticmethod
     def constant(c: ScalarLike) -> "Poly":
@@ -61,61 +69,61 @@ class Poly:
 
     def degree(self) -> int | None:
         """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self.nums) - 1 if self.nums else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     def __call__(self, x: ScalarLike) -> Fraction:
+        """Horner on integers: with x = xn/xd, sum_k nums[k] xn^k xd^(m-k) over den xd^m."""
         x = as_scalar(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        acc, power = 0, 1
+        for n in reversed(self.nums):
+            acc = acc * x.numerator + n * power
+            power *= x.denominator
+        return Fraction(acc * x.denominator, self.den * power)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.den == other.den and self.nums == other.nums
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        g = gcd(self.den, other.den)
+        a, b = [n * (other.den // g) for n in self.nums], [n * (self.den // g) for n in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly._trusted(out)
+            a[i] += c
+        return Poly._from_ints(a, self.den // g * other.den)
 
     def __neg__(self) -> "Poly":
-        return Poly._trusted([-c for c in self.coeffs])
+        return Poly._from_ints([-n for n in self.nums], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
+            if not self.nums or not other.nums:
                 return Poly()
-            a, da = _ints(self.coeffs)
-            b, db = _ints(other.coeffs)
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
+            out = [0] * (len(self.nums) + len(other.nums) - 1)
+            for i, x in enumerate(self.nums):
                 if x:
-                    for j, y in enumerate(b):
+                    for j, y in enumerate(other.nums):
                         out[i + j] += x * y
-            return Poly._trusted(_fracs(out, [da * db] * len(out)))
+            return Poly._from_ints(out, self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other) -> "Poly":
@@ -123,16 +131,15 @@ class Poly:
 
     def scale(self, c: ScalarLike) -> "Poly":
         c = as_scalar(c)
-        return Poly._trusted([c * a for a in self.coeffs])
+        return Poly._from_ints([c.numerator * n for n in self.nums], c.denominator * self.den)
 
     def compose_affine(self, alpha: ScalarLike, beta: ScalarLike) -> "Poly":
         """Substitute x -> alpha*x + beta: an integer Taylor shift, O(deg^2) integer work."""
-        nums, den = _ints(self.coeffs)
-        out, dens = _compose_ints(nums, as_scalar(alpha), as_scalar(beta))
-        return Poly._trusted(_fracs(out, [den * d for d in dens]))
+        nums, den = _compose_ints(self.nums, as_scalar(alpha), as_scalar(beta))
+        return Poly._from_ints(nums, self.den * den)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "Poly(0)"
         terms = []
         for k, c in enumerate(self.coeffs):
@@ -147,24 +154,23 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _compose_ints(nums: list[int], alpha: Fraction, beta: Fraction) -> tuple[list[int], list[int]]:
-    """f(alpha x + beta) for f = sum_k nums[k] x^k, as a numerator and a denominator per coefficient.
+def _compose_ints(nums: Sequence[int], alpha: Fraction, beta: Fraction) -> tuple[list[int], int]:
+    """f(alpha x + beta) for f = sum_k nums[k] x^k, as integer numerators over bd^m ad^m (1 if nums is empty).
 
     With beta = bn/bd, h(x) = sum_k nums[k] bd^(m-k) x^k is bd^m f(x/bd), so
     h(x + bn) is rounds of synthetic addition h_j += bn h_{j+1} (von zur Gathen
     and Gerhard 1997), and coefficient k of f(alpha x + beta) is
-    h_k an^k / (bd^(m-k) ad^k).
+    h_k an^k / (bd^(m-k) ad^k) = h_k (an bd)^k ad^(m-k) / (bd^m ad^m).
     """
     m = len(nums) - 1
-    an_pows, ad_pows = _powers(alpha.numerator, m), _powers(alpha.denominator, m)
-    bn = beta.numerator
-    bd_pows = _powers(beta.denominator, m)[::-1]  # bd^(m-k) at index k
-    h = [n * p for n, p in zip(nums, bd_pows)]
+    bn, bd, ad = beta.numerator, beta.denominator, alpha.denominator
+    h = [n * p for n, p in zip(nums, reversed(_powers(bd, m)))]
     if bn:
         for i in range(m):
             for j in range(m - 1, i - 1, -1):
                 h[j] += bn * h[j + 1]
-    return [c * a for c, a in zip(h, an_pows)], [b * a for b, a in zip(bd_pows, ad_pows)]
+    scales = map(mul, _powers(alpha.numerator * bd, m), reversed(_powers(ad, m)))
+    return list(map(mul, h, scales)), (bd * ad) ** max(m, 0)
 
 
 def phi_poly(pear: PearsonPair) -> Poly:
@@ -197,15 +203,13 @@ def op_D(f: Poly, frame: HahnFrame) -> Poly:
     rd^m den num(X/rd), whose root is rn. A nonzero remainder raises ArithmeticError.
     """
     q, omega = frame.q, frame.omega
-    f_nums, den = _ints(f.coeffs)
-    lf, dens = _compose_ints(f_nums, q, omega)
-    common = dens[0] * dens[-1]  # bd^m ad^m; coefficient k of L f is over den bd^(m-k) ad^k
-    nums = [a * (common // d) - n * common for a, d, n in zip(lf, dens, f_nums)]
-    den *= common
+    lf, common = _compose_ints(f.nums, q, omega)
+    nums = [a - n * common for a, n in zip(lf, f.nums)]
+    den = f.den * common
     if not any(nums):
         return Poly()
     if q == 1:
-        return Poly._trusted(_fracs([n * omega.denominator for n in nums], [den * omega.numerator] * len(nums)))
+        return Poly._from_ints([n * omega.denominator for n in nums], den * omega.numerator)
     r, c = -omega / (q - 1), 1 / (q - 1)
     m, rn = len(nums) - 1, r.numerator
     rd_pows = _powers(r.denominator, m)
@@ -215,10 +219,9 @@ def op_D(f: Poly, frame: HahnFrame) -> Poly:
         quot.append(acc)
     if quot.pop():
         raise ArithmeticError("divided difference left a nonzero remainder")
-    # quotient coefficient k is c G_k / (den rd^(m-1-k))
-    return Poly._trusted(_fracs(
-        [g * c.numerator for g in reversed(quot)], [den * p * c.denominator for p in reversed(rd_pows[:m])]
-    ))
+    # quotient coefficient k is c G_k / (den rd^(m-1-k)) = c.num G_k rd^k / (den rd^(m-1) c.den)
+    return Poly._from_ints([g * c.numerator * p for g, p in zip(reversed(quot), rd_pows)],
+                           den * rd_pows[m - 1] * c.denominator)
 
 
 def op_D_star(f: Poly, frame: HahnFrame) -> Poly:
@@ -255,7 +258,7 @@ def y_basis(n: int, frame: HahnFrame) -> Poly:
     for node in nodes:
         # times (t x - N_j), so Y_n = c / t^n: coefficient k becomes t c_{k-1} - N_j c_k
         c = [-node * c[0]] + [t * a - node * b for a, b in zip(c, c[1:])] + [t * c[-1]]
-    return Poly._trusted(_fracs(c, [t**n] * len(c)))
+    return Poly._from_ints(c, t**n)
 
 
 def to_y_basis(f: Poly, frame: HahnFrame) -> list[Fraction]:
@@ -266,7 +269,7 @@ def to_y_basis(f: Poly, frame: HahnFrame) -> list[Fraction]:
     With f = sum_k n_k x^k / den and nodes N_j / t, g(X) = sum_k n_k t^(m-k) X^k
     is t^m den f(X/t), its nodes are the integers N_j, and c_k = G_k / (den t^(m-k)).
     """
-    nums, den = _ints(f.coeffs)
+    nums, den = f.nums, f.den
     nodes, t = _y_node_ints(frame, len(nums))
     t_pows = _powers(t, len(nums) - 1)[::-1]  # t^(m-k) at index k
     rem = [n * p for n, p in zip(nums, t_pows)]

@@ -5,7 +5,8 @@ independently of the banded recurrences in hahnpoly.functional and of the
 synthetic-division to_y_basis; the affine substitution is Horner's rule over
 Poly products, and the Gram suite reads the full Gram matrix. The products,
 L, L* and D here run on Fractions (`mul`, and D through `poly_divmod`), so no
-oracle rests on the integer-numerator kernels of hahnpoly.poly.
+oracle rests on the integer-numerator kernels of hahnpoly.poly; `horner` is the
+Fraction evaluation that Poly.__call__, on integers, is checked against.
 tests/test_kernels.py requires exact equality. from_y_basis and the Hankel
 determinant serve tests/test_poly.py and tests/test_classical.py.
 
@@ -97,11 +98,20 @@ def mul(f: Poly, g: Poly) -> Poly:
     """f g by the convolution of the Fraction coefficient lists."""
     if f.is_zero() or g.is_zero():
         return Poly()
-    out = [Fraction(0)] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(f.coeffs):
-        for j, b in enumerate(g.coeffs):
+    fc, gc = f.coeffs, g.coeffs  # each read builds the Fractions afresh
+    out = [Fraction(0)] * (len(fc) + len(gc) - 1)
+    for i, a in enumerate(fc):
+        for j, b in enumerate(gc):
             out[i + j] += a * b
     return Poly(out)
+
+
+def horner(f: Poly, x: ScalarLike) -> Fraction:
+    """f(x) by Horner's rule on the Fraction coefficients."""
+    x, out = as_scalar(x), Fraction(0)
+    for c in reversed(f.coeffs):
+        out = out * x + c
+    return out
 
 
 def compose_affine(f: Poly, alpha, beta) -> Poly:
@@ -126,11 +136,11 @@ def poly_divmod(f: Poly, divisor: Poly) -> tuple[Poly, Poly]:
     if divisor.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(f.coeffs)
-    dd = divisor.degree()
+    dd, ds = divisor.degree(), divisor.coeffs
     quot = [Fraction(0)] * max(len(rem) - dd, 0)
     for i in range(len(rem) - dd - 1, -1, -1):
-        quot[i] = c = rem[i + dd] / divisor.leading()
-        for j, d in enumerate(divisor.coeffs):
+        quot[i] = c = rem[i + dd] / ds[-1]
+        for j, d in enumerate(ds):
             rem[i + j] -= c * d
     return Poly(quot), Poly(rem[:dd])
 

@@ -135,6 +135,13 @@ class TestClassify:
             "condition": "phi_root_condition",
         }
 
+    @pytest.mark.parametrize("y0", ["5", "-1/3", "abc"])
+    def test_y0_is_invalid_input(self, capsys, y0):
+        # classify reads no moment table, so a --y0 it ignored would look accepted
+        code, out, err = run(capsys, "classify", "--preset", "charlier", "--y0", y0)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err)["error"].startswith("--y0: classify reads no moment table")
+
     def test_human_format(self, capsys):
         code, out, _ = run(
             capsys, "classify", "--preset", "meixner", "--n", "6", "--format", "human"
@@ -261,6 +268,14 @@ class TestSuiteList:
         code, out, _ = run(capsys, "verify", "--preset", "charlier", "--suite", "all", "--n", "2")
         assert code == EXIT_OK
         assert json.loads(out)["suites"] == list(verify.SUITES)
+
+    def test_unknown_suite_raises(self):
+        # a misspelt suite would otherwise run nothing and read as a pass on zero checks
+        preset = hahnpoly.get_preset("charlier")
+        with pytest.raises(verify.SuiteArgumentError, match="'gramm'.*gram, rodrigues, norms, identities"):
+            verify.run_suites(preset.pear, preset.frame, ["gramm"])
+        with pytest.raises(verify.SuiteArgumentError):
+            verify.run_suites(None, None, ["identities", "all"])
 
     def test_every_listed_suite_runs(self):
         preset = hahnpoly.get_preset("charlier")

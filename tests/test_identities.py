@@ -55,6 +55,17 @@ def test_identities_suite_fault_injection(monkeypatch, name):
     assert len(checks) == 17
 
 
+def test_identities_suite_keeps_the_first_failure(monkeypatch):
+    # a fault on every case must be reported at case 0, the first case that shows it
+    op_D = verify.op_D
+    monkeypatch.setattr(verify, "op_D", lambda f, frame: op_D(f, frame) + Poly.monomial(3))
+    checks = verify.identities_suite(cases=28)
+    first = verify.default_frames()[0]
+    assert {c.name: c.detail for c in checks}["D_division_vs_monomial"] \
+        == f"case 0: frame q={first.q}, omega={first.omega}"
+    assert len(checks) == 17
+
+
 def test_dual_D_bracket_fault_fails_the_defining_pairing(monkeypatch):
     # dist_D and dist_D_star share _dual_D, so a wrong bracket index, [n+1]_q for [n]_q,
     # cancels from D*(L u) = q D u; the pairing <D* v, f> = -q <v, D f> reads op_D instead

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 from operator import mul
 
 import pytest
@@ -16,7 +17,7 @@ from hahnpoly.poly import (
 )
 from hahnpoly.qnum import HahnFrame, q_bracket
 from hahnpoly.verify import FRAME_OMEGA_VALUES, _leibniz, _op_D_monomial as op_D_monomial, default_frames
-from reference_kernels import _hahn_number as hahn_number, from_y_basis, poly_divmod
+from reference_kernels import _hahn_number as hahn_number, from_y_basis, horner, poly_divmod
 
 FRAMES = [
     HahnFrame(F(1), F(1)),
@@ -64,20 +65,57 @@ class TestPolyBasics:
         with pytest.raises(AttributeError):
             p.coeffs = ()
 
-    def test_trusted_constructor_strips_trailing_zeros(self):
-        assert Poly._trusted([F(1), F(2), F(0)]) == Poly([1, 2])
-        assert Poly._trusted([F(0), F(0)]).is_zero()
+    def test_integer_constructor_strips_trailing_zeros(self):
+        assert Poly._from_ints([1, 2, 0], 1) == Poly([1, 2])
+        assert Poly._from_ints([0, 0], 1).is_zero()
+
+    def test_integer_constructor_divides_out_content_and_sign(self):
+        p = Poly._from_ints([6, -4, 0], -8)
+        assert (p.nums, p.den) == ((-3, 2), 4) and p == Poly([F(-3, 4), F(1, 2)])
+        assert (Poly._from_ints([0], 7).nums, Poly._from_ints([0], 7).den) == ((), 1)
+
+    def test_zero_is_empty_over_one(self):
+        for zero in [Poly(), Poly([0, F(0, 3)]), Poly([F(1, 2)]) - Poly([F(1, 2)])]:
+            assert (zero.nums, zero.den) == ((), 1)
 
     @settings(deadline=None, max_examples=40)
-    @given(st.lists(st.fractions(max_denominator=4), max_size=6),
-           st.lists(st.fractions(max_denominator=4), max_size=6), st.fractions(max_denominator=4))
-    def test_kernel_output_is_canonical(self, a, b, c):
-        # the kernels wrap their own lists without as_scalar; the result must still
-        # hold Fractions only, with no trailing zero
-        f, g = Poly(a), Poly(b)
-        for r in [f + g, f - g, -f, f * g, f.scale(c), f.compose_affine(c or 1, c)]:
+    @given(poly_st, poly_st, coeff_st, frames_st, st.integers(min_value=0, max_value=12))
+    def test_kernel_output_is_canonical(self, f, g, c, frame, n):
+        # every kernel returns den > 0, no common factor of den and nums, no trailing zero
+        outputs = [f + g, f - g, -f, f * g, f.scale(c), f.compose_affine(c or 1, c), op_L(f, frame),
+                   op_L_star(f, frame), op_D(f, frame), op_D_star(f, frame), y_basis(n, frame)]
+        for r in outputs:
+            assert r.den > 0 and gcd(r.den, *r.nums) == 1
+            assert not r.nums or r.nums[-1] != 0
+            assert r.coeffs == tuple(F(num, r.den) for num in r.nums)
             assert all(type(x) is F for x in r.coeffs)
-            assert not r.coeffs or r.coeffs[-1] != 0
+
+    def test_equal_polys_built_by_different_routes(self):
+        frame = HahnFrame(F(1, 2), F(-1, 3))
+        routes = [
+            [Poly([F(1, 2)]) + Poly([F(1, 2)]), Poly([1]), Poly.constant(F(3, 3)), Poly([F(2), F(0)]).scale(F(1, 2))],
+            [op_L_star(op_L(Poly([F(1, 3), F(-5, 6)]), frame), frame), Poly([F(2, 6), F(-5, 6)]),
+             Poly([1, -2]) * Poly([F(1, 3)]) - Poly.x().scale(F(1, 6))],
+        ]
+        for group in routes:
+            assert all(p == group[0] for p in group)
+            assert len({hash(p) for p in group}) == 1
+            assert len(set(group)) == 1
+        # equal numerators over different denominators are different polynomials
+        assert Poly([1, 2]) != Poly([F(1, 3), F(2, 3)]) and Poly([1]) != Poly([F(1, 2)])
+
+    @settings(deadline=None)
+    @given(poly_st, coeff_st)
+    def test_call_matches_fraction_horner(self, f, x):
+        assert f(x) == horner(f, x)
+
+    @pytest.mark.parametrize("f, x", [
+        (Poly(), F(0)), (Poly(), F(-7, 9)), (Poly([F(3, 4), 2, F(-1, 6)]), 0),
+        (Poly([F(1, 3), F(-2, 5), F(7, 11), F(-1, 2)]), F(-123456789, 987654321 * 10**12)),
+    ], ids=["zero-at-0", "zero-at-negative", "x-is-0", "negative-tall-denominator"])
+    def test_call_edge_points(self, f, x):
+        assert f(x) == horner(f, x)
+        assert type(f(x)) is F
 
 
 class TestSubstitution:

@@ -210,6 +210,46 @@ def test_library_has_no_unused_parameters():
     assert SOURCES and not found, found
 
 
+def _called_name(func) -> str:
+    return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else ""
+
+
+def _re_encodings(tree) -> list[str]:
+    """Calls that round-trip a Poly through Fractions: _ints(... .coeffs ...), or a Poly built from _fracs(...)."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        inner = [n for arg in node.args for n in ast.walk(arg)]
+        builds_poly = _called_name(node.func) == "Poly" or (
+            isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("Poly", "cls"))
+        if _called_name(node.func) == "_ints" and any(
+                isinstance(n, ast.Attribute) and n.attr == "coeffs" for n in inner):
+            found.append(f"_ints of coeffs (line {node.lineno})")
+        elif builds_poly and any(isinstance(n, ast.Call) and _called_name(n.func) == "_fracs" for n in inner):
+            found.append(f"Poly from _fracs (line {node.lineno})")
+    return found
+
+
+def test_re_encoding_lint_detects():
+    code = ("_ints(f.coeffs)\nqnum._ints(list(p.coeffs)[:2])\nPoly(_fracs(a, b))\n"
+            "Poly._from_ints(_fracs(a, b), 1)\n_ints(u.moments)\nPoly(f.coeffs)\n"
+            "MomentFunctional._trusted(fr, tuple(_fracs(a, b)))\n_fracs(f.nums, dens)")
+    assert _re_encodings(ast.parse(code)) == ["_ints of coeffs (line 1)", "_ints of coeffs (line 2)",
+                                              "Poly from _fracs (line 3)", "Poly from _fracs (line 4)"]
+
+
+def test_library_keeps_poly_on_integers():
+    # a Poly is stored as (nums, den); the kernels read that form instead of re-encoding coeffs
+    found = [
+        f"{path.name}: {entry}"
+        for path in SOURCES
+        for entry in _re_encodings(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert SOURCES and not found, found
+
+
 MAX_COLUMNS = 120
 
 
