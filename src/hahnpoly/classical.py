@@ -205,10 +205,11 @@ class RecurrenceTable:
         """P_0..P_{N+1} by P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1}.
 
         Each row is one integer vector over one denominator, P_n = C_n / D_n,
-        as _chebyshev_rows builds it, so D_n is the least common denominator of P_n.
+        as _chebyshev_rows builds it, so D_n is the least common denominator of P_n
+        and (C_n, D_n) is wrapped as the canonical form of P_n with no second gcd.
         """
         rows = _chebyshev_rows(self, self.depth + 1, None)
-        return tuple(Poly._from_ints(row, den) for row, den in rows)
+        return tuple(Poly._wrap(tuple(row), den) for row, den in rows)
 
     def to_json_dict(self) -> dict:
         return {

@@ -45,9 +45,14 @@ class Poly:
         while nums and not nums[-1]:
             nums.pop()
         g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        return cls._wrap(tuple(nums) if g == 1 else tuple(n // g for n in nums), den // g)
+
+    @classmethod
+    def _wrap(cls, nums: tuple[int, ...], den: int) -> "Poly":
+        """A Poly over (nums, den) that is already canonical, such as the content-free rows of the row engine."""
         out = object.__new__(cls)
-        object.__setattr__(out, "nums", tuple(nums) if g == 1 else tuple(n // g for n in nums))
-        object.__setattr__(out, "den", den // g)
+        object.__setattr__(out, "nums", nums)
+        object.__setattr__(out, "den", den)
         return out
 
     @property

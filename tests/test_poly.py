@@ -15,6 +15,7 @@ from hahnpoly.poly import (
     to_y_basis,
     y_basis,
 )
+from hahnpoly.classical import PRESETS, recurrence
 from hahnpoly.qnum import HahnFrame, q_bracket
 from hahnpoly.verify import FRAME_OMEGA_VALUES, _leibniz, _op_D_monomial as op_D_monomial, default_frames
 from reference_kernels import _hahn_number as hahn_number, from_y_basis, horner, poly_divmod
@@ -31,6 +32,14 @@ FRAMES = [
 frames_st = st.sampled_from(FRAMES)
 coeff_st = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 poly_st = st.lists(coeff_st, min_size=0, max_size=11).map(Poly)
+
+
+def assert_canonical(p: Poly):
+    """den > 0, no common factor of den and nums, no trailing zero, and coeffs read off (nums, den)."""
+    assert p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.coeffs == tuple(F(num, p.den) for num in p.nums)
+    assert all(type(x) is F for x in p.coeffs)
 
 
 class TestPolyBasics:
@@ -85,10 +94,14 @@ class TestPolyBasics:
         outputs = [f + g, f - g, -f, f * g, f.scale(c), f.compose_affine(c or 1, c), op_L(f, frame),
                    op_L_star(f, frame), op_D(f, frame), op_D_star(f, frame), y_basis(n, frame)]
         for r in outputs:
-            assert r.den > 0 and gcd(r.den, *r.nums) == 1
-            assert not r.nums or r.nums[-1] != 0
-            assert r.coeffs == tuple(F(num, r.den) for num in r.nums)
-            assert all(type(x) is F for x in r.coeffs)
+            assert_canonical(r)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_recurrence_polys_are_canonical(self, name):
+        # RecurrenceTable.polys wraps the row engine's rows without reducing them again
+        preset = PRESETS[name]
+        for p in recurrence(preset.pear, preset.frame, 12).polys:
+            assert_canonical(p)
 
     def test_equal_polys_built_by_different_routes(self):
         frame = HahnFrame(F(1, 2), F(-1, 3))
