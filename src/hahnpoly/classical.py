@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -19,7 +20,6 @@ from .qnum import (
     PearsonPair,
     PearsonSequences,
     ScalarLike,
-    _ints,
     as_scalar,
     d_n,
     e_n,
@@ -204,9 +204,9 @@ class RecurrenceTable:
     def polys(self) -> tuple[Poly, ...]:
         """P_0..P_{N+1} by P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1}.
 
-        Each row is one integer vector over one denominator, P_n = C_n / D_n,
-        as _chebyshev_rows builds it, so D_n is the least common denominator of P_n
-        and (C_n, D_n) is wrapped as the canonical form of P_n with no second gcd.
+        _chebyshev_rows builds each row as one integer vector over one denominator,
+        P_n = C_n / D_n, and divides it by its content, so D_n is the least common
+        denominator of P_n and (C_n, D_n) is wrapped as the canonical form of P_n with no second gcd.
         """
         rows = _chebyshev_rows(self, self.depth + 1, None)
         return tuple(Poly._wrap(tuple(row), den) for row, den in rows)
@@ -294,21 +294,22 @@ def _chebyshev_rows(
     table: RecurrenceTable,
     depth: int,
     frame: Optional[HahnFrame],
-    moments: Sequence[Fraction] = (),
+    moments: Optional[tuple[list[int], int]] = None,
 ) -> list[tuple[list[int], int]]:
     """Rows r_0..r_depth of r_k[l] = r_{k-1}[l+shift] + (t_l - beta_{k-1}) r_{k-1}[l] - gamma_{k-1} r_{k-2}[l].
 
     This is P_k = (x - beta_{k-1}) P_{k-1} - gamma_{k-1} P_{k-2} in the Y basis,
     where x Y_l = Y_{l+1} + t_l Y_l. Without moments, r_0 = [1] and shift = -1, so
-    row k holds the Y coefficients of P_k; with them, r_0 = the moments and
-    shift = +1, so row k holds the mixed moments sigma_{k,l} = <u, P_k Y_l>,
-    l <= len(moments) - 1 - k: the modified Chebyshev algorithm (Gautschi 2004;
+    row k holds the Y coefficients of P_k; with moments y_l = nums[l] / den, r_0 = (nums, den)
+    and shift = +1, so row k holds the mixed moments sigma_{k,l} = <u, P_k Y_l>,
+    l <= len(nums) - 1 - k: the modified Chebyshev algorithm (Gautschi 2004;
     Wheeler 1974) with the Y basis as auxiliary family.
     The nodes t_l are those of _y_node_ints(frame), or all 0 (the monomials) at
-    frame None. Each row is an integer vector over one denominator: the three
-    terms are brought over the lcm of theirs, and the new row is divided by its content.
+    frame None. Each row is an integer vector over one positive denominator: the three
+    terms are brought over the lcm of theirs. A Y-coefficient row is then divided by its
+    content, so it is the canonical form of P_k; a sigma row is not, and is read by value.
     """
-    first, shift = (_ints(moments), 1) if moments else (([1], 1), -1)
+    first, shift = (moments, 1) if moments is not None else (([1], 1), -1)
     count = max(len(first[0]) - 1, depth + 1)  # the nodes the longest row after r_0 reads
     nodes, t = ([0] * count, 1) if frame is None else _y_node_ints(frame, count)
     prev, prev_d = [], 1
@@ -321,14 +322,13 @@ def _chebyshev_rows(
         # (t_l - beta) r[l] over den is r[l] (nodes[l] nb - bt), and r[l + shift] is r[l + shift] s
         f = den // (cur_d * t * b.denominator)
         nb, bt, s = f * b.denominator, f * b.numerator * t, f * t * b.denominator
+        sg = den // (prev_d * g.denominator) * g.numerator  # 0 at k = 1
         ahead = cur[1:] if shift > 0 else [0] + cur
-        nxt = [s * a + (node * nb - bt) * c for a, node, c in zip(ahead, nodes, cur + [0])]
-        if g:
-            sg = den // (prev_d * g.denominator) * g.numerator
-            for l, c in enumerate(prev[: len(nxt)]):
-                nxt[l] -= sg * c
-        content = gcd(den, *nxt)
-        nxt, den = [c // content for c in nxt], den // content
+        nxt = [s * a + (node * nb - bt) * c - sg * p
+               for a, node, c, p in zip(ahead, nodes, cur + [0], chain(prev, repeat(0)))]
+        if moments is None:
+            content = gcd(den, *nxt)
+            nxt, den = [c // content for c in nxt], den // content
         rows.append((nxt, den))
         prev, prev_d, cur, cur_d = cur, cur_d, nxt, den
     return rows

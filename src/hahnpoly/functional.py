@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import accumulate
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .qnum import (
@@ -114,26 +116,63 @@ def solve_moments(
 
     Uses the equivalent three-term recurrence in the Y-basis moments,
     d_n y_{n+1} + (e_n + omega [n]_q d_{n-1}) y_n + [n]_q (c + omega e_{n-1}) y_{n-1} = 0,
-    which is first order in y_{n+1} whenever all d_n are nonzero. Over -d_n the coefficients are
-    one Fraction each on the integer sequences: -(E_n + s W K_n D_{n-1}) / (M S_n D_n) and
-    -K_n (c' M^2 L S_{n-1}^2 + c'' W E_{n-1}) / (c'' M^2 S_{n-1}^2 D_n), with c = c'/c''.
+    which is first order in y_{n+1} whenever all d_n are nonzero; see _moment_steps.
+    Entry n is the one Fraction N_n / (h_0 h_1 ... h_n).
+    """
+    nums, steps = _moment_steps(pear, frame, y0, depth)
+    return MomentFunctional._trusted(frame, tuple(_fracs(nums, accumulate(steps, mul))))
+
+
+def _moment_table(pear: PearsonPair, frame: HahnFrame, y0: Fraction, depth: int) -> tuple[list[int], int]:
+    """The moments y_0..y_depth of solve_moments as integers over their least common denominator.
+
+    Entry n is N_n times the suffix product h_{n+1} ... h_depth, over h_0 h_1 ... h_depth; one
+    gcd then divides the table (on tall pair flags the unreduced denominator has 1.4 times the bits).
+    """
+    nums, steps = _moment_steps(pear, frame, y0, depth)
+    tail = 1
+    for n in range(depth, -1, -1):
+        nums[n] *= tail
+        tail *= steps[n]
+    g = gcd(tail, *nums)
+    return [x // g for x in nums], tail // g
+
+
+def _moment_steps(pear: PearsonPair, frame: HahnFrame, y0: ScalarLike, depth: int) -> tuple[list[int], list[int]]:
+    """Numerators N_n and positive steps h_n with y_n = N_n / (h_0 h_1 ... h_n), 0 <= n <= depth.
+
+    Over -d_n the recurrence reads y_{n+1} = A_n y_n + B_n y_{n-1}, with one Fraction each on the
+    integer sequences: A_n = -(E_n + s W K_n D_{n-1}) / (M S_n D_n) and
+    B_n = -K_n (c' M^2 L S_{n-1}^2 + c'' W E_{n-1}) / (c'' M^2 S_{n-1}^2 D_n), c = c'/c''.
+    Over lcm(M S_n, c'' M^2 S_{n-1}^2) |D_n| both are integers a_n / h, b_n / h; dividing a_n, b_n
+    and h by their gcd gives h_{n+1}, the least common denominator of A_n and B_n, and then
+    N_{n+1} = (A_n h_{n+1}) N_n + (B_n h_{n+1}) h_n N_{n-1}. No gcd touches N_n or the table.
+    At n = 0 the d_{-1} term carries the factor [0]_q = 0, so h_1 = M |D_0|.
     """
     top = max(depth - 1, 0)
     s = pearson_sequences(pear, frame, top, top)
     c, cd, M, W, mm = s.phi[2], s.C, s.M, s.W, s.M * s.M
-    y = [as_scalar(y0)]
+    y0 = as_scalar(y0)
+    nums, steps = [y0.numerator], [y0.denominator]
     for n in range(depth):
         dn = s.d[n]
         if dn == 0:
             raise AdmissibilityError(n, moment_degree=depth)
-        if n == 0:  # the d_{-1} term carries the factor [0]_q = 0
-            y.append(Fraction(-s.e[0], M * dn) * y[0])
+        sign = -1 if dn > 0 else 1  # the sign of -1 / D_n
+        if n == 0:
+            steps.append(M * abs(dn))
+            nums.append(sign * s.e[0] * nums[0])
             continue
         bracket, sq = s.bracket[n], s.s_pow[n - 1] ** 2
-        first = Fraction(-(s.e[n] + s.s_pow[1] * W * bracket * s.d[n - 1]), M * s.s_pow[n] * dn)
-        second = Fraction(-bracket * (c * mm * s.L * sq + cd * W * s.e[n - 1]), cd * mm * sq * dn)
-        y.append(first * y[n] + second * y[n - 1])
-    return MomentFunctional._trusted(frame, tuple(y))
+        over_a, over_b = M * s.s_pow[n], cd * mm * sq
+        common = lcm(over_a, over_b)
+        a = sign * (common // over_a) * (s.e[n] + s.s_pow[1] * W * bracket * s.d[n - 1])
+        b = sign * (common // over_b) * bracket * (c * mm * s.L * sq + cd * W * s.e[n - 1])
+        h = common * abs(dn)
+        g = gcd(a, b, h)  # of O(n)-bit step integers
+        steps.append(h // g)
+        nums.append(a // g * nums[n] + b // g * steps[n] * nums[n - 1])
+    return nums, steps
 
 
 def _x_shift(v: Sequence[int], nodes: Sequence[int], t: int) -> list[int]:
@@ -244,25 +283,32 @@ def dist_L_star(u: MomentFunctional) -> MomentFunctional:
 
 
 def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list[Fraction]:
-    """Entry n is <D(phi u) - psi u, Y_n>, for 0 <= n <= depth; it reads y_0..y_{depth+1}.
-
-    On integers: V_n, W_n are the numerators of phi u, psi u from _horner, N_n/t the nodes and
-    q = qn/qd. dist_L's forward substitution gives <L(phi u), Y_n> = O_n/(qn^(n+1) t^n S_V) with
-    O_n = qd^(n+1) t^n V_n - qd N_n O_{n-1}, and _dual_D's [n]_q = b_n/qd^(n-1) then gives D(phi u).
-    """
-    phi, psi = phi_poly(pear).coeffs or (Fraction(0),), psi_poly(pear).coeffs or (Fraction(0),)
-    dp, ds = len(phi) - 1, len(psi) - 1
+    """Entry n is <D(phi u) - psi u, Y_n>, for 0 <= n <= depth; it reads y_0..y_{depth+1}."""
+    phi, psi = phi_poly(pear), psi_poly(pear)
+    dp, ds = phi.degree() or 0, psi.degree() or 0
     need = max(depth + dp - 1, depth + ds, dp, ds)  # D(phi u) reads one entry less of phi u than psi u
     if need > u.max_degree:
         raise InsufficientMomentsError(f"residual to depth {depth} needs a moment table of degree >= {need}")
     if depth < 0:
         return []
-    y, den = _ints(u.moments[: depth + 2])
-    cs, cd = _ints(phi + psi)
-    nodes, t = _y_node_ints(u.frame, len(y) - 1)
-    v, pv = _horner(cs[: dp + 1], y, nodes, t)
-    w, pw = _horner(cs[dp + 1:], y, nodes, t)
-    qn, qd = u.frame.q.numerator, u.frame.q.denominator
+    return _residual_ints(phi, psi, u.frame, *_ints(u.moments[: depth + 2]), depth)
+
+
+def _residual_ints(
+    phi: Poly, psi: Poly, frame: HahnFrame, y: Sequence[int], den: int, depth: int
+) -> list[Fraction]:
+    """pearson_residual on the moments y[k] / den, which must reach the degree it checks; reads y_0..y_{depth+1}.
+
+    On integers: V_n, W_n are the numerators of phi u, psi u from _horner, N_n/t the nodes and
+    q = qn/qd. dist_L's forward substitution gives <L(phi u), Y_n> = O_n/(qn^(n+1) t^n S_V) with
+    O_n = qd^(n+1) t^n V_n - qd N_n O_{n-1}, and _dual_D's [n]_q = b_n/qd^(n-1) then gives D(phi u).
+    """
+    cd = lcm(phi.den, psi.den)
+    y = y[: depth + 2]
+    nodes, t = _y_node_ints(frame, len(y) - 1)
+    v, pv = _horner([c * (cd // phi.den) for c in phi.nums or (0,)], y, nodes, t)
+    w, pw = _horner([c * (cd // psi.den) for c in psi.nums or (0,)], y, nodes, t)
+    qn, qd = frame.q.numerator, frame.q.denominator
     scale = den * cd * pv * pw
     out = [Fraction(-w[0] * pv, scale)]
     o, b, a, g, qp = 0, 1, 1, qn, qd  # a = (qd t)^n, g = qn^(n+1), qp = qd^(n+1), b = b_{n+1}

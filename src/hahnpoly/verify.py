@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .qnum import HahnFrame, PearsonPair, d_n, e_n, q_binomial, q_bracket
+from .qnum import HahnFrame, PearsonPair, _ints, d_n, e_n, q_binomial, q_bracket
 from .poly import (
     Poly,
     _iterates,
@@ -32,6 +32,8 @@ from .poly import (
 from .functional import (
     InsufficientMomentsError,
     MomentFunctional,
+    _moment_table,
+    _residual_ints,
     _rhs,
     derived_functional,
     dist_D,
@@ -40,7 +42,6 @@ from .functional import (
     dist_L_star,
     left_multiply,
     pair,
-    pearson_residual,
     solve_moments,
 )
 from . import classical
@@ -234,7 +235,8 @@ def gram_suite(
 ) -> list[Check]:
     """Moment/Pearson equivalence plus the Favard-direction Gram oracle.
 
-    Both Gram checks are decided from integer rows of the mixed moments
+    The moment table is read as integers over one denominator (_moment_table), and both
+    Gram checks are decided from integer rows of the mixed moments
     sigma_{k,l} = <u, P_k Y_l>, in O(depth^2), and no Gram matrix is formed:
     G is diagonal iff sigma_{k,l} = 0 for l < k, and then G[n][n] = sigma_{n,n}.
     A failure names the first four nonzero off-diagonal cells, row by row, each
@@ -250,18 +252,16 @@ def gram_suite(
         raise SuiteArgumentError(
             f"fuzz_moment {fuzz_moment} is outside the moments the checks read, 0..{table_depth}"
         )
-    u = solve_moments(pear, frame, y0, table_depth)
+    nums, den = _moment_table(pear, frame, y0, table_depth)
     if fuzz_moment is not None:
-        moments = list(u.moments)
-        moments[fuzz_moment] += 1
-        u = MomentFunctional(frame, tuple(moments))
-    residual = pearson_residual(pear, u, RESIDUAL_DEPTH)
+        nums[fuzz_moment] += den
+    residual = _residual_ints(phi_poly(pear), psi_poly(pear), frame, nums, den, RESIDUAL_DEPTH)
     bad = [i for i, r in enumerate(residual) if r != 0]
     checks.append(Check(
         "pearson_residual_zero", f"nonzero residual at Y-degrees {bad[:4]} (cell {bad[0]})" if bad else ""
     ))
     table = recurrence(pear, frame, depth, y0)
-    sigma = _chebyshev_rows(table, depth, frame, u.moments[: 2 * depth + 1])
+    sigma = _chebyshev_rows(table, depth, frame, (nums[: 2 * depth + 1], den))
     if not any(any(row[:k]) for k, (row, _) in enumerate(sigma)):
         off = []
         diagonal = [Fraction(row[k], den) for k, (row, den) in enumerate(sigma)]
@@ -315,7 +315,7 @@ def rodrigues_suite(
     depth = moment_depth_for(pear, n_max, test_degree)  # nondecreasing in n
     u = solve_moments(pear, frame, 1, depth + 2 * n_max + 2)
     table = recurrence(pear, frame, n_max, require_regular=require_regular)
-    sigma = _chebyshev_rows(table, n_max, frame, u.moments)
+    sigma = _chebyshev_rows(table, n_max, frame, _ints(u.moments))
     phi = phi_poly(pear)
     iterated = shifted = u
     product = Poly([1])

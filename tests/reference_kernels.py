@@ -14,6 +14,10 @@ The Pearson residual oracle keeps the whole-table route through the
 library's entry-wise dist_D and left_multiply, which the oracles above check;
 the reference gram_suite reads it instead of hahnpoly.functional.pearson_residual.
 
+solve_moments_fractions runs the moment recurrence as one reduced Fraction step per
+moment, where hahnpoly.functional runs it on integers; tests/test_sequences.py
+compares both forms of that integer table with it, and the reference gram_suite reads it.
+
 The per-index routes of the engine live here too: the regularity scan, the
 moment recurrence, beta_n and gamma_n call d_n, e_n and q_bracket once per
 index read and combine them in Fraction steps, and P_n is expanded by Poly
@@ -41,10 +45,12 @@ from typing import Optional, Sequence
 
 from hahnpoly import classical, functional
 from hahnpoly.classical import D_ZERO, PHI_ROOT, RegularityReport
-from hahnpoly.functional import InsufficientMomentsError, MomentFunctional, solve_moments
+from hahnpoly.functional import InsufficientMomentsError, MomentFunctional
 from hahnpoly import poly
 from hahnpoly.poly import Poly, phi_poly, psi_poly
-from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n
+from hahnpoly.qnum import (
+    AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, pearson_sequences,
+)
 from hahnpoly.verify import RESIDUAL_DEPTH, Check, SuiteArgumentError
 
 
@@ -324,7 +330,7 @@ def gram_suite(
         raise SuiteArgumentError(
             f"fuzz_moment {fuzz_moment} is outside the moments the checks read, 0..{table_depth}"
         )
-    u = solve_moments(pear, frame, y0, table_depth)
+    u = solve_moments_fractions(pear, frame, y0, table_depth)
     if fuzz_moment is not None:
         moments = list(u.moments)
         moments[fuzz_moment] += 1
@@ -385,6 +391,34 @@ def solve_moments_per_index(
         if n >= 1:
             acc += q_bracket(n, q) * (pear.c + omega * e_n(pear, frame, n - 1)) * y[n - 1]
         y.append(-acc / dn)
+    return MomentFunctional(frame, tuple(y))
+
+
+def solve_moments_fractions(
+    pear: PearsonPair, frame: HahnFrame, y0: ScalarLike = 1, depth: int = 24
+) -> MomentFunctional:
+    """hahnpoly.functional.solve_moments as one reduced Fraction step per moment.
+
+    The recurrence y_{n+1} = A_n y_n + B_n y_{n-1} reads the integer sequences of
+    pearson_sequences, with A_n = -(E_n + s W K_n D_{n-1}) / (M S_n D_n) and
+    B_n = -K_n (c' M^2 L S_{n-1}^2 + c'' W E_{n-1}) / (c'' M^2 S_{n-1}^2 D_n), c = c'/c'',
+    each one Fraction, and every y_n is reduced as it is formed.
+    """
+    top = max(depth - 1, 0)
+    s = pearson_sequences(pear, frame, top, top)
+    c, cd, M, W, mm = s.phi[2], s.C, s.M, s.W, s.M * s.M
+    y = [as_scalar(y0)]
+    for n in range(depth):
+        dn = s.d[n]
+        if dn == 0:
+            raise AdmissibilityError(n, moment_degree=depth)
+        if n == 0:  # the d_{-1} term carries the factor [0]_q = 0
+            y.append(Fraction(-s.e[0], M * dn) * y[0])
+            continue
+        bracket, sq = s.bracket[n], s.s_pow[n - 1] ** 2
+        first = Fraction(-(s.e[n] + s.s_pow[1] * W * bracket * s.d[n - 1]), M * s.s_pow[n] * dn)
+        second = Fraction(-bracket * (c * mm * s.L * sq + cd * W * s.e[n - 1]), cd * mm * sq * dn)
+        y.append(first * y[n] + second * y[n - 1])
     return MomentFunctional(frame, tuple(y))
 
 

@@ -10,16 +10,17 @@ zero and constant polynomials.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_kernels as ref
-from hahnpoly import classical, functional
+from hahnpoly import classical, functional, verify
 from hahnpoly.classical import PRESETS, RecurrenceTable, check_regular, recurrence
 from hahnpoly.functional import InsufficientMomentsError, MomentFunctional, solve_moments
 from hahnpoly.poly import Poly, _y_node_ints, op_D, op_D_star, op_L, op_L_star, to_y_basis, y_basis
-from hahnpoly.qnum import HahnFrame, PearsonPair, q_bracket
+from hahnpoly.qnum import HahnFrame, PearsonPair, _ints, q_bracket
 from hahnpoly.verify import SuiteArgumentError, default_frames, gram_suite
 
 FRAMES = default_frames()
@@ -37,7 +38,7 @@ def frame_id(frame):
 
 def sigma_rows(u, table, depth):
     """The mixed moments sigma_{k,l} = <u, P_k Y_l>, l <= 2 depth - k, as Fractions of the integer rows."""
-    rows = classical._chebyshev_rows(table, depth, u.frame, u.moments[: 2 * depth + 1])
+    rows = classical._chebyshev_rows(table, depth, u.frame, _ints(u.moments[: 2 * depth + 1]))
     return [[F(s, den) for s in row] for row, den in rows]
 
 
@@ -210,6 +211,64 @@ def test_chebyshev_rows_on_presets(name):
     for k in (1, 40):  # every row is compared at depth <= 6 in TestAgainstOracles
         assert sigma[k] == [ref.pair(u, ref.mul(table.polys[k], y_basis(l, frame)))
                             for l in range(81 - k)], k
+
+
+# pairs and frames with tall, unrelated denominators, regular to depth 30
+TALL_PAIRS = [
+    (PearsonPair(F(7, 11), F(-5, 13), F(3, 17), F(-19, 23), F(2, 29)), HahnFrame(F(31, 37), F(5, 41))),
+    (PearsonPair(F(-3, 19), F(11, 7), F(-13, 31), F(17, 43), F(-23, 47)), HahnFrame(F(53, 59), F(-2, 61))),
+]
+
+
+def tall_id(case):
+    return f"q={case[1].q}"
+
+
+@pytest.mark.parametrize("case", TALL_PAIRS, ids=tall_id)
+@pytest.mark.parametrize("depth, rows", [(8, range(9)), (20, (0, 1, 2, 10, 19, 20))])
+def test_chebyshev_rows_on_tall_pairs(case, depth, rows):
+    pear, frame = case
+    table = recurrence(pear, frame, depth)
+    polys = ref.recurrence_polys(table.beta, table.gamma)
+    u = solve_moments(pear, frame, 1, 2 * depth)
+    # sigma rows are not divided by their content: read by value, they are the mixed moments
+    sigma = sigma_rows(u, table, depth)
+    for k in rows:
+        assert sigma[k] == [ref.pair(u, ref.mul(polys[k], ref.y_basis(l, frame)))
+                            for l in range(2 * depth - k + 1)], k
+    # Y-coefficient rows, and the monomial rows that table.polys wraps, are the canonical form of P_k
+    for got, expected in ((classical._chebyshev_rows(table, depth, frame), [ref.to_y_basis(p, frame) for p in polys]),
+                          (classical._chebyshev_rows(table, depth + 1, None), [list(p.coeffs) for p in polys])):
+        for k, (row, den) in enumerate(got):
+            assert den > 0 and gcd(den, *row) == 1 and row[-1], k
+            assert [F(c, den) for c in row] == expected[k], k
+
+
+@pytest.mark.parametrize("case", TALL_PAIRS, ids=tall_id)
+@pytest.mark.parametrize("depth", [12, 20])
+def test_gram_suite_on_tall_pairs(case, depth):
+    pear, frame = case
+    # clean; a moment the residual and the Gram checks read; one only the Gram checks read
+    for fuzz in (None, 7, 2 * depth - 1):
+        assert gram_suite(pear, frame, depth, F(1), fuzz) == ref.gram_suite(pear, frame, depth, F(1), fuzz), fuzz
+
+
+@pytest.mark.parametrize("fuzz", [0, 3, 12])
+def test_gram_suite_fuzz_adds_one(fuzz, monkeypatch):
+    # every check is linear in the change to y_fuzz, so only the table the rows read shows its size
+    preset = PRESETS["al-salam-carlitz"]
+    tables = []
+
+    def spy(table, depth, frame, moments=None):
+        tables.append(moments)
+        return classical._chebyshev_rows(table, depth, frame, moments)
+
+    monkeypatch.setattr(verify, "_chebyshev_rows", spy)
+    gram_suite(preset.pear, preset.frame, 6, F(1), fuzz)
+    expected = list(solve_moments(preset.pear, preset.frame, 1, 12).moments)
+    expected[fuzz] += 1
+    nums, den = tables[0]
+    assert [F(n, den) for n in nums] == expected
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

@@ -3,13 +3,16 @@
 pearson_sequences holds Python ints, and over its denominators they must
 equal q**n, q_bracket, d_n and e_n index by index, and omega and a, b, c; check_regular,
 solve_moments and recurrence (beta, gamma and the in-place P_n expansion)
-must equal the per-index oracles in reference_kernels, on all default frames
+must equal the per-index oracles in reference_kernels, and the integer moment
+table, in both of its forms, the Fraction-step recurrence there, at y0 in
+{1, -2/7, 3/5}, with the same AdmissibilityError index and moment degree, on all default frames
 plus q in {5/2, 2/3, -3}, with pairs where some d_m vanishes or some
 gamma_{n+1} is zero included. The same checks run on tall draws: pair
 coefficients, and q and omega, with unrelated denominators of 16 to 64 bits.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -22,7 +25,7 @@ from hahnpoly.classical import (
     gamma_coefficient,
     recurrence,
 )
-from hahnpoly.functional import solve_moments
+from hahnpoly.functional import MomentFunctional, _moment_table, solve_moments
 from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, d_n, e_n, pearson_sequences, q_bracket
 from hahnpoly.verify import default_frames
 
@@ -94,6 +97,33 @@ def check_engine(pear, frame, depth):
         ref.solve_moments_per_index, pear, frame, F(2, 3), 2 * depth)
 
 
+# <u, 1> for the moment-table checks
+MOMENT_Y0 = (F(1), F(-2, 7), F(3, 5))
+
+
+def admissibility(fn, *args):
+    """The result of fn, or the index and moment degree of the AdmissibilityError it raised."""
+    try:
+        return fn(*args)
+    except AdmissibilityError as exc:
+        return AdmissibilityError, exc.index, exc.moment_degree
+
+
+def check_moment_table(pear, frame, depth):
+    # the integer table, as solve_moments' Fractions and over one denominator, against Fraction steps
+    for y0 in MOMENT_Y0:
+        expected = admissibility(ref.solve_moments_fractions, pear, frame, y0, depth)
+        got = admissibility(solve_moments, pear, frame, y0, depth)
+        table = admissibility(_moment_table, pear, frame, y0, depth)
+        if not isinstance(expected, MomentFunctional):
+            assert got == table == expected
+            continue
+        assert got.moments == expected.moments
+        nums, den = table
+        assert den > 0 and gcd(den, *nums) == 1
+        assert [F(n, den) for n in nums] == list(expected.moments)
+
+
 def check_recurrence(pear, frame, depth):
     report = check_regular(pear, frame, depth)
     assume(report.admissible)
@@ -119,6 +149,11 @@ class TestSequences:
 
     @checked
     @given(st.data())
+    def test_moment_table_against_fraction_steps(self, frame, data):
+        check_moment_table(data.draw(pairs(frame)), frame, data.draw(st.integers(0, 24)))
+
+    @checked
+    @given(st.data())
     def test_recurrence_against_per_index(self, frame, data):
         check_recurrence(data.draw(pairs(frame)), frame, data.draw(st.integers(0, 10)))
 
@@ -129,6 +164,7 @@ class TestSequences:
         depth = data.draw(st.integers(0, 8))
         check_sequences(pear, frame, 2 * depth + 1, depth)
         check_engine(pear, frame, depth)
+        check_moment_table(pear, frame, 2 * depth)
         check_recurrence(pear, frame, depth)
 
 
@@ -140,6 +176,7 @@ def test_tall_frames_against_per_index(data):
     depth = data.draw(st.integers(0, 8))
     check_sequences(pear, frame, 2 * depth + 1, depth)
     check_engine(pear, frame, depth)
+    check_moment_table(pear, frame, 2 * depth)
     check_recurrence(pear, frame, depth)
 
 

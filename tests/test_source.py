@@ -214,22 +214,58 @@ def _called_name(func) -> str:
     return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else ""
 
 
+def _reads_coeffs(node, names) -> bool:
+    """Whether node reads a .coeffs attribute, or a Name in names."""
+    return any((isinstance(n, ast.Attribute) and n.attr == "coeffs") or (isinstance(n, ast.Name) and n.id in names)
+               for n in ast.walk(node))
+
+
+def _scopes(tree) -> list[list]:
+    """The statements of each function in tree (nested functions included), and the module's own statements."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    top = [node for node in tree.body if not isinstance(node, functions + (ast.ClassDef,))]
+    return [top] + [node.body for node in ast.walk(tree) if isinstance(node, functions)]
+
+
+def _coeff_names(body) -> set[str]:
+    """Names that an assignment or a for loop in body binds to a value that reads .coeffs, directly or via such a name."""
+    bindings = []
+    for node in (n for stmt in body for n in ast.walk(stmt)):
+        if isinstance(node, ast.Assign):
+            bindings.append((node.targets, node.value))
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)) and node.value is not None:
+            bindings.append(([node.target], node.value))
+        elif isinstance(node, ast.For):
+            bindings.append(([node.target], node.iter))
+    names = set()
+    while True:
+        bound = {t.id for targets, value in bindings if _reads_coeffs(value, names)
+                 for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+        if bound <= names:
+            return names
+        names |= bound
+
+
 def _re_encodings(tree) -> list[str]:
-    """Calls that round-trip a Poly through Fractions: _ints(... .coeffs ...), or a Poly built from _fracs(...)."""
-    found = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        inner = [n for arg in node.args for n in ast.walk(arg)]
-        builds_poly = _called_name(node.func) == "Poly" or (
-            isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in ("Poly", "cls"))
-        if _called_name(node.func) == "_ints" and any(
-                isinstance(n, ast.Attribute) and n.attr == "coeffs" for n in inner):
-            found.append(f"_ints of coeffs (line {node.lineno})")
-        elif builds_poly and any(isinstance(n, ast.Call) and _called_name(n.func) == "_fracs" for n in inner):
-            found.append(f"Poly from _fracs (line {node.lineno})")
-    return found
+    """Calls that round-trip a Poly through Fractions: _ints of .coeffs, read in the call or through
+    a name the same function bound to it, or a Poly built from _fracs(...)."""
+    found = set()
+    for body in _scopes(tree):
+        names = _coeff_names(body)
+        for node in (n for stmt in body for n in ast.walk(stmt)):
+            if not isinstance(node, ast.Call):
+                continue
+            inner = [n for arg in node.args for n in ast.walk(arg)]
+            builds_poly = _called_name(node.func) == "Poly" or (
+                isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("Poly", "cls"))
+            if _called_name(node.func) == "_ints" and any(_reads_coeffs(arg, ()) for arg in node.args):
+                found.add((node.lineno, "_ints of coeffs"))
+            elif _called_name(node.func) == "_ints" and any(_reads_coeffs(arg, names) for arg in node.args):
+                found.add((node.lineno, "_ints of coeffs through a local name"))
+            elif builds_poly and any(isinstance(n, ast.Call) and _called_name(n.func) == "_fracs" for n in inner):
+                found.add((node.lineno, "Poly from _fracs"))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
 
 
 def test_re_encoding_lint_detects():
@@ -238,6 +274,25 @@ def test_re_encoding_lint_detects():
             "MomentFunctional._trusted(fr, tuple(_fracs(a, b)))\n_fracs(f.nums, dens)")
     assert _re_encodings(ast.parse(code)) == ["_ints of coeffs (line 1)", "_ints of coeffs (line 2)",
                                               "Poly from _fracs (line 3)", "Poly from _fracs (line 4)"]
+
+
+def test_re_encoding_lint_follows_local_names():
+    # the residual kernel once read phi_poly(pear).coeffs into a name and passed that name to _ints
+    code = ("def residual(pear):\n"
+            "    phi, psi = phi_poly(pear).coeffs or (F(0),), psi_poly(pear).coeffs\n"
+            "    cs, cd = _ints(phi + psi)\n"
+            "    held = list(phi)\n"
+            "    return _ints(held[:2])\n"
+            "def other(f):\n"
+            "    for c in f.coeffs:\n"
+            "        _ints([c])\n"
+            "    nums = f.nums\n"
+            "    return _ints(nums), _ints(held)\n"
+            "def unrelated(phi):\n"
+            "    return _ints(phi)\n")
+    assert _re_encodings(ast.parse(code)) == ["_ints of coeffs through a local name (line 3)",
+                                              "_ints of coeffs through a local name (line 5)",
+                                              "_ints of coeffs through a local name (line 8)"]
 
 
 def test_library_keeps_poly_on_integers():
