@@ -124,18 +124,17 @@ def solve_moments(
 
 
 def _moment_table(pear: PearsonPair, frame: HahnFrame, y0: Fraction, depth: int) -> tuple[list[int], int]:
-    """The moments y_0..y_depth of solve_moments as integers over their least common denominator.
+    """The moments y_0..y_depth of solve_moments as integers over one denominator, h_0 h_1 ... h_depth.
 
-    Entry n is N_n times the suffix product h_{n+1} ... h_depth, over h_0 h_1 ... h_depth; one
-    gcd then divides the table (on tall pair flags the unreduced denominator has 1.4 times the bits).
+    Entry n is N_n times the suffix product h_{n+1} ... h_depth. No gcd is taken: the steps
+    of _moment_steps already keep that denominator close to the least one.
     """
     nums, steps = _moment_steps(pear, frame, y0, depth)
     tail = 1
     for n in range(depth, -1, -1):
         nums[n] *= tail
         tail *= steps[n]
-    g = gcd(tail, *nums)
-    return [x // g for x in nums], tail // g
+    return nums, tail
 
 
 def _moment_steps(pear: PearsonPair, frame: HahnFrame, y0: ScalarLike, depth: int) -> tuple[list[int], list[int]]:
@@ -144,10 +143,12 @@ def _moment_steps(pear: PearsonPair, frame: HahnFrame, y0: ScalarLike, depth: in
     Over -d_n the recurrence reads y_{n+1} = A_n y_n + B_n y_{n-1}, with one Fraction each on the
     integer sequences: A_n = -(E_n + s W K_n D_{n-1}) / (M S_n D_n) and
     B_n = -K_n (c' M^2 L S_{n-1}^2 + c'' W E_{n-1}) / (c'' M^2 S_{n-1}^2 D_n), c = c'/c''.
-    Over lcm(M S_n, c'' M^2 S_{n-1}^2) |D_n| both are integers a_n / h, b_n / h; dividing a_n, b_n
-    and h by their gcd gives h_{n+1}, the least common denominator of A_n and B_n, and then
-    N_{n+1} = (A_n h_{n+1}) N_n + (B_n h_{n+1}) h_n N_{n-1}. No gcd touches N_n or the table.
-    At n = 0 the d_{-1} term carries the factor [0]_q = 0, so h_1 = M |D_0|.
+    Over h = lcm(M S_n, c'' M^2 S_{n-1}^2) |D_n| both are integers, a_n = A_n h and b_n = B_n h, so
+    y_{n+1} = N / (h_0 ... h_n h) with N = a_n N_n + b_n h_n N_{n-1}. The step then drops the
+    factor g = gcd(N, h): N_{n+1} = N / g and h_{n+1} = h / g. That gcd pairs a tall integer with
+    one of O(n) bits, so it costs about one multiplication, and it keeps h_0 ... h_n close to the
+    reduced denominator of y_n, which shortens the one full gcd per entry of solve_moments.
+    At n = 0 the d_{-1} term carries the factor [0]_q = 0, so h = M |D_0|.
     """
     top = max(depth - 1, 0)
     s = pearson_sequences(pear, frame, top, top)
@@ -160,18 +161,18 @@ def _moment_steps(pear: PearsonPair, frame: HahnFrame, y0: ScalarLike, depth: in
             raise AdmissibilityError(n, moment_degree=depth)
         sign = -1 if dn > 0 else 1  # the sign of -1 / D_n
         if n == 0:
-            steps.append(M * abs(dn))
-            nums.append(sign * s.e[0] * nums[0])
-            continue
-        bracket, sq = s.bracket[n], s.s_pow[n - 1] ** 2
-        over_a, over_b = M * s.s_pow[n], cd * mm * sq
-        common = lcm(over_a, over_b)
-        a = sign * (common // over_a) * (s.e[n] + s.s_pow[1] * W * bracket * s.d[n - 1])
-        b = sign * (common // over_b) * bracket * (c * mm * s.L * sq + cd * W * s.e[n - 1])
-        h = common * abs(dn)
-        g = gcd(a, b, h)  # of O(n)-bit step integers
+            h, nxt = M * abs(dn), sign * s.e[0] * nums[0]
+        else:
+            bracket, sq = s.bracket[n], s.s_pow[n - 1] ** 2
+            over_a, over_b = M * s.s_pow[n], cd * mm * sq
+            common = lcm(over_a, over_b)
+            a = sign * (common // over_a) * (s.e[n] + s.s_pow[1] * W * bracket * s.d[n - 1])
+            b = sign * (common // over_b) * bracket * (c * mm * s.L * sq + cd * W * s.e[n - 1])
+            h = common * abs(dn)
+            nxt = a * nums[n] + b * steps[n] * nums[n - 1]
+        g = gcd(nxt, h)
         steps.append(h // g)
-        nums.append(a // g * nums[n] + b // g * steps[n] * nums[n - 1])
+        nums.append(nxt // g)
     return nums, steps
 
 
