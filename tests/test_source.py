@@ -249,31 +249,41 @@ def _coeff_names(body) -> set[str]:
 def _re_encodings(tree) -> list[str]:
     """Calls that round-trip a Poly through Fractions: _ints of .coeffs, read in the call or through
     a name the same function bound to it, or a Poly built from _fracs(...)."""
+    def calls(nodes):
+        return [n for n in nodes if isinstance(n, ast.Call)]
+
+    def ints_of(node, names) -> bool:
+        return _called_name(node.func) == "_ints" and any(_reads_coeffs(arg, names) for arg in node.args)
+
     found = set()
+    for node in calls(ast.walk(tree)):
+        inner = [n for arg in node.args for n in ast.walk(arg)]
+        builds_poly = _called_name(node.func) == "Poly" or (
+            isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("Poly", "cls"))
+        if ints_of(node, ()):
+            found.add((node.lineno, "_ints of coeffs"))
+        elif builds_poly and any(isinstance(n, ast.Call) and _called_name(n.func) == "_fracs" for n in inner):
+            found.add((node.lineno, "Poly from _fracs"))
     for body in _scopes(tree):
         names = _coeff_names(body)
-        for node in (n for stmt in body for n in ast.walk(stmt)):
-            if not isinstance(node, ast.Call):
-                continue
-            inner = [n for arg in node.args for n in ast.walk(arg)]
-            builds_poly = _called_name(node.func) == "Poly" or (
-                isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in ("Poly", "cls"))
-            if _called_name(node.func) == "_ints" and any(_reads_coeffs(arg, ()) for arg in node.args):
-                found.add((node.lineno, "_ints of coeffs"))
-            elif _called_name(node.func) == "_ints" and any(_reads_coeffs(arg, names) for arg in node.args):
-                found.add((node.lineno, "_ints of coeffs through a local name"))
-            elif builds_poly and any(isinstance(n, ast.Call) and _called_name(n.func) == "_fracs" for n in inner):
-                found.add((node.lineno, "Poly from _fracs"))
+        found |= {(node.lineno, "_ints of coeffs through a local name")
+                  for node in calls(n for stmt in body for n in ast.walk(stmt))
+                  if ints_of(node, names) and not ints_of(node, ())}
     return [f"{what} (line {line})" for line, what in sorted(found)]
 
 
 def test_re_encoding_lint_detects():
     code = ("_ints(f.coeffs)\nqnum._ints(list(p.coeffs)[:2])\nPoly(_fracs(a, b))\n"
             "Poly._from_ints(_fracs(a, b), 1)\n_ints(u.moments)\nPoly(f.coeffs)\n"
-            "MomentFunctional._trusted(fr, tuple(_fracs(a, b)))\n_fracs(f.nums, dens)")
-    assert _re_encodings(ast.parse(code)) == ["_ints of coeffs (line 1)", "_ints of coeffs (line 2)",
-                                              "Poly from _fracs (line 3)", "Poly from _fracs (line 4)"]
+            "MomentFunctional._trusted(fr, tuple(_fracs(a, b)))\n_fracs(f.nums, dens)\n"
+            "class A:\n    X = _ints(p.coeffs)\n    ONE = Poly(_fracs(a, b))\n"
+            "    def m(self, q=_ints(p.coeffs)) -> Poly(_fracs(a, b)):\n        return q\n"
+            "@register(_ints(p.coeffs))\ndef f(x=Poly(_fracs(a, b))):\n    return x\n")
+    assert _re_encodings(ast.parse(code)) == [
+        "_ints of coeffs (line 1)", "_ints of coeffs (line 2)", "Poly from _fracs (line 3)", "Poly from _fracs (line 4)",
+        "_ints of coeffs (line 10)", "Poly from _fracs (line 11)", "Poly from _fracs (line 12)",
+        "_ints of coeffs (line 12)", "_ints of coeffs (line 14)", "Poly from _fracs (line 15)"]
 
 
 def test_re_encoding_lint_follows_local_names():
