@@ -272,7 +272,7 @@ def gram_matrix(u: MomentFunctional, polys: Sequence[Poly], depth: int) -> list[
     coeffs = [to_y_basis(p, u.frame) for p in polys]
     rows = []
     for pm, cm in zip(polys, coeffs):
-        pm_u = None  # P_m u, formed on the first entry that needs it
+        pm_u = None  # the moments of P_m u, formed on the first entry that needs it
         row = []
         for cn in coeffs:
             if not cm or not cn:
@@ -284,8 +284,8 @@ def gram_matrix(u: MomentFunctional, polys: Sequence[Poly], depth: int) -> list[
                     f"pairing needs moments up to degree {degree}, table stops at {u.max_degree}"
                 )
             if pm_u is None:
-                pm_u = left_multiply(pm, u)
-            row.append(sum((c * pm_u.moments[k] for k, c in enumerate(cn)), Fraction(0)))
+                pm_u = left_multiply(pm, u).moments
+            row.append(sum((c * pm_u[k] for k, c in enumerate(cn)), Fraction(0)))
         rows.append(row)
     return rows
 

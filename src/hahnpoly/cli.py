@@ -9,6 +9,8 @@ that order; a check passes exactly when its detail is empty.
 `verify --fuzz-moment` and `verify --y0` are read only by the gram suite:
 with a --suite that does not run it (`all` does), they are invalid input.
 `classify` reads no moment table, so `classify --y0` is invalid input too.
+The depth, `--n` or `$HAHNPOLY_DEPTH`, lies in 0..MAX_DEPTH (10 000); any other
+value is invalid input, rejected before any table is built.
 Each command builds only the format it prints: csv and human never build the
 JSON payload, so `recurrence --format csv` never expands a P_n, and
 `--format human` expands only the P_0..P_4 it prints.
@@ -35,6 +37,8 @@ EXIT_MISMATCH = 3
 EXIT_PIPE = 141
 
 DEPTH_ENV = "HAHNPOLY_DEPTH"
+# the largest depth a command accepts; a table that deep already takes minutes at q = 1
+MAX_DEPTH = 10_000
 # argparse reads a token like -1/3 as an option, not as the value of the flag before it
 _FLAG = re.compile(r"--[^=]+")
 _NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
@@ -70,8 +74,8 @@ def _default_depth(fallback: int) -> int:
 
 def _depth(args, fallback: int) -> int:
     depth = args.n if args.n is not None else _default_depth(fallback)
-    if depth < 0:
-        raise InputError(f"depth (--n or ${DEPTH_ENV}) must be >= 0, got {depth}")
+    if not 0 <= depth <= MAX_DEPTH:
+        raise InputError(f"depth (--n or ${DEPTH_ENV}) must be in 0..{MAX_DEPTH}, got {depth}")
     return depth
 
 
@@ -188,13 +192,13 @@ def cmd_moments(args) -> int:
         return {**u.to_json_dict(), "powerMoments": [str(m) for m in power]}
 
     def human():
-        for n in range(depth + 1):
-            yield f"n={n}: y={u.moments[n]} power={power[n]}"
+        for n, (y, p) in enumerate(zip(u.moments, power)):
+            yield f"n={n}: y={y} power={p}"
 
     def csv_rows():
         yield ("n", "y_moment", "power_moment")
-        for n in range(depth + 1):
-            yield (n, u.moments[n], power[n])
+        for n, (y, p) in enumerate(zip(u.moments, power)):
+            yield (n, y, p)
 
     _emit(args.format, payload, human, csv_rows)
     return EXIT_OK

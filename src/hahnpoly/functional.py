@@ -1,6 +1,15 @@
 """Moment functionals as finite tables of Y-basis moments.
 
 A functional u is represented by y[n] = <u, Y_n> for 0 <= n <= max_degree.
+Entry n is stored as integers, nums[n] / dens[n] in lowest terms with
+dens[n] > 0 and zero as (0, 1), so equal tables have equal (nums, dens) and
+==, hash and agrees_with compare integers. The kernels read and return that
+form, taking per entry the gcd that Fraction arithmetic would take but none of
+its object cost; ``moments`` builds the reduced Fractions on read. Each entry
+keeps its own denominator: one denominator for the whole table is as tall as
+the lcm of all of them, and on tall, unrelated denominators that form ran
+`verify --suite rodrigues` up to 1.45x slower.
+
 Every distributional operation computes the exact validity window of its
 result; pairing beyond the window raises, it never silently returns zero.
 """
@@ -9,16 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .qnum import (
-    AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar, pearson_sequences,
-    rodrigues_constant,
+    AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, pearson_sequences, rodrigues_constant,
 )
-from .poly import Poly, _fracs, _iterates, _powers, _y_node_ints, phi_poly, psi_poly, to_y_basis
+from .poly import Poly, _fracs, _iterates, _powers, _to_y_ints, _y_node_ints, phi_poly, psi_poly
 
 DEFAULT_DEPTH = 24
 
@@ -27,50 +35,93 @@ class InsufficientMomentsError(ValueError):
     """Asked to pair against a degree beyond the valid moment table."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class MomentFunctional:
-    frame: HahnFrame
-    moments: tuple[Fraction, ...]
+    """A moment table over a frame: entry n is nums[n] / dens[n] in lowest terms, with dens[n] > 0."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "moments", tuple(as_scalar(m) for m in self.moments))
-        if not self.moments:
+    frame: HahnFrame
+    nums: tuple[int, ...]
+    dens: tuple[int, ...]
+
+    def __new__(cls, frame: HahnFrame, moments: Iterable[ScalarLike]):
+        moments = [as_scalar(m) for m in moments]
+        if not moments:
             raise ValueError("a moment table needs at least y_0")
+        return cls._wrap(frame, [m.numerator for m in moments], [m.denominator for m in moments])
 
     @classmethod
-    def _trusted(cls, frame: HahnFrame, moments: tuple[Fraction, ...]) -> "MomentFunctional":
-        """Wrap a nonempty tuple of Fractions that the kernels built: no as_scalar."""
+    def _wrap(cls, frame: HahnFrame, nums: Iterable[int], dens: Iterable[int]) -> "MomentFunctional":
+        """A table over nonempty entries nums[n] / dens[n] that a kernel has already put in lowest terms."""
         out = object.__new__(cls)
         object.__setattr__(out, "frame", frame)
-        object.__setattr__(out, "moments", moments)
+        object.__setattr__(out, "nums", tuple(nums))
+        object.__setattr__(out, "dens", tuple(dens))
         return out
+
+    @classmethod
+    def _from_ints(cls, frame: HahnFrame, nums: Iterable[int], dens: Iterable[int]) -> "MomentFunctional":
+        """The table of entries nums[n] / dens[n], dens[n] > 0, each put in lowest terms by one gcd."""
+        out_n, out_d = [], []
+        for n, d in zip(nums, dens):
+            g = gcd(n, d)
+            out_n.append(n // g)
+            out_d.append(d // g)
+        return cls._wrap(frame, out_n, out_d)
+
+    def __reduce__(self):
+        # copy and pickle rebuild the table from its integers; __new__ takes moments
+        return MomentFunctional._wrap, (self.frame, self.nums, self.dens)
+
+    @property
+    def moments(self) -> tuple[Fraction, ...]:
+        """The moments y_0..y_max_degree as reduced Fractions, built on each read."""
+        return tuple(map(Fraction, self.nums, self.dens))
 
     @property
     def max_degree(self) -> int:
-        return len(self.moments) - 1
+        return len(self.nums) - 1
+
+    def _over_lcm(self, count: int | None = None) -> tuple[list[int], int]:
+        """Entries 0..count-1 (all by default) as integer numerators over the lcm of their denominators."""
+        nums, dens = self.nums[:count], self.dens[:count]
+        den = lcm(*dens)
+        return [n * (den // d) for n, d in zip(nums, dens)], den
 
     def truncate(self, max_degree: int) -> "MomentFunctional":
         if max_degree > self.max_degree:
             raise InsufficientMomentsError(
                 f"cannot extend table of degree {self.max_degree} to {max_degree}"
             )
-        return MomentFunctional(self.frame, self.moments[: max_degree + 1])
+        if max_degree < 0:
+            raise ValueError("a moment table needs at least y_0")
+        return MomentFunctional._wrap(self.frame, self.nums[: max_degree + 1], self.dens[: max_degree + 1])
 
     def scale(self, c: ScalarLike) -> "MomentFunctional":
         c = as_scalar(c)
-        return MomentFunctional._trusted(self.frame, tuple(c * m for m in self.moments))
+        return MomentFunctional._wrap(
+            self.frame, *_times(self.nums, self.dens, repeat(c.numerator), repeat(c.denominator)))
 
     def __add__(self, other: "MomentFunctional") -> "MomentFunctional":
+        """Entrywise sum on the shared valid range, by Fraction's addition on integers (Knuth, TAOCP 4.5.1)."""
         if self.frame != other.frame:
             raise ValueError("cannot add functionals over different frames")
-        n = min(self.max_degree, other.max_degree)
-        return MomentFunctional._trusted(
-            self.frame, tuple(self.moments[k] + other.moments[k] for k in range(n + 1))
-        )
+        nums, dens = [], []
+        for a, b, c, d in zip(self.nums, self.dens, other.nums, other.dens):
+            g = gcd(b, d)
+            if g == 1:
+                nums.append(a * d + b * c)
+                dens.append(b * d)
+            else:
+                s = b // g
+                t = a * (d // g) + c * s
+                g2 = gcd(t, g)
+                nums.append(t // g2)
+                dens.append(s * (d // g2))
+        return MomentFunctional._wrap(self.frame, nums, dens)
 
     def power_moments(self) -> list[Fraction]:
         """Derived view u_n = <u, x^n> = <x^n u, Y_0>, for n up to max_degree."""
-        v, den = _ints(self.moments)
+        v, den = self._over_lcm()
         nodes, t = _y_node_ints(self.frame, self.max_degree)
         nums = [v[0]]
         while len(v) > 1:
@@ -80,14 +131,14 @@ class MomentFunctional:
 
     def agrees_with(self, other: "MomentFunctional") -> bool:
         """Entrywise equality on the shared valid range."""
-        n = min(self.max_degree, other.max_degree)
-        return self.moments[: n + 1] == other.moments[: n + 1]
+        n = min(self.max_degree, other.max_degree) + 1
+        return self.nums[:n] == other.nums[:n] and self.dens[:n] == other.dens[:n]
 
     def to_json_dict(self) -> dict:
         return {
             "frame": {"q": str(self.frame.q), "omega": str(self.frame.omega)},
             "basis": "Y",
-            "moments": [str(m) for m in self.moments],
+            "moments": [str(n) if d == 1 else f"{n}/{d}" for n, d in zip(self.nums, self.dens)],
             "maxDegree": self.max_degree,
         }
 
@@ -97,16 +148,38 @@ class MomentFunctional:
         return MomentFunctional(frame, tuple(Fraction(m) for m in data["moments"]))
 
 
+def _times(nums: Iterable[int], dens: Iterable[int], cns: Iterable[int], cds: Iterable[int]) -> tuple[list, list]:
+    """The products (nums[n] / dens[n]) (cns[n] / cds[n]) of entries in lowest terms, in lowest terms.
+
+    Fraction's cross-cancellation: gcd(a, d) and gcd(c, b) pair each entry with a small factor,
+    so no gcd of two tall integers is taken.
+    """
+    out_n, out_d = [], []
+    for a, b, c, d in zip(nums, dens, cns, cds):
+        g1, g2 = gcd(a, d), gcd(c, b)
+        out_n.append((a // g1) * (c // g2))
+        out_d.append((b // g2) * (d // g1))
+    return out_n, out_d
+
+
 def pair(u: MomentFunctional, f: Poly) -> Fraction:
-    """<u, f> via the Y-basis expansion of f."""
+    """<u, f> = sum_k c_k y_k over the Y-basis expansion of f, summed on integers.
+
+    With c_k = g_k / (f.den t^(m-k)) from _to_y_ints and y_k = Y_k / s over the lcm s of
+    y_0..y_m, it is (sum_k g_k t^k Y_k) / (f.den t^m s): one Fraction.
+    """
     if f.is_zero():
         return Fraction(0)
     if f.degree() > u.max_degree:
         raise InsufficientMomentsError(
             f"pairing needs moments up to degree {f.degree()}, table stops at {u.max_degree}"
         )
-    coeffs = to_y_basis(f, u.frame)
-    return sum((c * u.moments[k] for k, c in enumerate(coeffs)), Fraction(0))
+    g, t = _to_y_ints(f, u.frame)
+    y, den = u._over_lcm(len(g))
+    acc = 0
+    for gk, yk in zip(reversed(g), reversed(y)):
+        acc = acc * t + gk * yk
+    return Fraction(acc, f.den * t ** (len(g) - 1) * den)
 
 
 def solve_moments(
@@ -117,10 +190,10 @@ def solve_moments(
     Uses the equivalent three-term recurrence in the Y-basis moments,
     d_n y_{n+1} + (e_n + omega [n]_q d_{n-1}) y_n + [n]_q (c + omega e_{n-1}) y_{n-1} = 0,
     which is first order in y_{n+1} whenever all d_n are nonzero; see _moment_steps.
-    Entry n is the one Fraction N_n / (h_0 h_1 ... h_n).
+    Entry n is N_n / (h_0 h_1 ... h_n), reduced by one gcd.
     """
     nums, steps = _moment_steps(pear, frame, y0, depth)
-    return MomentFunctional._trusted(frame, tuple(_fracs(nums, accumulate(steps, mul))))
+    return MomentFunctional._from_ints(frame, nums, accumulate(steps, mul))
 
 
 def _moment_table(pear: PearsonPair, frame: HahnFrame, y0: Fraction, depth: int) -> tuple[list[int], int]:
@@ -204,29 +277,33 @@ def _horner(cs: Sequence[int], y: Sequence[int], nodes: Sequence[int], t: int) -
 def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
     """The functional f*u, with <f u, g> = <u, f g>."""
     if f.is_zero():
-        return MomentFunctional._trusted(u.frame, (Fraction(0),) * (u.max_degree + 1))
+        return MomentFunctional._wrap(u.frame, repeat(0, len(u.nums)), repeat(1, len(u.nums)))
     if u.max_degree < f.degree():
         raise InsufficientMomentsError(
             f"left_multiply by degree {f.degree()} exhausts a table of degree {u.max_degree}"
         )
-    y, den = _ints(u.moments)
+    y, den = u._over_lcm()
     out, power = _horner(f.nums, y, *_y_node_ints(u.frame, u.max_degree))
-    return MomentFunctional._trusted(u.frame, tuple(_fracs(out, [den * f.den * power] * len(out))))
+    return MomentFunctional._from_ints(u.frame, out, repeat(den * f.den * power))
 
 
 def _dual_D(v: MomentFunctional, factor: Fraction) -> MomentFunctional:
-    """Entries factor * [n]_q v_{n-1} for 0 <= n <= len(v.moments): the dual of D Y_n = [n]_q Y_{n-1}.
+    """Entries factor * [n]_q v_{n-1} for 0 <= n <= len(v.nums): the dual of D Y_n = [n]_q Y_{n-1}.
 
     The small factor runs on integers, [n]_q = b_n / qd^(n-1) with
-    b_{n+1} = qd^n + qn b_n; each entry is then one Fraction product, whose
-    cross-cancellation stays cheap however tall v_{n-1} is.
+    b_{n+1} = qd^n + qn b_n, reduced by one short gcd; each entry is then the
+    cross-cancelled product of _times, which stays cheap however tall v_{n-1} is.
     """
     qn, qd = v.frame.q.numerator, v.frame.q.denominator
-    out, b = [Fraction(0)], 1
-    for m, p in zip(v.moments, _powers(qd, len(v.moments))):
-        out.append(m * Fraction(factor.numerator * b, factor.denominator * p))
+    cns, cds, b = [], [], 1
+    for p in _powers(qd, v.max_degree):
+        c, d = factor.numerator * b, factor.denominator * p
+        g = gcd(c, d)
+        cns.append(c // g)
+        cds.append(d // g)
         b = qd * p + qn * b
-    return MomentFunctional._trusted(v.frame, tuple(out))
+    nums, dens = _times(v.nums, v.dens, cns, cds)
+    return MomentFunctional._wrap(v.frame, [0, *nums], [1, *dens])
 
 
 def dist_D(u: MomentFunctional) -> MomentFunctional:
@@ -248,11 +325,16 @@ def dist_D_star(u: MomentFunctional) -> MomentFunctional:
     return _dual_D(u, -u.frame.q)
 
 
-def _lincomb(an: int, ad: int, x: Fraction, bn: int, bd: int, y: Fraction) -> Fraction:
-    """(an/ad) x + (bn/bd) y as one Fraction, over ad bd lcm(x.denominator, y.denominator)."""
-    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+def _lincomb(an: int, ad: int, x: tuple[int, int], bn: int, bd: int, y: tuple[int, int]) -> tuple[int, int]:
+    """(an/ad) x + (bn/bd) y for entries x = a/b, y = c/d: over ad bd lcm(b, d), then one gcd.
+
+    Returns the sum in lowest terms with a positive denominator; ad and bd may be negative.
+    """
+    (a, b), (c, d) = x, y
     g = gcd(b, d)
-    return Fraction(an * a * bd * (d // g) + bn * c * ad * (b // g), ad * bd * b * (d // g))
+    num, den = an * a * bd * (d // g) + bn * c * ad * (b // g), ad * bd * b * (d // g)
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def dist_L(u: MomentFunctional) -> MomentFunctional:
@@ -261,12 +343,13 @@ def dist_L(u: MomentFunctional) -> MomentFunctional:
     Forward substitution through the bidiagonal system of dist_L_star:
     <L u, Y_n> = q^{-n-1} y_n - q^{-1} node_n <L u, Y_{n-1}>.
     """
-    q, (nodes, t) = u.frame.q, _y_node_ints(u.frame, len(u.moments))
-    qnp, qdp = _powers(q.numerator, len(u.moments)), _powers(q.denominator, len(u.moments))
-    out = [Fraction(0)]
-    for n, (m, node) in enumerate(zip(u.moments, nodes)):
+    size = len(u.nums)
+    q, (nodes, t) = u.frame.q, _y_node_ints(u.frame, size)
+    qnp, qdp = _powers(q.numerator, size), _powers(q.denominator, size)
+    out = [(0, 1)]
+    for n, (m, node) in enumerate(zip(zip(u.nums, u.dens), nodes)):
         out.append(_lincomb(qdp[n + 1], qnp[n + 1], m, -node * q.denominator, t * q.numerator, out[-1]))
-    return MomentFunctional._trusted(u.frame, tuple(out[1:]))
+    return MomentFunctional._wrap(u.frame, *zip(*out[1:]))
 
 
 def dist_L_star(u: MomentFunctional) -> MomentFunctional:
@@ -275,12 +358,13 @@ def dist_L_star(u: MomentFunctional) -> MomentFunctional:
     L Y_n = q^n Y_n + q^{n-1} omega [n]_q Y_{n-1}, so
     <L* u, Y_n> = q^{n+1} y_n + q^n omega [n]_q y_{n-1}.
     """
-    qnp, qdp = _powers(u.frame.q.numerator, len(u.moments)), _powers(u.frame.q.denominator, len(u.moments))
-    (nodes, t), prev = _y_node_ints(u.frame, len(u.moments)), (Fraction(0),) + u.moments
-    return MomentFunctional._trusted(u.frame, tuple(
+    size, entries = len(u.nums), list(zip(u.nums, u.dens))
+    qnp, qdp = _powers(u.frame.q.numerator, size), _powers(u.frame.q.denominator, size)
+    (nodes, t), prev = _y_node_ints(u.frame, size), [(0, 1), *entries]
+    return MomentFunctional._wrap(u.frame, *zip(*(
         _lincomb(qnp[n + 1], qdp[n + 1], m, qnp[n] * node, qdp[n] * t, prev[n])
-        for n, (m, node) in enumerate(zip(u.moments, nodes))
-    ))
+        for n, (m, node) in enumerate(zip(entries, nodes))
+    )))
 
 
 def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list[Fraction]:
@@ -292,7 +376,7 @@ def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list
         raise InsufficientMomentsError(f"residual to depth {depth} needs a moment table of degree >= {need}")
     if depth < 0:
         return []
-    return _residual_ints(phi, psi, u.frame, *_ints(u.moments[: depth + 2]), depth)
+    return _residual_ints(phi, psi, u.frame, *u._over_lcm(depth + 2), depth)
 
 
 def _residual_ints(

@@ -267,22 +267,26 @@ def y_basis(n: int, frame: HahnFrame) -> Poly:
 
 
 def to_y_basis(f: Poly, frame: HahnFrame) -> list[Fraction]:
-    """Coefficients c with f = sum_k c_k Y_k, by repeated synthetic division.
+    """Coefficients c with f = sum_k c_k Y_k, by repeated synthetic division; see _to_y_ints."""
+    g, t = _to_y_ints(f, frame)
+    return _fracs(g, [f.den * p for p in reversed(_powers(t, len(g) - 1))])
+
+
+def _to_y_ints(f: Poly, frame: HahnFrame) -> tuple[list[int], int]:
+    """The Y coefficients of f on integers: c_k = g[k] / (f.den t^(m-k)), m = deg f, for the returned t.
 
     Dividing by (x - node_0), then the quotient by (x - node_1), and so on,
     leaves c_0, c_1, ... as the successive remainders: O(deg^2) integer work.
     With f = sum_k n_k x^k / den and nodes N_j / t, g(X) = sum_k n_k t^(m-k) X^k
     is t^m den f(X/t), its nodes are the integers N_j, and c_k = G_k / (den t^(m-k)).
     """
-    nums, den = f.nums, f.den
+    nums = f.nums
     nodes, t = _y_node_ints(frame, len(nums))
-    t_pows = _powers(t, len(nums) - 1)[::-1]  # t^(m-k) at index k
-    rem = [n * p for n, p in zip(nums, t_pows)]
+    rem = [n * p for n, p in zip(nums, reversed(_powers(t, len(nums) - 1)))]
     out = []
     for node in nodes:
         if node:
             for k in range(len(rem) - 2, -1, -1):
                 rem[k] += node * rem[k + 1]
         out.append(rem.pop(0))
-    return _fracs(out, [den * p for p in t_pows])
-
+    return out, t

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .qnum import HahnFrame, PearsonPair, _ints, d_n, e_n, q_binomial, q_bracket
+from .qnum import HahnFrame, PearsonPair, d_n, e_n, q_binomial, q_bracket
 from .poly import (
     Poly,
     _iterates,
@@ -219,9 +219,7 @@ def identities_suite(
         nl = rng.randint(0, 3)
         lhs = _iterates(dist_D, hu, nl)[-1]
         rhs = _leibniz(left_multiply, h, fr, _iterates(dist_D, u, nl))
-        record("leibniz_functional",
-               all(lhs.moments[mm] == rhs.moments[mm]
-                   for mm in range(min(7, lhs.max_degree, rhs.max_degree) + 1)), detail)
+        record("leibniz_functional", lhs.truncate(min(7, lhs.max_degree)).agrees_with(rhs), detail)
 
     return [Check(name, detail) for name, detail in details.items()]
 
@@ -264,7 +262,7 @@ def gram_suite(
     sigma = _chebyshev_rows(table, depth, frame, (nums[: 2 * depth + 1], den))
     if not any(any(row[:k]) for k, (row, _) in enumerate(sigma)):
         off = []
-        diagonal = [Fraction(row[k], den) for k, (row, den) in enumerate(sigma)]
+        diagonal = [(row[k], den) for k, (row, den) in enumerate(sigma)]
     else:
         coeffs = _chebyshev_rows(table, depth, frame)
 
@@ -273,14 +271,15 @@ def gram_suite(
 
         cells = ((m, n) for m in range(depth + 1) for n in range(depth + 1) if m != n)
         off = list(itertools.islice((cell for cell in cells if gram(*sorted(cell))), 4))
-        diagonal = [Fraction(gram(n, n), coeffs[n][1] * sigma[n][1]) for n in range(depth + 1)]
+        diagonal = [(gram(n, n), coeffs[n][1] * sigma[n][1]) for n in range(depth + 1)]
     checks.append(Check("gram_off_diagonal_zero", f"nonzero off-diagonal cells {off[:4]}" if off else ""))
-    # gamma[0] holds y0, so G[n][n] should be gamma_0 gamma_1 ... gamma_n with no factor 0
+    # gamma[0] holds y0, so G[n][n] = num / den should be gamma_0 gamma_1 ... gamma_n = en / ed with
+    # no factor 0; the product is kept unreduced and compared across, so no gcd is taken
     detail = ""
-    expected = Fraction(1)
-    for nn, gamma in enumerate(table.gamma):
-        expected *= gamma
-        if diagonal[nn] != expected or gamma == 0:
+    en = ed = 1
+    for nn, ((num, den), gamma) in enumerate(zip(diagonal, table.gamma)):
+        en, ed = en * gamma.numerator, ed * gamma.denominator
+        if num * ed != en * den or gamma == 0:
             detail = f"diagonal mismatch at n={nn}"
             break
     checks.append(Check("gram_diagonal_product_of_gammas", detail))
@@ -315,7 +314,7 @@ def rodrigues_suite(
     depth = moment_depth_for(pear, n_max, test_degree)  # nondecreasing in n
     u = solve_moments(pear, frame, 1, depth + 2 * n_max + 2)
     table = recurrence(pear, frame, n_max, require_regular=require_regular)
-    sigma = _chebyshev_rows(table, n_max, frame, _ints(u.moments))
+    sigma = _chebyshev_rows(table, n_max, frame, u._over_lcm())
     phi = phi_poly(pear)
     iterated = shifted = u
     product = Poly([1])
@@ -333,11 +332,12 @@ def rodrigues_suite(
                 f"(lhs {len(row) - 1}, rhs {rhs.max_degree}); enlarge the moment table"
             )
         problems = []
-        lhs = [Fraction(m, den) for m in row[: test_degree + 1]]
-        mismatch = _first_difference(lhs, rhs.moments[: test_degree + 1])
+        # sigma_{n,l} = row[l] / den against the entry nums[l] / dens[l] of the right-hand side
+        mismatch = _first_difference((m * d for m, d in zip(row[: test_degree + 1], rhs.dens)),
+                                     (n * den for n in rhs.nums))
         if mismatch is not None:
             problems.append(f"first mismatch at Y-degree {mismatch}")
-        split = _first_difference(closed.moments, iterated.moments)
+        split = _first_difference(zip(closed.nums, closed.dens), zip(iterated.nums, iterated.dens))
         if split is not None:
             problems.append(f"derived-functional routes disagree at Y-degree {split}")
         checks.append(Check(f"rodrigues_n{n}", "; ".join(problems)))
@@ -345,7 +345,7 @@ def rodrigues_suite(
 
 
 def _first_difference(a, b) -> Optional[int]:
-    """The first index, on their shared length, where sequences a and b differ."""
+    """The first index, on their shared length, where iterables a and b differ."""
     return next((k for k, (x, y) in enumerate(zip(a, b)) if x != y), None)
 
 

@@ -18,6 +18,11 @@ solve_moments_fractions runs the moment recurrence as one reduced Fraction step 
 moment, where hahnpoly.functional runs it on integers; tests/test_sequences.py
 compares both forms of that integer table with it, and the reference gram_suite reads it.
 
+The fraction_* routes are the Fraction-entry moment kernels that the per-entry
+integer (nums, dens) kernels of hahnpoly.functional replaced: the same banded
+recurrences, with each entry one reduced Fraction. tests/test_kernels.py requires
+equal moments and canonical (nums, dens) from the integer kernels.
+
 The per-index routes of the engine live here too: the regularity scan, the
 moment recurrence, beta_n and gamma_n call d_n, e_n and q_bracket once per
 index read and combine them in Fraction steps, and P_n is expanded by Poly
@@ -49,7 +54,7 @@ from hahnpoly.functional import InsufficientMomentsError, MomentFunctional
 from hahnpoly import poly
 from hahnpoly.poly import Poly, phi_poly, psi_poly
 from hahnpoly.qnum import (
-    AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, d_n, e_n, pearson_sequences,
+    AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar, d_n, e_n, pearson_sequences,
 )
 from hahnpoly.verify import RESIDUAL_DEPTH, Check, SuiteArgumentError
 
@@ -195,8 +200,8 @@ def pair(u: MomentFunctional, f: Poly) -> Fraction:
         raise InsufficientMomentsError(
             f"pairing needs moments up to degree {f.degree()}, table stops at {u.max_degree}"
         )
-    coeffs = to_y_basis(f, u.frame)
-    return sum((c * u.moments[k] for k, c in enumerate(coeffs)), Fraction(0))
+    coeffs, moments = to_y_basis(f, u.frame), u.moments  # moments builds its Fractions on each read
+    return sum((c * moments[k] for k, c in enumerate(coeffs)), Fraction(0))
 
 
 def power_moments(u: MomentFunctional) -> list[Fraction]:
@@ -225,10 +230,10 @@ def _y_image_coeffs(op_name: str, frame, n: int) -> tuple[Fraction, ...]:
 
 
 def _dual_apply(u: MomentFunctional, op_name: str, factor: Fraction, extend: int) -> MomentFunctional:
-    moments = []
+    moments, y = [], u.moments
     for n in range(u.max_degree + 1 + extend):
         coeffs = _y_image_coeffs(op_name, u.frame, n)
-        moments.append(factor * sum((c * u.moments[k] for k, c in enumerate(coeffs)), Fraction(0)))
+        moments.append(factor * sum((c * y[k] for k, c in enumerate(coeffs)), Fraction(0)))
     return MomentFunctional(u.frame, tuple(moments))
 
 
@@ -250,6 +255,80 @@ def dist_L(u: MomentFunctional) -> MomentFunctional:
 def dist_L_star(u: MomentFunctional) -> MomentFunctional:
     """<L* u, f> = q <u, L f>."""
     return _dual_apply(u, "L", u.frame.q, extend=0)
+
+
+def fraction_scale(u: MomentFunctional, c: ScalarLike) -> MomentFunctional:
+    """c times each moment, one Fraction product per entry."""
+    return MomentFunctional(u.frame, tuple(as_scalar(c) * m for m in u.moments))
+
+
+def fraction_add(u: MomentFunctional, v: MomentFunctional) -> MomentFunctional:
+    """The entrywise sum on the shared valid range, one Fraction sum per entry."""
+    if u.frame != v.frame:
+        raise ValueError("cannot add functionals over different frames")
+    return MomentFunctional(u.frame, tuple(a + b for a, b in zip(u.moments, v.moments)))
+
+
+def fraction_left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
+    """Horner's rule over the x-shift on the table over one lcm, then one Fraction per entry."""
+    if f.is_zero():
+        return MomentFunctional(u.frame, (Fraction(0),) * (u.max_degree + 1))
+    if u.max_degree < f.degree():
+        raise InsufficientMomentsError(
+            f"left_multiply by degree {f.degree()} exhausts a table of degree {u.max_degree}"
+        )
+    y, den = _ints(u.moments)
+    out, power = functional._horner(f.nums, y, *poly._y_node_ints(u.frame, u.max_degree))
+    return MomentFunctional(u.frame, tuple(Fraction(m, den * f.den * power) for m in out))
+
+
+def fraction_dual_D(v: MomentFunctional, factor: Fraction) -> MomentFunctional:
+    """Entries factor * [n]_q v_{n-1}, [n]_q = b_n / qd^(n-1), b_{n+1} = qd^n + qn b_n: one Fraction product each."""
+    qn, qd = v.frame.q.numerator, v.frame.q.denominator
+    out, b = [Fraction(0)], 1
+    for m, p in zip(v.moments, poly._powers(qd, v.max_degree)):
+        out.append(m * Fraction(factor.numerator * b, factor.denominator * p))
+        b = qd * p + qn * b
+    return MomentFunctional(v.frame, tuple(out))
+
+
+def _fraction_lincomb(an: int, ad: int, x: Fraction, bn: int, bd: int, y: Fraction) -> Fraction:
+    """(an/ad) x + (bn/bd) y as one Fraction, over ad bd lcm(x.denominator, y.denominator)."""
+    a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+    g = math.gcd(b, d)
+    return Fraction(an * a * bd * (d // g) + bn * c * ad * (b // g), ad * bd * b * (d // g))
+
+
+def fraction_dist_L(u: MomentFunctional) -> MomentFunctional:
+    """<L u, Y_n> = q^{-n-1} y_n - q^{-1} node_n <L u, Y_{n-1}>, one Fraction per entry."""
+    size = u.max_degree + 1
+    q, (nodes, t) = u.frame.q, poly._y_node_ints(u.frame, size)
+    qnp, qdp = poly._powers(q.numerator, size), poly._powers(q.denominator, size)
+    out = [Fraction(0)]
+    for n, (m, node) in enumerate(zip(u.moments, nodes)):
+        out.append(_fraction_lincomb(qdp[n + 1], qnp[n + 1], m, -node * q.denominator, t * q.numerator, out[-1]))
+    return MomentFunctional(u.frame, tuple(out[1:]))
+
+
+def fraction_dist_L_star(u: MomentFunctional) -> MomentFunctional:
+    """<L* u, Y_n> = q^{n+1} y_n + q^n omega [n]_q y_{n-1}, one Fraction per entry."""
+    size = u.max_degree + 1
+    qnp, qdp = poly._powers(u.frame.q.numerator, size), poly._powers(u.frame.q.denominator, size)
+    (nodes, t), prev = poly._y_node_ints(u.frame, size), (Fraction(0),) + u.moments
+    return MomentFunctional(u.frame, tuple(
+        _fraction_lincomb(qnp[n + 1], qdp[n + 1], m, qnp[n] * node, qdp[n] * t, prev[n])
+        for n, (m, node) in enumerate(zip(u.moments, nodes))
+    ))
+
+
+def fraction_dist_D(u: MomentFunctional) -> MomentFunctional:
+    """<D u, Y_n> = -[n]_q <L u, Y_{n-1}>, on the Fraction-entry L."""
+    return fraction_dual_D(fraction_dist_L(u), Fraction(-1))
+
+
+def fraction_dist_D_star(u: MomentFunctional) -> MomentFunctional:
+    """<D* u, Y_n> = -q [n]_q y_{n-1}."""
+    return fraction_dual_D(u, -u.frame.q)
 
 
 def gram_matrix(u: MomentFunctional, polys, depth: int) -> list[list[Fraction]]:
@@ -298,7 +377,7 @@ def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list
         rhs = functional.left_multiply(psi_poly(pear), v)
         if depth > min(lhs.max_degree, rhs.max_degree):
             raise InsufficientMomentsError("residual window exceeds the table")
-        return [lhs.moments[n] - rhs.moments[n] for n in range(depth + 1)]
+        return [a - b for a, b in zip(lhs.moments[: depth + 1], rhs.moments)]
 
     def accepts(degree: int) -> bool:
         try:

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -459,6 +461,35 @@ class TestOutOfRangeInput:
         code, _, err = run(capsys, "classify", "--preset", "charlier")
         assert code == EXIT_INPUT
         assert "HAHNPOLY_DEPTH" in json.loads(err)["error"]
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("command", ["classify", "recurrence", "moments", "verify"])
+    def test_huge_depth_rejected_at_once(self, capsys, command):
+        # the bound is checked before any table is built: no wait and no allocation
+        main(["presets"])  # build the parser outside the measurement
+        capsys.readouterr()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run(capsys, command, "--preset", "charlier", "--n", "100000000000")
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_INPUT and out == ""
+        assert "must be in 0..10000" in json.loads(err)["error"]
+        assert elapsed < 1 and peak < 1 << 20
+
+    def test_bound_from_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("HAHNPOLY_DEPTH", str(cli.MAX_DEPTH + 1))
+        code, _, err = run(capsys, "moments", "--preset", "charlier")
+        assert code == EXIT_INPUT
+        assert "HAHNPOLY_DEPTH" in json.loads(err)["error"]
+
+    def test_bound_is_inclusive(self):
+        args = build_parser().parse_args(["classify", "--n", str(cli.MAX_DEPTH)])
+        assert cli._depth(args, 12) == cli.MAX_DEPTH == 10_000
 
 
 class TestPresets:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -279,3 +281,28 @@ class TestSerialization:
     def test_rationals_rendered_as_strings(self):
         u = functional_of(Q1W1, [F(1, 3)])
         assert u.to_json_dict()["moments"] == ["1/3"]
+
+    def test_rendering_matches_fraction_str(self):
+        values = [F(0), F(-3), F(7, 2), F(-5, 9), F(2 ** 70 + 1, 3 ** 40)]
+        assert functional_of(Q1W1, values).to_json_dict()["moments"] == [str(v) for v in values]
+
+
+class TestIntegerForm:
+    def test_entries_canonical(self):
+        u = functional_of(Q1W1, [F(0), F(4, 6), -2, "-9/12"])
+        assert (u.nums, u.dens) == ((0, 2, -2, -3), (1, 3, 1, 4))
+        assert u == functional_of(Q1W1, [0, F(2, 3), F(-4, 2), F(-3, 4)])
+        assert hash(u) == hash(functional_of(Q1W1, [0, F(2, 3), F(-4, 2), F(-3, 4)]))
+
+    def test_copy_and_pickle(self):
+        u = solve_moments(CHARLIER, Q1W1, F(1, 3), 8)
+        for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+            assert clone(u) == u
+
+    def test_truncate_keeps_y0(self):
+        # a table always holds y_0: a negative degree is rejected, never sliced from the end
+        u = functional_of(Q1W1, [1, 2, 3])
+        assert u.truncate(0).moments == (1,)
+        for degree in (-1, -2):
+            with pytest.raises(ValueError, match="at least y_0"):
+                u.truncate(degree)

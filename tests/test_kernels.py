@@ -6,7 +6,9 @@ Gram suite is compared check by check on random regular pairs and on the
 presets fuzzed at every moment index, with the Gram matrix and the expanded
 P_n made unreadable. The integer-numerator kernels are also run at
 500-2000-bit coefficients on frames with negative q and omega, and on the
-zero and constant polynomials.
+zero and constant polynomials. The per-entry integer moment kernels are
+compared with the Fraction-entry kernels they replaced, entry by entry and
+as canonical (nums, dens), on small and on tall-denominator tables.
 """
 
 from fractions import Fraction as F
@@ -253,6 +255,38 @@ def test_gram_suite_on_tall_pairs(case, depth):
         assert gram_suite(pear, frame, depth, F(1), fuzz) == ref.gram_suite(pear, frame, depth, F(1), fuzz), fuzz
 
 
+DIAGONAL_CASES = {"tall": TALL_PAIRS[0], **{name: (PRESETS[name].pear, PRESETS[name].frame)
+                                             for name in ("al-salam-carlitz", "charlier")}}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGONAL_CASES))
+@pytest.mark.parametrize("depth", [12, 20, 40])
+def test_gram_diagonal_fault_named_as_by_fractions(name, depth, monkeypatch):
+    # a fault on sigma_{N/2,N/2} is named at n = N/2 by the cross-multiplied check, and by the
+    # reduced-Fraction check it replaced, read off the same faulted rows
+    pear, frame = DIAGONAL_CASES[name]
+    half, faulted = depth // 2, []
+
+    def fault(table, rows_depth, rows_frame, moments=None):
+        rows = classical._chebyshev_rows(table, rows_depth, rows_frame, moments)
+        if moments is not None:
+            row, den = rows[half]
+            rows[half] = (row[:half] + [row[half] + den] + row[half + 1:], den)
+            faulted.append(rows)
+        return rows
+
+    monkeypatch.setattr(verify, "_chebyshev_rows", fault)
+    checks = gram_suite(pear, frame, depth)
+    product, named = F(1), None
+    for n, ((row, den), gamma) in enumerate(zip(faulted[0], recurrence(pear, frame, depth).gamma)):
+        product *= gamma
+        if F(row[n], den) != product or gamma == 0:
+            named = n
+            break
+    assert named == half
+    assert [c.detail for c in checks] == ["", "", f"diagonal mismatch at n={half}"]
+
+
 @pytest.mark.parametrize("fuzz", [0, 3, 12])
 def test_gram_suite_fuzz_adds_one(fuzz, monkeypatch):
     # every check is linear in the change to y_fuzz, so only the table the rows read shows its size
@@ -435,3 +469,35 @@ def test_recurrence_polys_al_salam_carlitz_80():
     preset = PRESETS["al-salam-carlitz"]
     table = recurrence(preset.pear, preset.frame, 80)
     assert table.polys == ref.recurrence_polys(table.beta, table.gamma)
+
+
+# the default frames, and q = 5/2 and q = -3 on the same omegas
+ENTRY_FRAMES = FRAMES + [HahnFrame(q, omega) for q in (F(5, 2), F(-3)) for omega in verify.FRAME_OMEGA_VALUES]
+# y_0..y_24 on the first tall pair: tall, unrelated denominators
+TALL_TABLE = solve_moments(*TALL_PAIRS[0], 1, 24).moments
+entry_table_st = table_st | st.integers(1, 25).map(lambda k: TALL_TABLE[:k])
+FRACTION_ROUTES = {"dist_L": ref.fraction_dist_L, "dist_L_star": ref.fraction_dist_L_star,
+                   "dist_D": ref.fraction_dist_D, "dist_D_star": ref.fraction_dist_D_star}
+
+
+def assert_same_entries(fast, slow, name):
+    # equal Fractions entry by entry, and the integer form canonical: lowest terms, dens > 0, zero as (0, 1)
+    assert fast.moments == slow.moments, name
+    assert (fast.nums, fast.dens) == (slow.nums, slow.dens), name
+    assert all(d > 0 and gcd(n, d) == 1 for n, d in zip(fast.nums, fast.dens)), name
+
+
+@pytest.mark.parametrize("frame", ENTRY_FRAMES, ids=signed_frame_id)
+@checked
+@given(entry_table_st, entry_table_st, poly_st, coeff_st)
+def test_integer_entries_against_fraction_route(frame, values, other, f, c):
+    u, v = MomentFunctional(frame, values), MomentFunctional(frame, other)
+    for name, route in FRACTION_ROUTES.items():
+        assert_same_entries(getattr(functional, name)(u), route(u), name)
+    assert_same_entries(u.scale(c), ref.fraction_scale(u, c), "scale")
+    assert_same_entries(u + v, ref.fraction_add(u, v), "add")
+    fast, slow = outcome(functional.left_multiply, f, u), outcome(ref.fraction_left_multiply, f, u)
+    if isinstance(slow, MomentFunctional):
+        assert_same_entries(fast, slow, "left_multiply")
+    else:
+        assert fast == slow

@@ -70,13 +70,11 @@ class TestRodriguesRhs:
             table = recurrence(pear, frame, 4)
             rhs = rodrigues_rhs(pear, u, 1)
             lhs = left_multiply(table.polys[1], u)
-            for m in range(10):
-                assert rhs.moments[m] == lhs.moments[m]
+            assert rhs.moments[:10] == lhs.moments[:10]
             direct = left_multiply(
                 Poly([pear.e, pear.d]), u
             ).scale(frame.q * rodrigues_constant(pear, frame, 1))
-            for m in range(10):
-                assert rhs.moments[m] == direct.moments[m]
+            assert rhs.moments[:10] == direct.moments[:10]
 
 
     def test_frame_comes_from_the_functional(self):

@@ -214,9 +214,13 @@ def _called_name(func) -> str:
     return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else ""
 
 
-def _reads_coeffs(node, names) -> bool:
-    """Whether node reads a .coeffs attribute, or a Name in names."""
-    return any((isinstance(n, ast.Attribute) and n.attr == "coeffs") or (isinstance(n, ast.Name) and n.id in names)
+# the attributes that build Fractions on read from the integer form: Poly.coeffs and MomentFunctional.moments
+ENCODED = ("coeffs", "moments")
+
+
+def _reads_attr(node, attr, names) -> bool:
+    """Whether node reads an attribute attr, or a Name in names."""
+    return any((isinstance(n, ast.Attribute) and n.attr == attr) or (isinstance(n, ast.Name) and n.id in names)
                for n in ast.walk(node))
 
 
@@ -227,8 +231,8 @@ def _scopes(tree) -> list[list]:
     return [top] + [node.body for node in ast.walk(tree) if isinstance(node, functions)]
 
 
-def _coeff_names(body) -> set[str]:
-    """Names that an assignment or a for loop in body binds to a value that reads .coeffs, directly or via such a name."""
+def _attr_names(body, attr) -> set[str]:
+    """Names that an assignment or a for loop in body binds to a value that reads attr, directly or via such a name."""
     bindings = []
     for node in (n for stmt in body for n in ast.walk(stmt)):
         if isinstance(node, ast.Assign):
@@ -239,51 +243,63 @@ def _coeff_names(body) -> set[str]:
             bindings.append(([node.target], node.iter))
     names = set()
     while True:
-        bound = {t.id for targets, value in bindings if _reads_coeffs(value, names)
+        bound = {t.id for targets, value in bindings if _reads_attr(value, attr, names)
                  for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
         if bound <= names:
             return names
         names |= bound
 
 
+def _builder(func) -> str:
+    """The class a call builds, for Poly(...), MomentFunctional(...) and their (or cls's) classmethods, else ""."""
+    classes = ("Poly", "MomentFunctional")
+    if isinstance(func, ast.Name) and func.id in classes:
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in classes + ("cls",):
+        return func.value.id
+    return ""
+
+
 def _re_encodings(tree) -> list[str]:
-    """Calls that round-trip a Poly through Fractions: _ints of .coeffs, read in the call or through
-    a name the same function bound to it, or a Poly built from _fracs(...)."""
+    """Calls that round-trip a Poly or a moment table through Fractions: _ints of .coeffs or .moments,
+    read in the call or through a name the same function bound to it, or a Poly or MomentFunctional
+    built from _fracs(...)."""
     def calls(nodes):
         return [n for n in nodes if isinstance(n, ast.Call)]
 
-    def ints_of(node, names) -> bool:
-        return _called_name(node.func) == "_ints" and any(_reads_coeffs(arg, names) for arg in node.args)
+    def ints_of(node, attr, names) -> bool:
+        return _called_name(node.func) == "_ints" and any(_reads_attr(arg, attr, names) for arg in node.args)
 
     found = set()
     for node in calls(ast.walk(tree)):
         inner = [n for arg in node.args for n in ast.walk(arg)]
-        builds_poly = _called_name(node.func) == "Poly" or (
-            isinstance(node.func, ast.Attribute) and isinstance(node.func.value, ast.Name)
-            and node.func.value.id in ("Poly", "cls"))
-        if ints_of(node, ()):
-            found.add((node.lineno, "_ints of coeffs"))
-        elif builds_poly and any(isinstance(n, ast.Call) and _called_name(n.func) == "_fracs" for n in inner):
-            found.add((node.lineno, "Poly from _fracs"))
+        found |= {(node.lineno, f"_ints of {attr}") for attr in ENCODED if ints_of(node, attr, ())}
+        builder = _builder(node.func)
+        if builder and any(isinstance(n, ast.Call) and _called_name(n.func) == "_fracs" for n in inner):
+            found.add((node.lineno, f"{builder} from _fracs"))
     for body in _scopes(tree):
-        names = _coeff_names(body)
-        found |= {(node.lineno, "_ints of coeffs through a local name")
-                  for node in calls(n for stmt in body for n in ast.walk(stmt))
-                  if ints_of(node, names) and not ints_of(node, ())}
+        for attr in ENCODED:
+            names = _attr_names(body, attr)
+            found |= {(node.lineno, f"_ints of {attr} through a local name")
+                      for node in calls(n for stmt in body for n in ast.walk(stmt))
+                      if ints_of(node, attr, names) and not ints_of(node, attr, ())}
     return [f"{what} (line {line})" for line, what in sorted(found)]
 
 
 def test_re_encoding_lint_detects():
     code = ("_ints(f.coeffs)\nqnum._ints(list(p.coeffs)[:2])\nPoly(_fracs(a, b))\n"
             "Poly._from_ints(_fracs(a, b), 1)\n_ints(u.moments)\nPoly(f.coeffs)\n"
-            "MomentFunctional._trusted(fr, tuple(_fracs(a, b)))\n_fracs(f.nums, dens)\n"
+            "MomentFunctional(fr, tuple(_fracs(a, b)))\n_fracs(f.nums, dens)\n"
             "class A:\n    X = _ints(p.coeffs)\n    ONE = Poly(_fracs(a, b))\n"
             "    def m(self, q=_ints(p.coeffs)) -> Poly(_fracs(a, b)):\n        return q\n"
-            "@register(_ints(p.coeffs))\ndef f(x=Poly(_fracs(a, b))):\n    return x\n")
+            "@register(_ints(p.coeffs))\ndef f(x=Poly(_fracs(a, b))):\n    return x\n"
+            "MomentFunctional._wrap(fr, *_fracs(a, b))\n_ints(u.moments[:3])\nu.nums\n")
     assert _re_encodings(ast.parse(code)) == [
         "_ints of coeffs (line 1)", "_ints of coeffs (line 2)", "Poly from _fracs (line 3)", "Poly from _fracs (line 4)",
+        "_ints of moments (line 5)", "MomentFunctional from _fracs (line 7)",
         "_ints of coeffs (line 10)", "Poly from _fracs (line 11)", "Poly from _fracs (line 12)",
-        "_ints of coeffs (line 12)", "_ints of coeffs (line 14)", "Poly from _fracs (line 15)"]
+        "_ints of coeffs (line 12)", "_ints of coeffs (line 14)", "Poly from _fracs (line 15)",
+        "MomentFunctional from _fracs (line 17)", "_ints of moments (line 18)"]
 
 
 def test_re_encoding_lint_follows_local_names():
@@ -299,14 +315,19 @@ def test_re_encoding_lint_follows_local_names():
             "    nums = f.nums\n"
             "    return _ints(nums), _ints(held)\n"
             "def unrelated(phi):\n"
-            "    return _ints(phi)\n")
+            "    return _ints(phi)\n"
+            "def table(u):\n"
+            "    window = u.moments[:4]\n"
+            "    return _ints(window)\n")
     assert _re_encodings(ast.parse(code)) == ["_ints of coeffs through a local name (line 3)",
                                               "_ints of coeffs through a local name (line 5)",
-                                              "_ints of coeffs through a local name (line 8)"]
+                                              "_ints of coeffs through a local name (line 8)",
+                                              "_ints of moments through a local name (line 15)"]
 
 
 def test_library_keeps_poly_on_integers():
-    # a Poly is stored as (nums, den); the kernels read that form instead of re-encoding coeffs
+    # a Poly is stored as (nums, den) and a moment table as (nums, dens); the kernels read those
+    # forms instead of re-encoding coeffs or moments
     found = [
         f"{path.name}: {entry}"
         for path in SOURCES
