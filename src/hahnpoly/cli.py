@@ -9,6 +9,9 @@ that order; a check passes exactly when its detail is empty.
 `verify --fuzz-moment` and `verify --y0` are read only by the gram suite:
 with a --suite that does not run it (`all` does), they are invalid input.
 `classify` reads no moment table, so `classify --y0` is invalid input too.
+At --n N a verify suite exits 2 only on a failure inside its window: gram y_0..y_max(2N,21) and the
+recurrence to N; rodrigues, at n_max = min(5, N), y_0..y_D with D = verify.moment_depth_for(n_max) and
+the recurrence to n_max without regularity; norms y_0..y_16 and P_0..P_8; identities no pair.
 The depth, `--n` or `$HAHNPOLY_DEPTH`, lies in 0..MAX_DEPTH (10 000); any other
 value is invalid input, rejected before any table is built.
 Each command builds only the format it prints: csv and human never build the

@@ -102,22 +102,11 @@ class MomentFunctional:
             self.frame, *_times(self.nums, self.dens, repeat(c.numerator), repeat(c.denominator)))
 
     def __add__(self, other: "MomentFunctional") -> "MomentFunctional":
-        """Entrywise sum on the shared valid range, by Fraction's addition on integers (Knuth, TAOCP 4.5.1)."""
+        """Entrywise sum on the shared valid range, by _lincomb with both factors 1."""
         if self.frame != other.frame:
             raise ValueError("cannot add functionals over different frames")
-        nums, dens = [], []
-        for a, b, c, d in zip(self.nums, self.dens, other.nums, other.dens):
-            g = gcd(b, d)
-            if g == 1:
-                nums.append(a * d + b * c)
-                dens.append(b * d)
-            else:
-                s = b // g
-                t = a * (d // g) + c * s
-                g2 = gcd(t, g)
-                nums.append(t // g2)
-                dens.append(s * (d // g2))
-        return MomentFunctional._wrap(self.frame, nums, dens)
+        entries = (_lincomb(1, 1, x, 1, 1, y) for x, y in zip(zip(self.nums, self.dens), zip(other.nums, other.dens)))
+        return MomentFunctional._wrap(self.frame, *zip(*entries))
 
     def power_moments(self) -> list[Fraction]:
         """Derived view u_n = <u, x^n> = <x^n u, Y_0>, for n up to max_degree."""

@@ -55,6 +55,10 @@ class Poly:
         object.__setattr__(out, "den", den)
         return out
 
+    def __reduce__(self):
+        # copy and pickle rebuild the poly from its integers; the default route sets slots through __setattr__
+        return Poly._wrap, (self.nums, self.den)
+
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as reduced Fractions, lowest degree first."""

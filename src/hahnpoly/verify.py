@@ -289,8 +289,9 @@ def gram_suite(
 def moment_depth_for(pear: PearsonPair, n: int, test_degree: int) -> int:
     """Smallest moment-table degree on which P_n u and the right-hand side both reach test_degree."""
     deg_phi = phi_poly(pear).degree() or 0
-    # lhs consumes deg P_n = n; rhs consumes n*deg(phi) then regains n via (D*)^n
-    return test_degree + max(n, n * deg_phi - n)
+    # lhs consumes deg P_n = n; rhs consumes n*deg(phi) then regains n via (D*)^n, and Phi(.; n) L^n u,
+    # like each u^[j] = L(phi u^[j-1]), must keep y_0, so the table reaches n*deg(phi) even at small test_degree
+    return max(test_degree + max(n, n * deg_phi - n), n * deg_phi)
 
 
 def rodrigues_suite(
@@ -311,8 +312,8 @@ def rodrigues_suite(
     for name, value in (("n_max", n_max), ("test_degree", test_degree)):
         if value < 0:
             raise SuiteArgumentError(f"{name} must be >= 0, got {value}")
-    depth = moment_depth_for(pear, n_max, test_degree)  # nondecreasing in n
-    u = solve_moments(pear, frame, 1, depth + 2 * n_max + 2)
+    # row n of sigma reads y_0..y_{test_degree + n}, and its right-hand side y_0..y_{moment_depth_for(.., n, ..)}
+    u = solve_moments(pear, frame, 1, moment_depth_for(pear, n_max, test_degree))  # nondecreasing in n
     table = recurrence(pear, frame, n_max, require_regular=require_regular)
     sigma = _chebyshev_rows(table, n_max, frame, u._over_lcm())
     phi = phi_poly(pear)
@@ -371,14 +372,15 @@ def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
     """Derivative-sequence laws, psi^[k]/theta2 dual routes, gamma_1^[n]."""
     checks = []
     q = frame.q
-    depth = 30
-    u = solve_moments(pear, frame, 1, depth)
-    table = recurrence(pear, frame, 12)
+    # k reads P^[k]_n, n < top, from P_{n+k}, <u, P_{n+k}^2>, and u^[k] to 2 top - 2, y_{2 top - 2 + k deg phi}:
+    # at k = 3, top = 6, P_0..P_8 (the recurrence to 7) and y_0..y_16 (<u, P_8^2>; the cells at deg phi = 2)
+    u = solve_moments(pear, frame, 1, 16)
+    table = recurrence(pear, frame, 7)
 
     # the k = 1 rows run to n, m <= 6 and decide derivative_orthogonality_k1 too;
     # each check keeps the detail of its last failing index
     fails: dict[str, str] = {}
-    squares = [pair(u, p * p) for p in table.polys[:9]]  # <u, P_m^2> for the m = n + k <= 8 read below
+    squares = [pair(u, p * p) for p in table.polys]
     uk = u
     for k in range(4):
         if k:

@@ -383,8 +383,29 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--suite", "rodrigues", "--a=1", "--b=0", "--c=1",
                              "--d=-1", "--e=1", "--q=1", "--omega=1")
         assert code == EXIT_NEGATIVE and out == ""
-        # the Rodrigues suite solves its moment table to y_25
-        assert json.loads(err) == {"error": "admissibility failure: d_1 = 0", "momentDegree": 25}
+        # at n_max 5 and test degree 8 the Rodrigues suite solves its moment table to y_13
+        assert json.loads(err) == {"error": "admissibility failure: d_1 = 0", "momentDegree": 13}
+
+    def test_rodrigues_reads_no_moment_past_its_window(self, capsys):
+        # d_20 = 0: classify at --n 8 scans d_0..d_17 and the Rodrigues suite solves to y_13, reading
+        # d_0..d_12, so both accept the pair; the gram suite solves to y_21 and so reads d_20
+        flags = ["--a=1", "--c=1", "--d=-20", "--e=1", "--q=1", "--omega=1"]
+        assert run(capsys, "classify", *flags, "--n", "8")[0] == EXIT_OK
+        code, out, err = run(capsys, "verify", "--suite", "rodrigues", *flags)
+        assert (code, err) == (EXIT_OK, "")
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == [f"pair:rodrigues_n{n}" for n in range(6)]
+        assert all(c["passed"] for c in checks)
+        code, out, err = run(capsys, "verify", "--suite", "all", *flags)
+        assert (code, out) == (EXIT_NEGATIVE, "")
+        assert json.loads(err) == {"error": "admissibility failure: d_20 = 0", "momentDegree": 21}
+
+    def test_norms_reads_no_regularity_past_its_window(self, capsys):
+        # phi_root_condition fails at n = 10, past the recurrence to depth 7 that the norms suite reads
+        code, out, err = run(capsys, "verify", "--suite", "norms", "--b=1", "--d=-2", "--e=10", "--q=1", "--omega=1")
+        assert (code, err) == (EXIT_OK, "")
+        checks = json.loads(out)["checks"]
+        assert len(checks) == 6 and all(c["passed"] for c in checks)
 
     def test_rodrigues_explicit_pair(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 from math import gcd
 from operator import mul
@@ -116,6 +118,20 @@ class TestPolyBasics:
             assert len(set(group)) == 1
         # equal numerators over different denominators are different polynomials
         assert Poly([1, 2]) != Poly([F(1, 3), F(2, 3)]) and Poly([1]) != Poly([F(1, 2)])
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle(self, clone):
+        # an immutable Poly is rebuilt from its integers, never through __setattr__
+        tall = Poly([F(2**80 + 1, 3**50), F(-(7**40), 2**70 + 3), 0, F(5, 11)])
+        for p in (Poly(), Poly([F(-3, 4)]), tall):
+            out = clone(p)
+            assert (out.nums, out.den) == (p.nums, p.den) and out == p and hash(out) == hash(p)
+            assert_canonical(out)
+        preset = PRESETS["al-salam-carlitz"]
+        table = recurrence(preset.pear, preset.frame, 6)
+        polys = table.polys  # read before the clone, so the clone carries them
+        assert clone(table).__dict__["polys"] == polys
 
     @settings(deadline=None)
     @given(poly_st, coeff_st)

@@ -1,9 +1,10 @@
+import functools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from hahnpoly.classical import PRESETS, RecurrenceTable, get_preset, recurrence
+from hahnpoly.classical import PRESETS, RecurrenceTable, RegularityError, check_regular, get_preset, recurrence
 from hahnpoly.functional import (
     InsufficientMomentsError,
     MomentFunctional,
@@ -14,7 +15,7 @@ from hahnpoly.functional import (
     solve_moments,
 )
 from hahnpoly.poly import Poly, _iterates, op_L
-from hahnpoly.qnum import HahnFrame, PearsonPair, rodrigues_constant
+from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, rodrigues_constant
 from hahnpoly import verify
 from hahnpoly.verify import SuiteArgumentError, moment_depth_for
 from reference_kernels import phi_product
@@ -130,6 +131,21 @@ class TestMomentDepthFor:
             table = recurrence(preset.pear, preset.frame, n + 1)
             assert_rodrigues_holds(preset.pear, preset.frame, u, table, n)
 
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_smallest_window_at_every_test_degree(self, name):
+        # below test_degree = n, deg phi = 2 makes Phi(.; n) L^n u, not the test degree, set the window
+        preset = PRESETS[name]
+        table = recurrence(preset.pear, preset.frame, 6)
+        for n in range(6):
+            for test_degree in range(9):
+                depth = moment_depth_for(preset.pear, n, test_degree)
+                u = solve_moments(preset.pear, preset.frame, 1, depth)
+                assert_rodrigues_holds(preset.pear, preset.frame, u, table, n, test_degree)
+                if depth:
+                    short = u.truncate(depth - 1)
+                    outcome = _route_outcome(rodrigues_rhs, preset.pear, short, n)
+                    assert outcome is InsufficientMomentsError or min(outcome[0], depth - 1 - n) < test_degree
+
 
 class TestRodriguesSuite:
     def test_route_disagreement_fails_the_check(self, monkeypatch):
@@ -211,3 +227,68 @@ def test_rodrigues_rhs_matches_closed_form():
         n = rng.randint(0, 6)
         assert _route_outcome(rodrigues_rhs, pear, u, n) == _route_outcome(
             _closed_form_rhs, pear, frame, u, n), (case, pear, frame, n, u.max_degree)
+
+
+# the windows the pair suites solved to before each was sized from the indices its checks read
+WINDOW_FRAMES = verify.default_frames() + [
+    HahnFrame(q, omega) for q in (F(5, 2), F(-3)) for omega in verify.FRAME_OMEGA_VALUES
+]
+
+
+def _window_coefficient(rng):
+    return F(0) if rng.random() < 0.25 else F(rng.randint(-3, 3), rng.randint(1, 2))
+
+
+def _suite_outcome(suite):
+    """The checks of suite(), or the type of the error it raised."""
+    try:
+        return suite()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _window_cases(rng):
+    """Random pairs over WINDOW_FRAMES, then pairs on which d_m vanishes at m = 14..28 or
+    phi_root_condition fails at n = 6..13, inside the padded windows but past the suites' own."""
+    for case in range(200):
+        coeffs = [_window_coefficient(rng) for _ in range(5)]
+        if any(coeffs):
+            yield PearsonPair(*coeffs), WINDOW_FRAMES[case % len(WINDOW_FRAMES)]
+    yield from ((PearsonPair(1, 0, 1, -m, 1), Q1W1) for m in range(14, 29))
+    yield from ((PearsonPair(0, 1, 0, -2, e), Q1W1) for e in range(6, 14))
+
+
+def test_pair_suites_read_only_their_windows(monkeypatch):
+    # each suite at its own window against the padded one: the same checks wherever the padded one runs,
+    # and where only the own window runs, every check passes
+    solve, rec = verify.solve_moments, verify.recurrence
+    rng = random.Random(27)
+    seen = {"irregular": 0, "padded_only_rejects": 0}
+    for case, (pear, frame) in enumerate(_window_cases(rng)):
+        n_max, test_degree = rng.randint(0, 5), rng.randint(0, 10)
+        deg_phi = Poly([pear.c, pear.b, pear.a]).degree() or 0
+        padded = test_degree + max(n_max, n_max * deg_phi - n_max) + 2 * n_max + 2
+        # each suite, its padded moment table and recurrence, and the depth to which an irregular pair is counted
+        runs = [
+            (functools.partial(verify.rodrigues_suite, pear, frame, n_max, test_degree, require_regular=False),
+             lambda pp, fr, y0, depth: solve(pp, fr, y0, padded), rec, n_max),
+            (functools.partial(verify.norms_suite, pear, frame),
+             lambda pp, fr, y0, depth: solve(pp, fr, y0, 30), lambda pp, fr, depth: rec(pp, fr, 12), 20),
+        ]
+        for suite, padded_solve, padded_recurrence, depth in runs:
+            where = (case, pear, frame, suite.func.__name__)
+            exact = _suite_outcome(suite)
+            with monkeypatch.context() as m:
+                m.setattr(verify, "solve_moments", padded_solve)
+                m.setattr(verify, "recurrence", padded_recurrence)
+                before = _suite_outcome(suite)
+            if isinstance(before, list):
+                assert exact == before, where
+                seen["irregular"] += not check_regular(pear, frame, depth).regular
+            elif isinstance(exact, list):
+                assert all(c.passed for c in exact), where
+                seen["padded_only_rejects"] += 1
+            else:  # both negative, though the exact window may meet the vanishing d_m in the other table first
+                negative = (AdmissibilityError, RegularityError)
+                assert exact is before or issubclass(exact, negative) and issubclass(before, negative), where
+    assert min(seen.values()) >= 10, seen
