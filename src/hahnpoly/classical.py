@@ -26,7 +26,7 @@ from .qnum import (
     pearson_sequences,
     q_bracket,
 )
-from .poly import Poly, _iterates, _y_node_ints, op_D, op_D_star, phi_poly, psi_poly, to_y_basis
+from .poly import Poly, _frac_strs, _iterates, _y_node_ints, op_D, op_D_star, phi_poly, psi_poly, to_y_basis
 from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
@@ -215,7 +215,7 @@ class RecurrenceTable:
         return {
             "beta": [str(b) for b in self.beta],
             "gamma": [str(g) for g in self.gamma],
-            "polynomials": [[str(c) for c in p.coeffs] for p in self.polys],
+            "polynomials": [list(_frac_strs(p.nums, repeat(p.den))) for p in self.polys],
         }
 
 

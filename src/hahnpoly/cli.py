@@ -11,12 +11,16 @@ with a --suite that does not run it (`all` does), they are invalid input.
 `classify` reads no moment table, so `classify --y0` is invalid input too.
 At --n N a verify suite exits 2 only on a failure inside its window: gram y_0..y_max(2N,21) and the
 recurrence to N; rodrigues, at n_max = min(5, N), y_0..y_D with D = verify.moment_depth_for(n_max) and
-the recurrence to n_max without regularity; norms y_0..y_16 and P_0..P_8; identities no pair.
+the recurrence to max(n_max - 1, 0) without regularity; norms y_0..y_16 and P_0..P_8; identities no pair.
 The depth, `--n` or `$HAHNPOLY_DEPTH`, lies in 0..MAX_DEPTH (10 000); any other
 value is invalid input, rejected before any table is built.
-Each command builds only the format it prints: csv and human never build the
-JSON payload, so `recurrence --format csv` never expands a P_n, and
-`--format human` expands only the P_0..P_4 it prints.
+Each command builds only the format it prints. `recurrence --format json` writes
+its text straight from the integer rows of P_0..P_{N+1}, byte-identical to
+json.dumps(payload, indent=2), and builds all of it before the first write, so
+a failure while rendering (Python's 4300-digit str limit) leaves stdout empty.
+csv and human never build that text, so `recurrence --format csv` never expands
+a P_n, and `--format human` expands only the P_0..P_4 it prints. The other
+commands print json.dumps of their payload.
 """
 
 from __future__ import annotations
@@ -27,8 +31,11 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
+from typing import Iterable
 
 from .qnum import AdmissibilityError, HahnFrame, PearsonPair
+from .poly import _frac_strs
 from .functional import DEFAULT_DEPTH, solve_moments
 from .classical import PRESETS, RecurrenceTable, RegularityError, check_regular, get_preset, recurrence
 from .verify import SUITES, SuiteArgumentError, run_suites
@@ -115,9 +122,38 @@ def _resolve_pair(args) -> tuple[PearsonPair, HahnFrame]:
     return pear, frame
 
 
-def _emit(fmt: str, payload, human_lines, csv_rows):
+def _dumped(payload):
+    """The JSON text of payload(), as chunks for _emit."""
+    return lambda: [json.dumps(payload(), indent=2), "\n"]
+
+
+def _json_array(items: Iterable[str], indent: str) -> str:
+    """A nonempty JSON array of already-encoded items, laid out as json.dumps(indent=2) lays it out at this indent."""
+    body = f",\n{indent}  ".join(items)
+    return f"[\n{indent}  {body}\n{indent}]"
+
+
+def _recurrence_json(table: RecurrenceTable) -> list[str]:
+    """The text of json.dumps(table.to_json_dict(), indent=2) and a newline, one chunk per P_n.
+
+    Each coefficient is rendered straight from the integer row (nums, den) of its P_n,
+    with no Fraction, no payload tree and no json.dumps string in between.
+    """
+    chunks = [
+        '{\n  "beta": ', _json_array((f'"{b!s}"' for b in table.beta), "  "),
+        ',\n  "gamma": ', _json_array((f'"{g!s}"' for g in table.gamma), "  "),
+        ',\n  "polynomials": [',
+    ]
+    for n, p in enumerate(table.polys):
+        chunks.append(",\n    " if n else "\n    ")
+        chunks.append(_json_array(_frac_strs(p.nums, repeat(p.den), '"'), "    "))
+    chunks.append("\n  ]\n}\n")
+    return chunks
+
+
+def _emit(fmt: str, json_chunks, human_lines, csv_rows):
     if fmt == "json":
-        print(json.dumps(payload(), indent=2))
+        sys.stdout.writelines(json_chunks())  # a list, built in full first: a failure to render writes nothing
     elif fmt == "csv":
         for row in csv_rows():
             print(",".join(str(cell) for cell in row))
@@ -146,7 +182,7 @@ def cmd_classify(args) -> int:
         for k, v in report.to_json_dict().items():
             yield (k, json.dumps(v) if isinstance(v, dict) else v)
 
-    _emit(args.format, report.to_json_dict, human, csv_rows)
+    _emit(args.format, _dumped(report.to_json_dict), human, csv_rows)
     return EXIT_OK if report.regular else EXIT_NEGATIVE
 
 
@@ -176,7 +212,7 @@ def cmd_recurrence(args) -> int:
         for n in range(depth + 1):
             yield (n, table.beta[n], table.gamma[n] if n else "")
 
-    _emit(args.format, table.to_json_dict, human, csv_rows)
+    _emit(args.format, lambda: _recurrence_json(table), human, csv_rows)
     return EXIT_OK
 
 
@@ -203,7 +239,7 @@ def cmd_moments(args) -> int:
         for n, (y, p) in enumerate(zip(u.moments, power)):
             yield (n, y, p)
 
-    _emit(args.format, payload, human, csv_rows)
+    _emit(args.format, _dumped(payload), human, csv_rows)
     return EXIT_OK
 
 
@@ -256,7 +292,7 @@ def cmd_verify(args) -> int:
         for c in checks:
             yield (c.name, c.passed, c.detail)
 
-    _emit(args.format, payload, human, csv_rows)
+    _emit(args.format, _dumped(payload), human, csv_rows)
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
@@ -281,7 +317,7 @@ def cmd_presets(args) -> int:
         for name, p in PRESETS.items():
             yield (name, p.pear.a, p.pear.b, p.pear.c, p.pear.d, p.pear.e, p.frame.q, p.frame.omega)
 
-    _emit(args.format, payload, human, csv_rows)
+    _emit(args.format, _dumped(payload), human, csv_rows)
     return EXIT_OK
 
 

@@ -112,6 +112,8 @@ class MomentFunctional:
         """Derived view u_n = <u, x^n> = <x^n u, Y_0>, for n up to max_degree."""
         v, den = self._over_lcm()
         nodes, t = _y_node_ints(self.frame, self.max_degree)
+        g = gcd(t, *nodes)  # the nodes over t need not be in lowest terms; at omega = 0 all are 0, and t drops to 1
+        nodes, t = [n // g for n in nodes], t // g
         nums = [v[0]]
         while len(v) > 1:
             v = _x_shift(v, nodes, t)

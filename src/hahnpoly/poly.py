@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .qnum import HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar
 
@@ -21,6 +21,13 @@ from .qnum import HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar
 def _fracs(nums: Iterable[int], dens: Iterable[int]) -> list[Fraction]:
     """The reduced Fractions nums[k] / dens[k]: the kernels' one way back from integers."""
     return list(map(Fraction, nums, dens))
+
+
+def _frac_strs(nums: Iterable[int], dens: Iterable[int], quote: str = "") -> Iterator[str]:
+    """str(Fraction(nums[k], dens[k])), each between two quotes, from integers: one gcd and one f-string each."""
+    for n, d in zip(nums, dens):
+        g = gcd(n, d)
+        yield f"{quote}{n // g}{quote}" if g == d else f"{quote}{n // g}/{d // g}{quote}"
 
 
 def _powers(base: int, top: int) -> list[int]:

@@ -314,7 +314,8 @@ def rodrigues_suite(
             raise SuiteArgumentError(f"{name} must be >= 0, got {value}")
     # row n of sigma reads y_0..y_{test_degree + n}, and its right-hand side y_0..y_{moment_depth_for(.., n, ..)}
     u = solve_moments(pear, frame, 1, moment_depth_for(pear, n_max, test_degree))  # nondecreasing in n
-    table = recurrence(pear, frame, n_max, require_regular=require_regular)
+    # rows 0..n_max read beta_0..beta_{n_max-1} and gamma_0..gamma_{n_max-1} only
+    table = recurrence(pear, frame, max(n_max - 1, 0), require_regular=require_regular)
     sigma = _chebyshev_rows(table, n_max, frame, u._over_lcm())
     phi = phi_poly(pear)
     iterated = shifted = u

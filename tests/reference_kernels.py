@@ -38,6 +38,9 @@ product of brackets and the q-binomial as a ratio of factorials. hahnpoly.qnum f
 each as one Fraction over integer products; tests/test_qnum.py compares the two, and
 the per-index oracles below read this q_bracket. _hahn_number is the closed sum behind
 the monomial expansion of D, the oracle of the Pascal table in hahnpoly.verify._op_D_monomial.
+
+recurrence_payload is the `recurrence` JSON payload as each coefficient's Fraction and its
+str(); tests/test_cli.py holds the CLI's text, written from the integer rows, against it.
 """
 
 from __future__ import annotations
@@ -544,3 +547,12 @@ def recurrence_polys(beta: Sequence[Fraction], gamma: Sequence[Fraction]) -> tup
     for n in range(1, len(beta)):
         polys.append(mul(x - Poly.constant(beta[n]), polys[n]) - gamma[n] * polys[n - 1])
     return tuple(polys)
+
+
+def recurrence_payload(beta: Sequence[Fraction], gamma: Sequence[Fraction]) -> dict:
+    """The `recurrence` JSON payload built from reduced Fractions and str(), over the Poly-product P_n."""
+    return {
+        "beta": [str(b) for b in beta],
+        "gamma": [str(g) for g in gamma],
+        "polynomials": [[str(c) for c in p.coeffs] for p in recurrence_polys(beta, gamma)],
+    }

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import hahnpoly
+import reference_kernels as ref
 from hahnpoly import cli, verify
 from hahnpoly.cli import (
     EXIT_INPUT,
@@ -20,8 +22,9 @@ from hahnpoly.cli import (
     build_parser,
     main,
 )
-from hahnpoly.classical import RecurrenceTable
+from hahnpoly.classical import PRESETS, RecurrenceTable, check_regular, recurrence
 from hahnpoly.functional import MomentFunctional
+from hahnpoly.qnum import HahnFrame, PearsonPair
 
 
 def run(capsys, *argv):
@@ -177,17 +180,28 @@ class TestRecurrence:
 
     @pytest.mark.parametrize("fmt", ["csv", "human"])
     def test_deep_table_without_json(self, capsys, monkeypatch, fmt):
-        # the JSON payload at N = 100 holds P_n coefficients past Python's 4300-digit str limit
+        # the JSON text at N = 100 holds P_n coefficients past Python's 4300-digit str limit
         def unreachable(self):
-            raise AssertionError("built the JSON payload")
+            raise AssertionError("built the JSON text")
 
-        monkeypatch.setattr(RecurrenceTable, "to_json_dict", unreachable)
+        monkeypatch.setattr(cli, "_recurrence_json", unreachable)
         if fmt == "csv":  # csv prints no P_n, so it never expands one
             monkeypatch.setattr(RecurrenceTable, "polys", property(unreachable))
         code, out, err = run(capsys, "recurrence", "--preset", "al-salam-carlitz", "--n", "100", "--format", fmt)
         assert (code, err) == (EXIT_OK, "")
         assert len(out.splitlines()) == (102 if fmt == "csv" else 106)
         assert ("P_" in out) == (fmt == "human")
+
+    def test_digit_limit_crash_prints_nothing(self, capsys):
+        # every chunk of the JSON text is built before the first write, so the crash leaves stdout empty
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # Python's default, whatever the environment set
+        try:
+            with pytest.raises(ValueError, match=r"Exceeds the limit \(4300 digits\) for integer string conversion"):
+                main(["recurrence", "--preset", "al-salam-carlitz", "--n", "100", "--format", "json"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().out == ""
 
     def test_human_expands_only_the_printed_polys(self, capsys, monkeypatch):
         # human prints P_0..P_4, which a depth-3 table holds; P_100 of this table is megabytes
@@ -400,6 +414,15 @@ class TestVerify:
         assert (code, out) == (EXIT_NEGATIVE, "")
         assert json.loads(err) == {"error": "admissibility failure: d_20 = 0", "momentDegree": 21}
 
+    @pytest.mark.parametrize("d", ["-11", "-10"])
+    def test_rodrigues_reads_no_recurrence_past_its_rows(self, capsys, d):
+        # d_n = d + n, so d_11 = 0 (d_10 = 0 at --d=-10): rows 0..5 read beta and gamma below n_max = 5,
+        # so the recurrence runs to depth 4 and scans d_0..d_9; to depth 5 it scanned d_0..d_11 and exited 2
+        code, out, err = run(capsys, "verify", "--suite", "rodrigues", "--a=1", "--c=1", f"--d={d}", "--e=1",
+                             "--q=1", "--omega=1", "--test-degree", "0", "--format", "human")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[-1] == "6/6 checks passed"
+
     def test_norms_reads_no_regularity_past_its_window(self, capsys):
         # phi_root_condition fails at n = 10, past the recurrence to depth 7 that the norms suite reads
         code, out, err = run(capsys, "verify", "--suite", "norms", "--b=1", "--d=-2", "--e=10", "--q=1", "--omega=1")
@@ -518,6 +541,7 @@ class TestPresets:
         code, out, _ = run(capsys, "presets")
         assert code == EXIT_OK
         payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
         assert set(payload) == {"charlier", "meixner", "al-salam-carlitz", "little-q-laguerre"}
         assert payload["charlier"]["e"] == "1/2"
 
@@ -526,3 +550,41 @@ class TestPresets:
         lines = out.strip().splitlines()
         assert lines[0] == "name,a,b,c,d,e,q,omega"
         assert len(lines) == 5
+
+
+def _random_regular_pairs(count):
+    """count pairs, regular to depth 12, over q in {1, 1/2, 2, 5/2} in turn, with flags and their small depth."""
+    rng = random.Random(28)
+    values = [F(p, r) for p in range(-3, 4) for r in (1, 2, 3)]
+    pairs = []
+    while len(pairs) < count:
+        q = (F(1), F(1, 2), F(2), F(5, 2))[len(pairs) % 4]
+        frame = HahnFrame(q, rng.choice([F(1), F(-1, 2)] if q == 1 else [F(0), F(1), F(-1, 2)]))
+        coeffs = dict(zip("abcde", (rng.choice(values) for _ in range(5))))
+        if coeffs["d"] == 0 or not check_regular(PearsonPair(**coeffs), frame, 12).regular:
+            continue
+        flags = [f"--{k}={v}" for k, v in coeffs.items()] + [f"--q={frame.q}", f"--omega={frame.omega}"]
+        pairs.append((flags, PearsonPair(**coeffs), frame, rng.choice([0, 1, 6, 12])))
+    return pairs
+
+
+JSON_CASES = (
+    [(["--preset", name], preset.pear, preset.frame, n) for name, preset in PRESETS.items() for n in (0, 1, 6, 40)]
+    + _random_regular_pairs(24)
+)
+
+
+@pytest.mark.parametrize("flags, pear, frame, depth", JSON_CASES,
+                         ids=[f"{' '.join(c[0])} --n {c[3]}" for c in JSON_CASES])
+def test_json_output_is_canonical(capsys, flags, pear, frame, depth):
+    # every JSON stdout is json.dumps(indent=2) text (presets' in TestPresets); recurrence's, written from
+    # the integer rows, also equals the Fraction-and-str payload of the oracle and the library's to_json_dict
+    outputs = {}
+    for command in (["classify"], ["recurrence"], ["moments"], ["verify", "--suite", "gram"]):
+        code, out, err = run(capsys, *command, *flags, "--n", str(depth))
+        assert (code, err) == (EXIT_OK, ""), command
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", command
+        outputs[command[0]] = out
+    table = recurrence(pear, frame, depth)
+    assert json.loads(outputs["recurrence"]) == ref.recurrence_payload(table.beta, table.gamma)
+    assert outputs["recurrence"] == json.dumps(table.to_json_dict(), indent=2) + "\n"

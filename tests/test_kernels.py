@@ -471,6 +471,13 @@ def test_recurrence_polys_al_salam_carlitz_80():
     assert table.polys == ref.recurrence_polys(table.beta, table.gamma)
 
 
+def test_power_moments_al_salam_carlitz_80():
+    # omega = 0 and q = 1/2: every Y node is 0, so the x-shift of power_moments runs over t = 1
+    preset = PRESETS["al-salam-carlitz"]
+    u = solve_moments(preset.pear, preset.frame, 1, 80)
+    assert u.power_moments() == ref.power_moments(u)
+
+
 # the default frames, and q = 5/2 and q = -3 on the same omegas
 ENTRY_FRAMES = FRAMES + [HahnFrame(q, omega) for q in (F(5, 2), F(-3)) for omega in verify.FRAME_OMEGA_VALUES]
 # y_0..y_24 on the first tall pair: tall, unrelated denominators
