@@ -24,9 +24,8 @@ from .qnum import (
     d_n,
     e_n,
     pearson_sequences,
-    q_bracket,
 )
-from .poly import Poly, _frac_strs, _iterates, _y_node_ints, op_D, op_D_star, phi_poly, psi_poly, to_y_basis
+from .poly import Poly, _frac_strs, _y_node_ints, op_D, op_D_star, phi_poly, psi_poly, to_y_basis
 from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
@@ -85,20 +84,10 @@ def _scan(pear: PearsonPair, frame: HahnFrame, depth: int) -> tuple[RegularityRe
     d_through = 2 * depth + 1
     s = pearson_sequences(pear, frame, d_through, depth)
     d_failure = next((m for m, dm in enumerate(s.d) if dm == 0), None)
-    phi_failure = None
     n_limit = depth if d_failure is None else min(depth, d_failure - 1)
-    for n in range(n_limit + 1):
-        if s.d[2 * n] == 0:
-            continue  # condition not evaluable here; the d-scan already failed
-        if _phi_root(s, n) == 0:
-            phi_failure = n
-            break
-    # the phi scan stops before d_failure, so a phi failure is always the earlier one
-    failure = None
-    if phi_failure is not None:
-        failure = (phi_failure, PHI_ROOT)
-    elif d_failure is not None:
-        failure = (d_failure, D_ZERO)
+    # at d_{2n} = 0 the condition is not evaluable and the d-scan has failed; a phi failure comes before d_failure
+    phi_failure = next((n for n in range(n_limit + 1) if s.d[2 * n] != 0 and _phi_root(s, n) == 0), None)
+    failure = next(((n, c) for n, c in ((phi_failure, PHI_ROOT), (d_failure, D_ZERO)) if n is not None), None)
     report = RegularityReport(
         admissible=d_failure is None,
         first_admissibility_failure=d_failure,
@@ -232,9 +221,7 @@ def recurrence(
     generated simple set may have vanishing gamma (no longer an OPS).
     """
     report, s = _scan(pear, frame, depth)
-    if report.first_admissibility_failure is not None:
-        raise RegularityError(report)
-    if require_regular and not report.regular:
+    if report.first_admissibility_failure is not None or (require_regular and not report.regular):
         raise RegularityError(report)
     beta = tuple(_beta(s, n) for n in range(depth + 1))
     gamma = (as_scalar(y0),) + tuple(_gamma(s, n) for n in range(depth))
@@ -242,17 +229,17 @@ def recurrence(
 
 
 def derivative_sequence(table: RecurrenceTable, frame: HahnFrame, k: int) -> list[Poly]:
-    """Monic normalized k-th Hahn derivatives P_n^[k] = D^k P_{n+k} / prod [n+j]_q."""
+    """The monic k-th Hahn derivatives, P^[0]_n = P_n and P^[k]_n = monic(D P^[k-1]_{n+1}).
+
+    D P^[k-1]_{n+1} has leading coefficient [n+1]_q, so P^[k]_n = D^k P_{n+k} / prod_{j<=k} [n+j]_q.
+    """
     if k < 0:
         raise ValueError("derivative_sequence needs k >= 0")
-    out = []
-    for n in range(len(table.polys) - k):
-        p = _iterates(op_D, table.polys[n + k], k, frame)[-1]
-        norm = Fraction(1)
-        for j in range(1, k + 1):
-            norm *= q_bracket(n + j, frame.q)
-        out.append(p.scale(1 / norm) if k else p)
-    return out
+    seq = list(table.polys)
+    for _ in range(k):
+        derivatives = [op_D(p, frame) for p in seq[1:]]
+        seq = [dp.scale(1 / dp.leading()) for dp in derivatives]
+    return seq
 
 
 def r_polynomial(pear: PearsonPair, frame: HahnFrame, q_n: Poly) -> Poly:

@@ -6,8 +6,9 @@ closed by its reader before the output was written (128 + SIGPIPE).
 Rationals are always rendered as strings like "3/7", never floats.
 `verify --suite` takes a name from verify.SUITES, or `all` for each of them in
 that order; a check passes exactly when its detail is empty.
-`verify --fuzz-moment` and `verify --y0` are read only by the gram suite:
-with a --suite that does not run it (`all` does), they are invalid input.
+`verify --fuzz-moment` and `verify --y0` are read only by the gram suite, and
+`verify --test-degree` (0..MAX_DEPTH, default 8) only by the rodrigues suite:
+with a --suite that does not run the suite that reads it (`all` runs both), such a flag is invalid input.
 `classify` reads no moment table, so `classify --y0` is invalid input too.
 At --n N a verify suite exits 2 only on a failure inside its window: gram y_0..y_max(2N,21) and the
 recurrence to N; rodrigues, at n_max = min(5, N), y_0..y_D with D = verify.moment_depth_for(n_max) and
@@ -255,18 +256,21 @@ def cmd_verify(args) -> int:
     elif args.preset is not None or pair_flags or frame_flags:
         pear, frame = _resolve_pair(args)
     depth = _depth(args, 8)
-    if args.test_degree < 0:
-        raise InputError(f"--test-degree must be >= 0, got {args.test_degree}")
+    test_degree = 8 if args.test_degree is None else args.test_degree
+    if not 0 <= test_degree <= MAX_DEPTH:
+        raise InputError(f"--test-degree must be in 0..{MAX_DEPTH}, got {test_degree}")
     y0 = _parse_rational(args.y0, "y0") if args.y0 is not None else Fraction(1)
-    unread = [f for f, v in (("--fuzz-moment", args.fuzz_moment), ("--y0", args.y0)) if v is not None]
-    if unread and "gram" not in suites:
-        raise InputError(
-            f"{' and '.join(unread)}: read only by the gram suite, which --suite {args.suite} does not run"
-        )
+    for suite, flags in (("gram", (("--fuzz-moment", args.fuzz_moment), ("--y0", args.y0))),
+                         ("rodrigues", (("--test-degree", args.test_degree),))):
+        unread = [f for f, v in flags if v is not None]
+        if unread and suite not in suites:
+            raise InputError(
+                f"{' and '.join(unread)}: read only by the {suite} suite, which --suite {args.suite} does not run"
+            )
     try:
         checks = run_suites(
             pear, frame, suites,
-            depth=depth, test_degree=args.test_degree, y0=y0, fuzz_moment=args.fuzz_moment,
+            depth=depth, test_degree=test_degree, y0=y0, fuzz_moment=args.fuzz_moment,
             label=args.preset or "pair",
         )
     except SuiteArgumentError as exc:
@@ -355,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=pair_flags, help="run exact verification suites")
     p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
-    p.add_argument("--test-degree", type=int, default=8)
+    p.add_argument("--test-degree", type=int)
     p.add_argument("--fuzz-moment", type=int,
                    help="corrupt moment y_k before the gram suite (expected to fail)")
     p.set_defaults(func=cmd_verify)

@@ -35,7 +35,7 @@ class InsufficientMomentsError(ValueError):
     """Asked to pair against a degree beyond the valid moment table."""
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, init=False)
 class MomentFunctional:
     """A moment table over a frame: entry n is nums[n] / dens[n] in lowest terms, with dens[n] > 0."""
 

@@ -9,6 +9,7 @@ return that form; ``coeffs`` builds the reduced Fractions on read.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
@@ -35,16 +36,15 @@ def _powers(base: int, top: int) -> list[int]:
     return list(accumulate(repeat(base, top), mul, initial=1))
 
 
+@dataclass(frozen=True, init=False)
 class Poly:
-    """Immutable univariate polynomial over exact rationals, as (nums, den) in lowest terms."""
+    """Immutable univariate polynomial over exact rationals: a frozen dataclass over (nums, den) in lowest terms."""
 
-    __slots__ = ("nums", "den")
+    nums: tuple[int, ...]
+    den: int
 
     def __new__(cls, coeffs: Iterable[ScalarLike] = ()):
         return cls._from_ints(*_ints([as_scalar(c) for c in coeffs]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @classmethod
     def _from_ints(cls, nums: list[int], den: int) -> "Poly":
@@ -61,10 +61,6 @@ class Poly:
         object.__setattr__(out, "nums", nums)
         object.__setattr__(out, "den", den)
         return out
-
-    def __reduce__(self):
-        # copy and pickle rebuild the poly from its integers; the default route sets slots through __setattr__
-        return Poly._wrap, (self.nums, self.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -106,14 +102,6 @@ class Poly:
             acc = acc * x.numerator + n * power
             power *= x.denominator
         return Fraction(acc * x.denominator, self.den * power)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.den == other.den and self.nums == other.nums
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.nums, self.den))
 
     def __add__(self, other: "Poly") -> "Poly":
         g = gcd(self.den, other.den)

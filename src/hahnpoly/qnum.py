@@ -23,10 +23,10 @@ class AdmissibilityError(ValueError):
     A moment table raises it with moment_degree, the top degree it was solving for.
     """
 
-    def __init__(self, index: int, message: str | None = None, moment_degree: int | None = None):
+    def __init__(self, index: int, moment_degree: int | None = None):
         self.index = index
         self.moment_degree = moment_degree
-        super().__init__(message or f"admissibility failure: d_{index} = 0")
+        super().__init__(f"admissibility failure: d_{index} = 0")
 
 
 def as_scalar(x: ScalarLike) -> Fraction:

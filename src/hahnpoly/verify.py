@@ -68,7 +68,7 @@ class SuiteArgumentError(ValueError):
     """A suite argument lies outside the range the suite can act on."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Check:
     """One named identity; detail says where it broke, and is empty exactly when it held."""
 

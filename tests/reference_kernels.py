@@ -39,6 +39,10 @@ each as one Fraction over integer products; tests/test_qnum.py compares the two,
 the per-index oracles below read this q_bracket. _hahn_number is the closed sum behind
 the monomial expansion of D, the oracle of the Pascal table in hahnpoly.verify._op_D_monomial.
 
+derivative_sequence is the bracket-product route to the monic derivatives,
+D^k P_{n+k} / prod_{j<=k} [n+j]_q with D and [n]_q from this module; the library takes
+one monic D step per k, and tests/test_classical.py requires equal sequences.
+
 recurrence_payload is the `recurrence` JSON payload as each coefficient's Fraction and its
 str(); tests/test_cli.py holds the CLI's text, written from the integer rows, against it.
 """
@@ -169,6 +173,17 @@ def op_D(f: Poly, frame) -> Poly:
 
 def op_D_star(f: Poly, frame) -> Poly:
     return op_D(f, frame.reciprocal())
+
+
+def derivative_sequence(table: classical.RecurrenceTable, frame, k: int) -> list[Poly]:
+    """P_n^[k] = D^k P_{n+k} / prod_{j<=k} [n+j]_q, for n + k <= N + 1."""
+    out = []
+    for n in range(len(table.polys) - k):
+        p, norm = table.polys[n + k], Fraction(1)
+        for j in range(1, k + 1):
+            p, norm = op_D(p, frame), norm * q_bracket(n + j, frame.q)
+        out.append(p.scale(1 / norm))
+    return out
 
 
 def to_y_basis(f: Poly, frame) -> list[Fraction]:

@@ -22,7 +22,8 @@ from hahnpoly.functional import pair, solve_moments
 from hahnpoly.poly import Poly, _iterates, op_D
 from hahnpoly.qnum import HahnFrame, PearsonPair, d_n, e_n, q_bracket
 from hahnpoly import verify
-from hahnpoly.verify import _psi_k_recursive, _theta2_definitional
+from hahnpoly.verify import FRAME_OMEGA_VALUES, _psi_k_recursive, _theta2_definitional, default_frames
+import reference_kernels as ref
 from reference_kernels import hankel_determinant
 
 CHARLIER = PearsonPair(F(0), F(1), F(0), F(-1), F(1, 2))
@@ -191,6 +192,27 @@ class TestDerivativeSequence:
         q = preset.frame.q
         norm = q_bracket(3, q) * q_bracket(4, q)
         assert seq[2] == _iterates(op_D, table.polys[4], 2, preset.frame)[-1].scale(1 / norm)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_monic_steps_match_bracket_product_on_presets(self, name):
+        # one monic D step per k against D^k P_{n+k} / prod_{j<=k} [n+j]_q
+        preset = PRESETS[name]
+        table = recurrence(preset.pear, preset.frame, 11)
+        for k in range(4):
+            assert derivative_sequence(table, preset.frame, k) == ref.derivative_sequence(table, preset.frame, k)
+
+    @pytest.mark.parametrize("frame", default_frames() + [HahnFrame(q, omega) for q in (F(5, 2), F(-3))
+                                                          for omega in FRAME_OMEGA_VALUES], ids=repr)
+    def test_monic_steps_match_bracket_product_on_random_pairs(self, frame):
+        rng = random.Random(f"{frame.q}/{frame.omega}")
+        for _ in range(2):
+            while True:
+                pear = PearsonPair(*(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(5)))
+                if check_regular(pear, frame, 7).regular:
+                    break
+            table = recurrence(pear, frame, 7)
+            for k in range(4):
+                assert derivative_sequence(table, frame, k) == ref.derivative_sequence(table, frame, k), (pear, k)
 
 
 # P_n^[k] + 1 in place of P_n^[k] in the norms suite: the k = 1 rows with n or m = 6

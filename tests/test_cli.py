@@ -342,6 +342,19 @@ class TestVerify:
             "error": f"{flags}: read only by the gram suite, which --suite {suite} does not run"
         }
 
+    @pytest.mark.parametrize("argv, suite", [
+        (["--suite", "gram", "--preset", "charlier", "--test-degree", "3"], "gram"),
+        (["--suite", "identities", "--q", "2", "--omega", "1", "--test-degree", "5"], "identities"),
+        (["--suite", "norms", "--preset", "charlier", "--test-degree=8"], "norms"),
+    ], ids=["gram", "identities", "norms"])
+    def test_test_degree_without_rodrigues_suite(self, capsys, argv, suite):
+        # only the rodrigues suite reads --test-degree; elsewhere it would be ignored silently
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err) == {
+            "error": f"--test-degree: read only by the rodrigues suite, which --suite {suite} does not run"
+        }
+
     def test_gram_flags_with_suite_all(self, capsys):
         code, out, _ = run(capsys, "verify", "--preset", "charlier", "--suite", "all", "--n", "4",
                            "--fuzz-moment", "3", "--y0", "2")
@@ -508,21 +521,37 @@ class TestOutOfRangeInput:
 
 
 class TestDepthBound:
-    @pytest.mark.parametrize("command", ["classify", "recurrence", "moments", "verify"])
-    def test_huge_depth_rejected_at_once(self, capsys, command):
-        # the bound is checked before any table is built: no wait and no allocation
+    @staticmethod
+    def run_measured(capsys, *argv):
+        """run(capsys, *argv), with its wall time and its tracemalloc peak."""
         main(["presets"])  # build the parser outside the measurement
         capsys.readouterr()
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            code, out, err = run(capsys, command, "--preset", "charlier", "--n", "100000000000")
+            result = run(capsys, *argv)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return (*result, elapsed, peak)
+
+    @pytest.mark.parametrize("command", ["classify", "recurrence", "moments", "verify"])
+    def test_huge_depth_rejected_at_once(self, capsys, command):
+        # the bound is checked before any table is built: no wait and no allocation
+        code, out, err, elapsed, peak = self.run_measured(
+            capsys, command, "--preset", "charlier", "--n", "100000000000")
         assert code == EXIT_INPUT and out == ""
         assert "must be in 0..10000" in json.loads(err)["error"]
+        assert elapsed < 1 and peak < 1 << 20
+
+    @pytest.mark.parametrize("degree", [cli.MAX_DEPTH + 1, 10**12])
+    def test_huge_test_degree_rejected_at_once(self, capsys, degree):
+        # the bound on --test-degree is checked before the rodrigues suite builds its table
+        code, out, err, elapsed, peak = self.run_measured(
+            capsys, "verify", "--preset", "al-salam-carlitz", "--suite", "rodrigues", "--test-degree", str(degree))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err) == {"error": f"--test-degree must be in 0..10000, got {degree}"}
         assert elapsed < 1 and peak < 1 << 20
 
     def test_bound_from_env(self, capsys, monkeypatch):

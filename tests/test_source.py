@@ -396,3 +396,35 @@ def test_library_uses_no_private_fraction_api():
         for line in _private_fraction_uses(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert SOURCES and not found, found
+
+
+def _frozen_slotted_dataclasses(tree) -> list[int]:
+    """The lines of dataclass(...) calls, decorators included, that pass both frozen=True and slots=True."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called_name(node.func) == "dataclass":
+            flags = {k.arg for k in node.keywords if isinstance(k.value, ast.Constant) and k.value.value is True}
+            if {"frozen", "slots"} <= flags:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_frozen_slots_lint_detects():
+    code = ("@dataclass(frozen=True, slots=True)\nclass A: pass\n"
+            "@dataclasses.dataclass(slots=True, init=False, frozen=True)\nclass B: pass\n"
+            "C = dataclass(frozen=True, slots=True)(object)\n"
+            "@dataclass(frozen=True)\nclass D: pass\n"
+            "@dataclass(slots=True)\nclass E: pass\n"
+            "@dataclass(frozen=True, slots=False)\nclass F: pass\n")
+    assert _frozen_slotted_dataclasses(ast.parse(code)) == [1, 3, 5]
+
+
+def test_library_has_no_frozen_slotted_dataclass():
+    # on CPython 3.10 and 3.11 the frozen __setattr__ of a slotted dataclass calls super() with the class
+    # from before slots were added, so assigning any name but a field raises TypeError, not AttributeError
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in _frozen_slotted_dataclasses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert SOURCES and not found, found
