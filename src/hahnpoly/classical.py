@@ -25,7 +25,7 @@ from .qnum import (
     e_n,
     pearson_sequences,
 )
-from .poly import Poly, _frac_strs, _y_node_ints, op_D, op_D_star, phi_poly, psi_poly, to_y_basis
+from .poly import Poly, _y_node_ints, op_D, op_D_star, phi_poly, psi_poly, to_y_basis
 from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
 
 D_ZERO = "admissibility"
@@ -81,6 +81,8 @@ def check_regular(pear: PearsonPair, frame: HahnFrame, depth: int) -> Regularity
 
 def _scan(pear: PearsonPair, frame: HahnFrame, depth: int) -> tuple[RegularityReport, PearsonSequences]:
     """check_regular's report, with the sequences it scanned: d_n through 2N + 1, e_n through N."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     d_through = 2 * depth + 1
     s = pearson_sequences(pear, frame, d_through, depth)
     d_failure = next((m for m, dm in enumerate(s.d) if dm == 0), None)
@@ -199,13 +201,6 @@ class RecurrenceTable:
         """
         rows = _chebyshev_rows(self, self.depth + 1, None)
         return tuple(Poly._wrap(tuple(row), den) for row, den in rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": [str(b) for b in self.beta],
-            "gamma": [str(g) for g in self.gamma],
-            "polynomials": [list(_frac_strs(p.nums, repeat(p.den))) for p in self.polys],
-        }
 
 
 def recurrence(

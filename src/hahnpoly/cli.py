@@ -32,11 +32,10 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterable
+from math import gcd
+from typing import Iterable, Iterator
 
 from .qnum import AdmissibilityError, HahnFrame, PearsonPair
-from .poly import _frac_strs
 from .functional import DEFAULT_DEPTH, solve_moments
 from .classical import PRESETS, RecurrenceTable, RegularityError, check_regular, get_preset, recurrence
 from .verify import SUITES, SuiteArgumentError, run_suites
@@ -134,10 +133,17 @@ def _json_array(items: Iterable[str], indent: str) -> str:
     return f"[\n{indent}  {body}\n{indent}]"
 
 
-def _recurrence_json(table: RecurrenceTable) -> list[str]:
-    """The text of json.dumps(table.to_json_dict(), indent=2) and a newline, one chunk per P_n.
+def _quoted_fracs(nums: Iterable[int], den: int) -> Iterator[str]:
+    """Each n / den as the quoted str of its Fraction, from integers: one gcd and one f-string each."""
+    for n in nums:
+        g = gcd(n, den)
+        yield f'"{n // g}"' if g == den else f'"{n // g}/{den // g}"'
 
-    Each coefficient is rendered straight from the integer row (nums, den) of its P_n,
+
+def _recurrence_json(table: RecurrenceTable) -> list[str]:
+    """The one route to the `recurrence --format json` text: json.dumps(payload, indent=2) and a newline.
+
+    One chunk per P_n; each coefficient is rendered straight from the integer row (nums, den) of its P_n,
     with no Fraction, no payload tree and no json.dumps string in between.
     """
     chunks = [
@@ -147,7 +153,7 @@ def _recurrence_json(table: RecurrenceTable) -> list[str]:
     ]
     for n, p in enumerate(table.polys):
         chunks.append(",\n    " if n else "\n    ")
-        chunks.append(_json_array(_frac_strs(p.nums, repeat(p.den), '"'), "    "))
+        chunks.append(_json_array(_quoted_fracs(p.nums, p.den), "    "))
     chunks.append("\n  ]\n}\n")
     return chunks
 

@@ -109,11 +109,9 @@ class MomentFunctional:
         return MomentFunctional._wrap(self.frame, *zip(*entries))
 
     def power_moments(self) -> list[Fraction]:
-        """Derived view u_n = <u, x^n> = <x^n u, Y_0>, for n up to max_degree."""
+        """Derived view u_n = <u, x^n> = <x^n u, Y_0>, n <= max_degree: over den t^n (t of the nodes), reduced once."""
         v, den = self._over_lcm()
         nodes, t = _y_node_ints(self.frame, self.max_degree)
-        g = gcd(t, *nodes)  # the nodes over t need not be in lowest terms; at omega = 0 all are 0, and t drops to 1
-        nodes, t = [n // g for n in nodes], t // g
         nums = [v[0]]
         while len(v) > 1:
             v = _x_shift(v, nodes, t)
@@ -214,6 +212,8 @@ def _moment_steps(pear: PearsonPair, frame: HahnFrame, y0: ScalarLike, depth: in
     reduced denominator of y_n, which shortens the one full gcd per entry of solve_moments.
     At n = 0 the d_{-1} term carries the factor [0]_q = 0, so h = M |D_0|.
     """
+    if depth < 0:
+        raise ValueError(f"a moment table needs depth >= 0, got {depth}")
     top = max(depth - 1, 0)
     s = pearson_sequences(pear, frame, top, top)
     c, cd, M, W, mm = s.phi[2], s.C, s.M, s.W, s.M * s.M

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .qnum import HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar
 
@@ -22,13 +22,6 @@ from .qnum import HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar
 def _fracs(nums: Iterable[int], dens: Iterable[int]) -> list[Fraction]:
     """The reduced Fractions nums[k] / dens[k]: the kernels' one way back from integers."""
     return list(map(Fraction, nums, dens))
-
-
-def _frac_strs(nums: Iterable[int], dens: Iterable[int], quote: str = "") -> Iterator[str]:
-    """str(Fraction(nums[k], dens[k])), each between two quotes, from integers: one gcd and one f-string each."""
-    for n, d in zip(nums, dens):
-        g = gcd(n, d)
-        yield f"{quote}{n // g}{quote}" if g == d else f"{quote}{n // g}/{d // g}{quote}"
 
 
 def _powers(base: int, top: int) -> list[int]:
@@ -77,6 +70,8 @@ class Poly:
 
     @staticmethod
     def monomial(n: int, c: ScalarLike = 1) -> "Poly":
+        if n < 0:
+            raise ValueError(f"monomial needs n >= 0, got {n}")
         return Poly([0] * n + [c])
 
     def degree(self) -> int | None:
@@ -239,7 +234,7 @@ def _iterates(op, x, n: int, *args) -> list:
 
 
 def _y_node_ints(frame: HahnFrame, n: int) -> tuple[list[int], int]:
-    """The Newton nodes omega [j]_q of Y_n, j < n, as integer numerators N_j over one t = od qd^(n-2)."""
+    """The nodes omega [j]_q of Y_n, j < n, as integers N_j over one t > 0, gcd(t, *N_j) = 1 (t = 1 at omega = 0)."""
     qn, top = frame.q.numerator, max(n - 2, 0)
     brackets, b, qn_i = [0], 0, 1
     for p in reversed(_powers(frame.q.denominator, top)):
@@ -247,7 +242,9 @@ def _y_node_ints(frame: HahnFrame, n: int) -> tuple[list[int], int]:
         qn_i *= qn
         brackets.append(b)
     on = frame.omega.numerator
-    return [on * b for b in brackets[:n]], frame.omega.denominator * frame.q.denominator ** top
+    nodes, t = [on * b for b in brackets[:n]], frame.omega.denominator * frame.q.denominator ** top
+    g = gcd(t, *nodes)  # over od qd^(n-2) they need not be in lowest terms
+    return [node // g for node in nodes], t // g
 
 
 def y_basis(n: int, frame: HahnFrame) -> Poly:

@@ -157,9 +157,13 @@ def identities_suite(
     commutation laws, the product rules, both Leibniz formulas, the
     monomial expansion of the divided difference, and the functional
     identities L*L = I, D*L = qD on random moment tables.
+    frames=None runs default_frames(); an empty list or cases < 1 raises SuiteArgumentError.
     """
+    frames = default_frames() if frames is None else frames
+    if not frames or cases < 1:
+        raise SuiteArgumentError(
+            f"identities_suite needs a frame and cases >= 1, got {len(frames)} frames and cases={cases}")
     rng = random.Random(seed)
-    frames = frames or default_frames()
     details: dict[str, str] = {}  # check name -> its first failure, "" while it holds; in first-seen order
 
     def record(name: str, ok: bool, detail: str):

@@ -343,3 +343,12 @@ def test_preset_recurrence_is_its_family(name):
     table = recurrence(preset.pear, preset.frame, 40)
     assert list(table.beta) == [beta(n) for n in range(41)]
     assert list(table.gamma[1:]) == [gamma(n) for n in range(1, 41)]
+
+
+@pytest.mark.parametrize("depth", [-1, -2])
+def test_negative_depth_named_in_the_error(depth):
+    # the scan names the depth its caller passed, not the bounds of the sequence helper it calls
+    preset = get_preset("charlier")
+    for build in (check_regular, recurrence):
+        with pytest.raises(ValueError, match=f"^depth must be >= 0, got {depth}$"):
+            build(preset.pear, preset.frame, depth)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from hahnpoly import functional
 from hahnpoly.functional import (
     InsufficientMomentsError,
     MomentFunctional,
@@ -306,3 +307,11 @@ class TestIntegerForm:
         for degree in (-1, -2):
             with pytest.raises(ValueError, match="at least y_0"):
                 u.truncate(degree)
+
+
+@pytest.mark.parametrize("depth", [-1, -3])
+def test_negative_moment_depth_rejected(depth):
+    # both routes share _moment_steps, which rejects the depth; range(depth) would build a table (y0,) silently
+    for build in (solve_moments, functional._moment_table):
+        with pytest.raises(ValueError, match=f"^a moment table needs depth >= 0, got {depth}$"):
+            build(CHARLIER, Q1W1, F(1), depth)

@@ -97,3 +97,11 @@ def test_check_names_match_the_benchmark_oracle():
     assert tuple(c.name for c in verify.gram_suite(preset.pear, preset.frame)) == oracle.GRAM_CHECKS
     assert tuple(c.name for c in verify.rodrigues_suite(preset.pear, preset.frame, n_max=5)) \
         == oracle.RODRIGUES_CHECKS
+
+
+@pytest.mark.parametrize("kwargs", [{"frames": []}, {"cases": 0}, {"cases": -2}],
+                         ids=["no frames", "zero cases", "negative cases"])
+def test_identities_suite_rejects_an_empty_run(kwargs):
+    # an empty frame list is not a request for the defaults, and no case run is no pass
+    with pytest.raises(verify.SuiteArgumentError, match="^identities_suite needs a frame and cases >= 1"):
+        verify.identities_suite(**kwargs)

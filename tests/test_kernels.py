@@ -137,6 +137,22 @@ class TestAgainstOracles:
                 assert s == ref.pair(u, ref.mul(table.polys[k], y_basis(l, frame))), (k, l)
 
 
+NODE_FRAMES = FRAMES + [HahnFrame(q, omega) for q in (F(5, 2), F(-3), F(31, 37))
+                        for omega in (F(0), F(1), F(-1, 3), F(5, 41))]
+
+
+@pytest.mark.parametrize("frame", NODE_FRAMES, ids=frame_id)
+def test_y_nodes_in_lowest_terms(frame):
+    # the nodes come reduced where they are built: t > 0, no factor common to t and every N_j,
+    # and at omega = 0 every node is 0 over t = 1 (unreduced, t would be qd^(n-2))
+    for n in range(41):
+        nodes, t = _y_node_ints(frame, n)
+        assert t > 0 and gcd(t, *nodes) == 1, n
+        assert [F(node, t) for node in nodes] == [frame.omega * q_bracket(j, frame.q) for j in range(n)], n
+        if frame.omega == 0:
+            assert (nodes, t) == ([0] * n, 1), n
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_gram_matrix_on_presets(name):
     preset = PRESETS[name]

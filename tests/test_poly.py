@@ -321,3 +321,10 @@ class TestLeibniz:
     )
     def test_matches_iterated_operator(self, f, g, frame, n):
         assert leibniz_expand(f, g, frame, n) == _iterates(op_D, f * g, n, frame)[-1]
+
+
+@pytest.mark.parametrize("n", [-1, -4])
+def test_negative_monomial_rejected(n):
+    # [0] * n is empty for n < 0, so the coefficient would come back as a constant
+    with pytest.raises(ValueError, match=f"^monomial needs n >= 0, got {n}$"):
+        Poly.monomial(n, 5)

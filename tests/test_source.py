@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 from types import ModuleType
 
+import pytest
+
 import hahnpoly
 
 REPO = Path(__file__).resolve().parents[1]
@@ -428,3 +430,38 @@ def test_library_has_no_frozen_slotted_dataclass():
         for line in _frozen_slotted_dataclasses(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert SOURCES and not found, found
+
+
+def _python_floor() -> tuple[int, int]:
+    """The (major, minor) of pyproject.toml's requires-python, which must read ">=X.Y"."""
+    tomllib = pytest.importorskip("tomllib")  # 3.11+, so the check runs on the interpreters above the floor
+    spec = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["requires-python"]
+    major, minor = re.fullmatch(r">=\s*(\d+)\.(\d+)", spec.strip()).groups()
+    return int(major), int(minor)
+
+
+def _newer_than(paths, floor: tuple[int, int]) -> list[str]:
+    """The files among paths that do not parse at the grammar of Python floor, with the reason."""
+    found = []
+    for path in paths:
+        try:
+            ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+        except SyntaxError as exc:
+            found.append(f"{path.name}:{exc.lineno}: {exc.msg}")
+    return found
+
+
+def test_floor_lint_detects(tmp_path):
+    path = tmp_path / "groups.py"
+    path.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    ast.parse(path.read_text(), feature_version=(3, 11))
+    found = _newer_than([path], (3, 10))
+    assert len(found) == 1 and found[0].startswith("groups.py:") and "3.11" in found[0], found
+
+
+def test_sources_parse_at_python_floor():
+    # requires-python promises the floor, yet tier-1 runs on a newer interpreter; its grammar is checked here
+    floor = _python_floor()
+    paths = sorted(p for folder in ("src", "tests", "demos") for p in (REPO / folder).rglob("*.py"))
+    found = _newer_than(paths, floor)
+    assert floor >= (3, 10) and len(paths) > 20 and not found, found
