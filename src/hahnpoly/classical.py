@@ -187,6 +187,10 @@ class RecurrenceTable:
     beta: tuple[Fraction, ...]
     gamma: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        if len(self.gamma) != len(self.beta):
+            raise ValueError(f"beta and gamma need equal lengths, got {len(self.beta)} and {len(self.gamma)}")
+
     @property
     def depth(self) -> int:
         return len(self.beta) - 1
@@ -248,6 +252,8 @@ def gram_matrix(u: MomentFunctional, polys: Sequence[Poly], depth: int) -> list[
     Each P_n is expanded in the Y basis once and each P_m u is formed once, so
     every entry <P_m u, P_n> is a dot product: O(depth^2 * max_degree) scalar work.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     if depth + 1 > len(polys):
         raise ValueError("not enough polynomials for the requested Gram depth")
     polys = polys[: depth + 1]

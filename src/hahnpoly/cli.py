@@ -12,7 +12,8 @@ with a --suite that does not run the suite that reads it (`all` runs both), such
 `classify` reads no moment table, so `classify --y0` is invalid input too.
 At --n N a verify suite exits 2 only on a failure inside its window: gram y_0..y_max(2N,21) and the
 recurrence to N; rodrigues, at n_max = min(5, N), y_0..y_D with D = verify.moment_depth_for(n_max) and
-the recurrence to max(n_max - 1, 0) without regularity; norms y_0..y_16 and P_0..P_8; identities no pair.
+the recurrence to max(n_max - 1, 0) without regularity; norms y_0..y_16 and P_0..P_8, its derived-pair
+recurrences to 7 - k (k <= 3) reading no d_m past d_15; identities no pair.
 The depth, `--n` or `$HAHNPOLY_DEPTH`, lies in 0..MAX_DEPTH (10 000); any other
 value is invalid input, rejected before any table is built.
 Each command builds only the format it prints. `recurrence --format json` writes

@@ -366,7 +366,7 @@ def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list
     if need > u.max_degree:
         raise InsufficientMomentsError(f"residual to depth {depth} needs a moment table of degree >= {need}")
     if depth < 0:
-        return []
+        raise ValueError(f"depth must be >= 0, got {depth}")
     return _residual_ints(phi, psi, u.frame, *u._over_lcm(depth + 2), depth)
 
 

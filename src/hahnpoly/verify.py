@@ -1,5 +1,5 @@
 """Exact verification suites: operator identities, Gram orthogonality,
-Rodrigues, and the derivative-sequence norm laws.
+Rodrigues, and Hahn's property with its norm laws as recurrence identities.
 
 Every check is an exact equality over the rationals; a suite returns a
 list of Check records, one per identity, with the failure detail when an
@@ -42,6 +42,7 @@ from .functional import (
     dist_L_star,
     left_multiply,
     pair,
+    pearson_residual,
     solve_moments,
 )
 from . import classical
@@ -374,38 +375,40 @@ def _theta2_definitional(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
 
 
 def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
-    """Derivative-sequence laws, psi^[k]/theta2 dual routes, gamma_1^[n]."""
-    checks = []
-    q = frame.q
-    # k reads P^[k]_n, n < top, from P_{n+k}, <u, P_{n+k}^2>, and u^[k] to 2 top - 2, y_{2 top - 2 + k deg phi}:
-    # at k = 3, top = 6, P_0..P_8 (the recurrence to 7) and y_0..y_16 (<u, P_8^2>; the cells at deg phi = 2)
-    u = solve_moments(pear, frame, 1, 16)
-    table = recurrence(pear, frame, 7)
+    """Hahn's property for k <= 3 as identities between recurrence tables; psi^[k]/theta2 dual routes, gamma_1^[n].
 
-    # the k = 1 rows run to n, m <= 6 and decide derivative_orthogonality_k1 too;
-    # each check keeps the detail of its last failing index
-    fails: dict[str, str] = {}
-    squares = [pair(u, p * p) for p in table.polys]
-    uk = u
-    for k in range(4):
-        if k:
-            uk = derived_functional(pear, uk, 1)
-        seqk = derivative_sequence(table, frame, k)
-        top = 7 if k == 1 else 6
-        gram = classical.gram_matrix(uk, seqk, top - 1)
-        for n in range(top):
-            norm = (Fraction(-1) ** k * q ** Fraction(-k * (2 * n + k - 1), 2)
-                    * math.prod(d_n(pear, frame, n + k + j - 2) / q_bracket(n + j, q) for j in range(1, k + 1))
-                    * squares[n + k])
-            for m in range(top):
-                if gram[n][m] != (norm if m == n else 0):
-                    if k == 1:
-                        fails["derivative_orthogonality_k1"] = \
-                            f"first-derivative orthogonality broke at (n,m)=({n},{m})"
-                    if max(n, m) < 6:
-                        fails["norm_relation_k_le_3"] = f"norm relation broke at (k,n,m)=({k},{n},{m})"
-    for name in ("derivative_orthogonality_k1", "norm_relation_k_le_3"):
-        checks.append(Check(name, fails.get(name, "")))
+    u^[k] = L(phi u^[k-1]) solves the derived pair (phi, psi^[k]) = (a, b, c, d_{2k}, e_k) with <u^[k], 1> = y0^[k],
+    y0^[k+1] = y0^[k] (d_{2k}/d_{2k+1}) phi(-e_k/d_{2k}), so its monic sequence is the table T_k of that pair.
+    For k = 1..3: the monic D step of T_{k-1} is T_k; the norm relation <u^[k], (P^[k]_n)^2> =
+    (-1)^k q^{-k(2n+k-1)/2} prod_{j<=k} d_{n+k+j-2}/[n+j]_q <u, P_{n+k}^2> holds on the gamma products;
+    and the library's u^[k], derived_functional(u, k), has y_0 = y0^[k] and a zero residual against the derived pair.
+    """
+    q, phi = frame.q, phi_poly(pear)
+    # the window: y_0..y_16 and the recurrence to 7, P_0..P_8; T_k runs to 7 - k, u^[k] to y_{16 - k deg phi}
+    uk = solve_moments(pear, frame, 1, 16)
+    table = recurrence(pear, frame, 7)
+    norms = list(itertools.accumulate(table.gamma, operator.mul))  # <u, P_n^2>, as gamma_0 = y_0 = 1
+    derived = [PearsonPair(pear.a, pear.b, pear.c, d_n(pear, frame, 2 * k), e_n(pear, frame, k)) for k in range(7)]
+    broken = []  # (k, n, detail) of each identity that fails, in the order checked
+    y0 = Fraction(1)
+    for k in range(1, 4):
+        y0 *= derived[k - 1].d / d_n(pear, frame, 2 * k - 1) * phi(-derived[k - 1].e / derived[k - 1].d)
+        stepped = derivative_sequence(table, frame, 1)
+        table = recurrence(derived[k], frame, 7 - k, y0, require_regular=False)
+        broken += [(k, n, f"D step broke at (k,n)=({k},{n})")
+                   for n, (p, monic) in enumerate(itertools.zip_longest(stepped, table.polys)) if p != monic]
+        for n, norm in enumerate(itertools.accumulate(table.gamma, operator.mul)):
+            factor = math.prod(d_n(pear, frame, n + k + j - 2) / q_bracket(n + j, q) for j in range(1, k + 1))
+            if norm != (-1) ** k * q ** (-k * (2 * n + k - 1) // 2) * factor * norms[n + k]:
+                broken.append((k, n, f"norm relation broke at (k,n)=({k},{n})"))
+        uk = derived_functional(pear, uk, 1)
+        if uk.moments[0] != y0 or any(pearson_residual(derived[k], uk, uk.max_degree - 1)):
+            broken.append((k, 0, f"u^[{k}] is not the functional of the derived pair"))
+    # the k = 1 identities decide derivative_orthogonality_k1, and norm_relation_k_le_3 reads all but the
+    # k = 1 ones at n >= 6, which only the first-derivative check reaches; each check names its first failure
+    first = next((detail for k, n, detail in broken if k == 1), "")
+    rest = next((detail for k, n, detail in broken if k > 1 or n < 6), "")
+    checks = [Check("derivative_orthogonality_k1", first), Check("norm_relation_k_le_3", rest)]
 
     bad = [k for k in range(11) if psi_k(pear, frame, k) != _psi_k_recursive(pear, frame, k)]
     checks.append(Check("psi_k_closed_form_vs_recursion", f"mismatch at k={bad[0]}" if bad else ""))
@@ -413,27 +416,15 @@ def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
     bad = [n for n in range(1, 9) if theta2(pear, frame, n) != _theta2_definitional(pear, frame, n)]
     checks.append(Check("theta2_dual_computation", f"mismatch at n={bad[0]}" if bad else ""))
 
-    detail = ""
-    for n in range(7):
-        derived_pair = PearsonPair(pear.a, pear.b, pear.c,
-                                   d_n(pear, frame, 2 * n), e_n(pear, frame, n))
-        got = classical.gamma_coefficient(derived_pair, frame, 0)
-        expected = -phi_poly(pear)(-e_n(pear, frame, n) / d_n(pear, frame, 2 * n)) \
-            / d_n(pear, frame, 2 * n + 1)
-        if got != expected:
-            detail = f"gamma_1^[n] mismatch at n={n}"
-    checks.append(Check("gamma1_of_derived_functional", detail))
+    bad = [n for n, pp in enumerate(derived)
+           if classical.gamma_coefficient(pp, frame, 0) != -phi(-pp.e / pp.d) / d_n(pear, frame, 2 * n + 1)]
+    checks.append(Check("gamma1_of_derived_functional", f"gamma_1^[n] mismatch at n={bad[-1]}" if bad else ""))
 
-    detail = ""
     rng = random.Random(7)
-    for n in range(7):
-        q_n = Poly.monomial(n) + (random_poly(rng, n - 1) if n >= 1 else Poly())
-        r = r_polynomial(pear, frame, q_n)
-        want = q ** (1 - n) * d_n(pear, frame, n)
-        if r.degree() != n + 1 or r.leading() != want:
-            detail = f"R_{{n+1}} leading coefficient wrong at n={n}"
-    checks.append(Check("r_polynomial_leading_coefficient", detail))
-
+    rs = [r_polynomial(pear, frame, Poly.monomial(n) + (random_poly(rng, n - 1) if n else Poly())) for n in range(7)]
+    bad = [n for n, r in enumerate(rs) if r.degree() != n + 1 or r.leading() != q ** (1 - n) * d_n(pear, frame, n)]
+    checks.append(Check("r_polynomial_leading_coefficient",
+                        f"R_{{n+1}} leading coefficient wrong at n={bad[-1]}" if bad else ""))
     return checks
 
 

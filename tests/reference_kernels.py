@@ -351,6 +351,8 @@ def fraction_dist_D_star(u: MomentFunctional) -> MomentFunctional:
 
 def gram_matrix(u: MomentFunctional, polys, depth: int) -> list[list[Fraction]]:
     """G[m][n] = <u, P_m P_n>, one pairing per entry."""
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     if depth + 1 > len(polys):
         raise ValueError("not enough polynomials for the requested Gram depth")
     return [
@@ -388,7 +390,8 @@ def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list
 
     It composes the library's entry-wise dist_D and left_multiply (checked against the
     basis-expansion routes above). On a table too short for depth, the error names the least
-    table degree at which this route accepts depth, found by trying zero tables of rising degree.
+    table degree at which this route accepts depth, found by trying zero tables of rising degree;
+    on a table long enough for it, a negative depth raises ValueError.
     """
     def residual(v: MomentFunctional) -> list[Fraction]:
         lhs = functional.dist_D(functional.left_multiply(phi_poly(pear), v))
@@ -405,12 +408,15 @@ def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list
         return True
 
     try:
-        return residual(u)
+        out = residual(u)
     except InsufficientMomentsError:
         need = next(m for m in count() if accepts(m))
         raise InsufficientMomentsError(
             f"residual to depth {depth} needs a moment table of degree >= {need}"
         ) from None
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    return out
 
 
 def gram_suite(

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 
 from hahnpoly.classical import (
     PRESETS,
+    RecurrenceTable,
     RegularityError,
     beta_coefficient,
     check_regular,
@@ -18,10 +20,10 @@ from hahnpoly.classical import (
     recurrence,
     theta2,
 )
-from hahnpoly.functional import pair, solve_moments
+from hahnpoly.functional import MomentFunctional, derived_functional, pair, pearson_residual, solve_moments
 from hahnpoly.poly import Poly, _iterates, op_D
 from hahnpoly.qnum import HahnFrame, PearsonPair, d_n, e_n, q_bracket
-from hahnpoly import verify
+from hahnpoly import classical, verify
 from hahnpoly.verify import FRAME_OMEGA_VALUES, _psi_k_recursive, _theta2_definitional, default_frames
 import reference_kernels as ref
 from reference_kernels import hankel_determinant
@@ -215,22 +217,24 @@ class TestDerivativeSequence:
                 assert derivative_sequence(table, frame, k) == ref.derivative_sequence(table, frame, k), (pear, k)
 
 
-# P_n^[k] + 1 in place of P_n^[k] in the norms suite: the k = 1 rows with n or m = 6
-# decide derivative_orthogonality_k1 alone, and each detail names the last failing index
+# P^[k]_n + 1 in place of P^[k]_n in the k-th monic D step of the norms suite: the k = 1 steps decide
+# derivative_orthogonality_k1, at n = 6 that check alone, and each detail names the first failing index
 NORM_FAULTS = {
-    (1, 6): {"derivative_orthogonality_k1": "first-derivative orthogonality broke at (n,m)=(6,6)"},
-    (2, 3): {"norm_relation_k_le_3": "norm relation broke at (k,n,m)=(2,3,3)"},
-    (1, 2): {"derivative_orthogonality_k1": "first-derivative orthogonality broke at (n,m)=(2,2)",
-             "norm_relation_k_le_3": "norm relation broke at (k,n,m)=(1,2,2)"},
+    (1, 6): {"derivative_orthogonality_k1": "D step broke at (k,n)=(1,6)"},
+    (2, 3): {"norm_relation_k_le_3": "D step broke at (k,n)=(2,3)"},
+    (1, 2): {"derivative_orthogonality_k1": "D step broke at (k,n)=(1,2)",
+             "norm_relation_k_le_3": "D step broke at (k,n)=(1,2)"},
 }
 
 
 @pytest.mark.parametrize("name", ["charlier", "al-salam-carlitz"])
 @pytest.mark.parametrize("fault", sorted(NORM_FAULTS), ids=lambda kn: "k={},n={}".format(*kn))
 def test_norms_suite_fault_injection(monkeypatch, name, fault):
+    steps = itertools.count(1)  # the suite takes the D steps k = 1, 2, 3 in order
+
     def perturbed(table, frame, k):
         seq = derivative_sequence(table, frame, k)
-        if k == fault[0]:
+        if next(steps) == fault[0]:
             seq[fault[1]] = seq[fault[1]] + Poly([1])
         return seq
 
@@ -238,6 +242,42 @@ def test_norms_suite_fault_injection(monkeypatch, name, fault):
     preset = get_preset(name)
     checks = verify.norms_suite(preset.pear, preset.frame)
     assert {c.name: c.detail for c in checks if not c.passed} == NORM_FAULTS[fault]
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_norms_suite_runs_the_D_chain_once(monkeypatch, name):
+    # P_0..P_8 and k <= 3 take 8 + 7 + 6 monic D steps; a chain rebuilt for each k takes 8 + 15 + 21 = 44
+    calls = []
+    monkeypatch.setattr(classical, "op_D", lambda f, frame: calls.append(f) or op_D(f, frame))
+    preset = get_preset(name)
+    assert all(c.passed for c in verify.norms_suite(preset.pear, preset.frame))
+    assert len(calls) == 21
+
+
+def _failed_norms(monkeypatch, name, attribute, fault):
+    monkeypatch.setattr(verify, attribute, fault)
+    preset = get_preset(name)
+    return {c.name: c.detail for c in verify.norms_suite(preset.pear, preset.frame) if not c.passed}
+
+
+@pytest.mark.parametrize("name", ["charlier", "al-salam-carlitz"])
+def test_norms_suite_fails_on_a_faulty_derived_functional(monkeypatch, name):
+    # y_0 stays right, so only the Pearson residual against the derived pair sees the last moment move
+    def faulty(pear, u, k):
+        v = derived_functional(pear, u, k)
+        return MomentFunctional(v.frame, v.moments[:-1] + (v.moments[-1] + 1,))
+
+    detail = "u^[1] is not the functional of the derived pair"
+    assert _failed_norms(monkeypatch, name, "derived_functional", faulty) == {
+        "derivative_orthogonality_k1": detail, "norm_relation_k_le_3": detail}
+
+
+@pytest.mark.parametrize("name", ["charlier", "al-salam-carlitz"])
+def test_norms_suite_fails_on_a_faulty_e_n(monkeypatch, name):
+    # a wrong e_2 gives a wrong second derived pair, so T_2 is not the D step of T_1; gamma_1^[2]
+    # reads the same wrong e_2 on both of its routes and cannot see it
+    failed = _failed_norms(monkeypatch, name, "e_n", lambda pear, frame, n: e_n(pear, frame, n) + (n == 2))
+    assert failed == {"norm_relation_k_le_3": "D step broke at (k,n)=(2,1)"}
 
 
 class TestRPolynomial:
@@ -345,10 +385,26 @@ def test_preset_recurrence_is_its_family(name):
     assert list(table.gamma[1:]) == [gamma(n) for n in range(1, 41)]
 
 
+# every public callable with a depth argument, on the charlier pair; at a negative depth each raises
+# and names the depth its caller passed, rather than return an empty result or the bounds of a helper
+NEGATIVE_DEPTH_CALLS = {
+    "solve_moments": lambda depth: solve_moments(CHARLIER, Q1W1, 1, depth),
+    "check_regular": lambda depth: check_regular(CHARLIER, Q1W1, depth),
+    "recurrence": lambda depth: recurrence(CHARLIER, Q1W1, depth),
+    "gram_matrix": lambda depth: gram_matrix(solve_moments(CHARLIER, Q1W1, 1, 8),
+                                             recurrence(CHARLIER, Q1W1, 3).polys, depth),
+    "pearson_residual": lambda depth: pearson_residual(CHARLIER, solve_moments(CHARLIER, Q1W1, 1, 8), depth),
+    "gram_suite": lambda depth: verify.gram_suite(CHARLIER, Q1W1, depth),
+}
+
+
 @pytest.mark.parametrize("depth", [-1, -2])
-def test_negative_depth_named_in_the_error(depth):
-    # the scan names the depth its caller passed, not the bounds of the sequence helper it calls
-    preset = get_preset("charlier")
-    for build in (check_regular, recurrence):
-        with pytest.raises(ValueError, match=f"^depth must be >= 0, got {depth}$"):
-            build(preset.pear, preset.frame, depth)
+@pytest.mark.parametrize("call", sorted(NEGATIVE_DEPTH_CALLS))
+def test_negative_depth_named_in_the_error(call, depth):
+    with pytest.raises(ValueError, match=f"^(depth must be|a moment table needs depth) >= 0, got {depth}$"):
+        NEGATIVE_DEPTH_CALLS[call](depth)
+
+
+def test_recurrence_table_needs_one_gamma_per_beta():
+    with pytest.raises(ValueError, match="^beta and gamma need equal lengths, got 3 and 1$"):
+        RecurrenceTable((F(1), F(2), F(3)), (F(1),))

@@ -1,6 +1,7 @@
 """The scripts in demos/ run to completion and print something.
 
-Demo 02 and the norms suite are the in-repo users of gram_matrix outside the tests.
+Demo 02 and acceptance criterion 3 are the only in-repo readers of gram_matrix outside its kernel
+tests; no verify suite forms a Gram matrix.
 """
 
 import os

@@ -273,7 +273,8 @@ def test_pair_suites_read_only_their_windows(monkeypatch):
             (functools.partial(verify.rodrigues_suite, pear, frame, n_max, test_degree, require_regular=False),
              lambda pp, fr, y0, depth: solve(pp, fr, y0, padded), rec, n_max),
             (functools.partial(verify.norms_suite, pear, frame),
-             lambda pp, fr, y0, depth: solve(pp, fr, y0, 30), lambda pp, fr, depth: rec(pp, fr, 12), 20),
+             lambda pp, fr, y0, depth: solve(pp, fr, y0, 30),
+             lambda pp, fr, depth, y0=1, require_regular=True: rec(pp, fr, depth + 5, y0, require_regular), 20),
         ]
         for suite, padded_solve, padded_recurrence, depth in runs:
             where = (case, pear, frame, suite.func.__name__)
