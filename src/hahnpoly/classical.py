@@ -231,9 +231,12 @@ def derivative_sequence(table: RecurrenceTable, frame: HahnFrame, k: int) -> lis
     """The monic k-th Hahn derivatives, P^[0]_n = P_n and P^[k]_n = monic(D P^[k-1]_{n+1}).
 
     D P^[k-1]_{n+1} has leading coefficient [n+1]_q, so P^[k]_n = D^k P_{n+k} / prod_{j<=k} [n+j]_q.
+    P_0..P_{N+1} reach k <= N + 1 only; past that no P^[k]_n exists, and the call raises.
     """
     if k < 0:
         raise ValueError("derivative_sequence needs k >= 0")
+    if k > table.depth + 1:
+        raise ValueError(f"derivative_sequence needs k <= {table.depth + 1} at depth {table.depth}, got k={k}")
     seq = list(table.polys)
     for _ in range(k):
         derivatives = [op_D(p, frame) for p in seq[1:]]

@@ -24,9 +24,10 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .qnum import (
-    AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, as_scalar, pearson_sequences, rodrigues_constant,
+    AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, _brackets, _powers, as_scalar, pearson_sequences,
+    rodrigues_constant,
 )
-from .poly import Poly, _fracs, _iterates, _powers, _to_y_ints, _y_node_ints, phi_poly, psi_poly
+from .poly import Poly, _fracs, _iterates, _to_y_ints, _y_node_ints, phi_poly, psi_poly
 
 DEFAULT_DEPTH = 24
 
@@ -281,18 +282,16 @@ def left_multiply(f: Poly, u: MomentFunctional) -> MomentFunctional:
 def _dual_D(v: MomentFunctional, factor: Fraction) -> MomentFunctional:
     """Entries factor * [n]_q v_{n-1} for 0 <= n <= len(v.nums): the dual of D Y_n = [n]_q Y_{n-1}.
 
-    The small factor runs on integers, [n]_q = b_n / qd^(n-1) with
-    b_{n+1} = qd^n + qn b_n, reduced by one short gcd; each entry is then the
-    cross-cancelled product of _times, which stays cheap however tall v_{n-1} is.
+    The small factor runs on integers, [n]_q = b_n / qd^(n-1) over the b_n of _brackets,
+    reduced by one short gcd; each entry is then the cross-cancelled product of _times,
+    which stays cheap however tall v_{n-1} is.
     """
-    qn, qd = v.frame.q.numerator, v.frame.q.denominator
-    cns, cds, b = [], [], 1
-    for p in _powers(qd, v.max_degree):
+    cns, cds = [], []
+    for b, p in zip(_brackets(v.frame.q, len(v.nums))[1:], _powers(v.frame.q.denominator, v.max_degree)):
         c, d = factor.numerator * b, factor.denominator * p
         g = gcd(c, d)
         cns.append(c // g)
         cds.append(d // g)
-        b = qd * p + qn * b
     nums, dens = _times(v.nums, v.dens, cns, cds)
     return MomentFunctional._wrap(v.frame, [0, *nums], [1, *dens])
 
@@ -377,7 +376,8 @@ def _residual_ints(
 
     On integers: V_n, W_n are the numerators of phi u, psi u from _horner, N_n/t the nodes and
     q = qn/qd. dist_L's forward substitution gives <L(phi u), Y_n> = O_n/(qn^(n+1) t^n S_V) with
-    O_n = qd^(n+1) t^n V_n - qd N_n O_{n-1}, and _dual_D's [n]_q = b_n/qd^(n-1) then gives D(phi u).
+    O_n = qd^(n+1) t^n V_n - qd N_n O_{n-1}, and [n]_q = b_n/qd^(n-1) over the b_n of _brackets then gives
+    D(phi u), as in _dual_D.
     """
     cd = lcm(phi.den, psi.den)
     y = y[: depth + 2]
@@ -387,11 +387,11 @@ def _residual_ints(
     qn, qd = frame.q.numerator, frame.q.denominator
     scale = den * cd * pv * pw
     out = [Fraction(-w[0] * pv, scale)]
-    o, b, a, g, qp = 0, 1, 1, qn, qd  # a = (qd t)^n, g = qn^(n+1), qp = qd^(n+1), b = b_{n+1}
-    for n in range(depth):
+    o, a, g = 0, 1, qn  # a = (qd t)^n, g = qn^(n+1)
+    for n, b in enumerate(_brackets(frame.q, depth)[1:]):  # b = b_{n+1}
         o = qd * (a * v[n] - nodes[n] * o)
         out.append(Fraction(-b * o * pw - w[n + 1] * a * g * pv, a * g * scale))
-        a, g, b, qp = a * qd * t, g * qn, qp + qn * b, qp * qd
+        a, g = a * qd * t, g * qn
     return out
 
 

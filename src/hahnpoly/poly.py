@@ -16,17 +16,12 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .qnum import HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar
+from .qnum import HahnFrame, PearsonPair, ScalarLike, _brackets, _ints, _powers, as_scalar
 
 
 def _fracs(nums: Iterable[int], dens: Iterable[int]) -> list[Fraction]:
     """The reduced Fractions nums[k] / dens[k]: the kernels' one way back from integers."""
     return list(map(Fraction, nums, dens))
-
-
-def _powers(base: int, top: int) -> list[int]:
-    """[base^0, base^1, ..., base^top]."""
-    return list(accumulate(repeat(base, top), mul, initial=1))
 
 
 @dataclass(frozen=True, init=False)
@@ -234,15 +229,14 @@ def _iterates(op, x, n: int, *args) -> list:
 
 
 def _y_node_ints(frame: HahnFrame, n: int) -> tuple[list[int], int]:
-    """The nodes omega [j]_q of Y_n, j < n, as integers N_j over one t > 0, gcd(t, *N_j) = 1 (t = 1 at omega = 0)."""
-    qn, top = frame.q.numerator, max(n - 2, 0)
-    brackets, b, qn_i = [0], 0, 1
-    for p in reversed(_powers(frame.q.denominator, top)):
-        b += qn_i * p
-        qn_i *= qn
-        brackets.append(b)
-    on = frame.omega.numerator
-    nodes, t = [on * b for b in brackets[:n]], frame.omega.denominator * frame.q.denominator ** top
+    """The nodes omega [j]_q of Y_n, j < n, as integers N_j over one t > 0, gcd(t, *N_j) = 1 (t = 1 at omega = 0).
+
+    Node j is omega b_j / qd^(j-1) over the b_j of _brackets, brought over t = od qd^(n-2); node 0 is 0.
+    """
+    top = max(n - 2, 0)
+    powers = reversed(_powers(frame.q.denominator, top + 1))
+    nodes = [frame.omega.numerator * b * p for b, p in zip(_brackets(frame.q, top + 1), powers)][:n]
+    t = frame.omega.denominator * frame.q.denominator ** top
     g = gcd(t, *nodes)  # over od qd^(n-2) they need not be in lowest terms
     return [node // g for node in nodes], t // g
 

@@ -2,15 +2,18 @@
 
 Everything here is exact (:class:`fractions.Fraction`, or integers over shared
 denominators), so all identities downstream can be asserted with ``==``.
-With q = r/s, the q-numbers [n]_q, [n]_q! and the q-binomial are each one
-reduced Fraction over integer products of r^j - s^j and powers of s.
+With q = r/s, [n]_q = b_n / s^(n-1) for the one integer sequence b_n of
+_brackets, and [n]_q! and the q-binomial are each one reduced Fraction over
+prefix products of b_n and powers of s.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from itertools import accumulate, repeat
+from math import lcm, prod
+from operator import mul
 from typing import Iterable, NamedTuple, Union
 
 Scalar = Fraction
@@ -117,13 +120,18 @@ def q_bracket(n: int, q: ScalarLike) -> Fraction:
     return Fraction(s * (s**m - r**m), r**m * (r - s))
 
 
-def _bracket_product(n: int, r: int, s: int) -> int:
-    """B_n = prod_{j=1}^n (r^j - s^j), so that [n]_q! = B_n / ((r - s)^n s^(n(n-1)/2)) at q = r/s."""
-    out, rj, sj = 1, 1, 1
-    for _ in range(n):
-        rj, sj = rj * r, sj * s
-        out *= rj - sj
-    return out
+def _powers(base: int, top: int) -> list[int]:
+    """[base^0, base^1, ..., base^top]."""
+    return list(accumulate(repeat(base, top), mul, initial=1))
+
+
+def _brackets(q: Fraction, top: int) -> list[int]:
+    """The integers b_0..b_top with [n]_q = b_n / s^(n-1) at q = r/s: b_0 = 0, b_{n+1} = s^n + r b_n.
+
+    b_n = sum_{j<n} r^j s^(n-1-j), so b_n = n at q = 1; every integer [n]_q of the kernels reads this sequence.
+    """
+    r = q.numerator
+    return list(accumulate(_powers(q.denominator, top)[:top], lambda b, p: p + r * b, initial=0))
 
 
 def q_factorial(n: int, q: ScalarLike) -> Fraction:
@@ -131,26 +139,20 @@ def q_factorial(n: int, q: ScalarLike) -> Fraction:
     if n < 0:
         raise ValueError("q_factorial needs n >= 0")
     q = as_scalar(q)
-    if q == 1:
-        return Fraction(factorial(n))
-    r, s = q.numerator, q.denominator
-    return Fraction(_bracket_product(n, r, s), (r - s) ** n * s ** (n * (n - 1) // 2))
+    return Fraction(prod(_brackets(q, n)[1:]), q.denominator ** (n * (n - 1) // 2))
 
 
 def q_binomial(n: int, k: int, q: ScalarLike) -> Fraction:
     """The q-binomial [n]_q! / ([k]_q! [n-k]_q!), 0 <= k <= n.
 
-    With q = r/s the factors (r - s) and most powers of s cancel, leaving one
-    Fraction over the bracket products: B_n / (B_k B_{n-k} s^(k(n-k))).
+    With q = r/s and [m]_q! = F_m / s^(m(m-1)/2) over the prefix products F_m = b_1 ... b_m,
+    most powers of s cancel, leaving one Fraction: F_n / (F_k F_{n-k} s^(k(n-k))).
     """
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"q_binomial needs 0 <= k <= n, got n={n}, k={k}")
     q = as_scalar(q)
-    if q == 1:
-        return Fraction(comb(n, k))
-    r, s = q.numerator, q.denominator
-    return Fraction(_bracket_product(n, r, s),
-                    _bracket_product(k, r, s) * _bracket_product(n - k, r, s) * s ** (k * (n - k)))
+    f = list(accumulate(_brackets(q, n)[1:], mul, initial=1))
+    return Fraction(f[n], f[k] * f[n - k] * q.denominator ** (k * (n - k)))
 
 
 def d_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
@@ -184,19 +186,15 @@ class PearsonSequences(NamedTuple):
 
 
 def pearson_sequences(pear: PearsonPair, frame: HahnFrame, m: int, m_e: int) -> PearsonSequences:
-    """The sequences that d_n and e_n define, by O(m) integer work: K_{n+1} = S_{n+1} + r K_n,
+    """The sequences that d_n and e_n define, by O(m) integer work: K_n = s b_n over the b_n of _brackets,
     D_n = d' R_n + a' K_n (a = a'/L, d = d'/L) and E_n = M e L R_n S_n + (W D_n + M b L S_n) K_n.
     """
     if not 0 <= m_e <= m:
         raise ValueError(f"pearson_sequences needs 0 <= m_e <= m, got m={m}, m_e={m_e}")
-    r, s = frame.q.numerator, frame.q.denominator
     (a, d), L = _ints((pear.a, pear.d))
     (W, b, e), M = _ints((frame.omega, pear.b, pear.e))
-    r_pow, s_pow, bracket = [1], [1], [0]
-    for _ in range(m):
-        r_pow.append(r * r_pow[-1])
-        s_pow.append(s * s_pow[-1])
-        bracket.append(s_pow[-1] + r * bracket[-1])
+    s = frame.q.denominator
+    r_pow, s_pow, bracket = _powers(frame.q.numerator, m), _powers(s, m), [s * k for k in _brackets(frame.q, m)]
     ds = [d * rn + a * kn for rn, kn in zip(r_pow, bracket)]
     es = [(e * r_pow[n] + b * bracket[n]) * L * s_pow[n] + W * ds[n] * bracket[n] for n in range(m_e + 1)]
     return PearsonSequences(r_pow, s_pow, bracket, ds, es, L, M, W, *_ints((pear.a, pear.b, pear.c)))

@@ -382,10 +382,11 @@ def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
     For k = 1..3: the monic D step of T_{k-1} is T_k; the norm relation <u^[k], (P^[k]_n)^2> =
     (-1)^k q^{-k(2n+k-1)/2} prod_{j<=k} d_{n+k+j-2}/[n+j]_q <u, P_{n+k}^2> holds on the gamma products;
     and the library's u^[k], derived_functional(u, k), has y_0 = y0^[k] and a zero residual against the derived pair.
+    For k <= 6, gamma_1 of the derived pair is gamma_1 = (y_2 + omega y_1)/y_0 - (y_1/y_0)^2 on the moments of u^[k].
     """
     q, phi = frame.q, phi_poly(pear)
-    # the window: y_0..y_16 and the recurrence to 7, P_0..P_8; T_k runs to 7 - k, u^[k] to y_{16 - k deg phi}
-    uk = solve_moments(pear, frame, 1, 16)
+    # the window: y_0..y_16 and the recurrence to 7, P_0..P_8; T_k runs to 7 - k, u^[k] to y_{16 - k deg phi} >= y_4
+    walk = _iterates(lambda v: derived_functional(pear, v, 1), solve_moments(pear, frame, 1, 16), 6)
     table = recurrence(pear, frame, 7)
     norms = list(itertools.accumulate(table.gamma, operator.mul))  # <u, P_n^2>, as gamma_0 = y_0 = 1
     derived = [PearsonPair(pear.a, pear.b, pear.c, d_n(pear, frame, 2 * k), e_n(pear, frame, k)) for k in range(7)]
@@ -401,7 +402,7 @@ def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
             factor = math.prod(d_n(pear, frame, n + k + j - 2) / q_bracket(n + j, q) for j in range(1, k + 1))
             if norm != (-1) ** k * q ** (-k * (2 * n + k - 1) // 2) * factor * norms[n + k]:
                 broken.append((k, n, f"norm relation broke at (k,n)=({k},{n})"))
-        uk = derived_functional(pear, uk, 1)
+        uk = walk[k]
         if uk.moments[0] != y0 or any(pearson_residual(derived[k], uk, uk.max_degree - 1)):
             broken.append((k, 0, f"u^[{k}] is not the functional of the derived pair"))
     # the k = 1 identities decide derivative_orthogonality_k1, and norm_relation_k_le_3 reads all but the
@@ -416,8 +417,9 @@ def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
     bad = [n for n in range(1, 9) if theta2(pear, frame, n) != _theta2_definitional(pear, frame, n)]
     checks.append(Check("theta2_dual_computation", f"mismatch at n={bad[0]}" if bad else ""))
 
-    bad = [n for n, pp in enumerate(derived)
-           if classical.gamma_coefficient(pp, frame, 0) != -phi(-pp.e / pp.d) / d_n(pear, frame, 2 * n + 1)]
+    # x^2 = Y_2 + omega Y_1, so gamma_1 y_0^2 = (y_2 + omega y_1) y_0 - y_1^2; a zero y_0 leaves gamma_1 undefined
+    bad = [n for n, (pp, (m0, m1, m2)) in enumerate(zip(derived, (v.moments[:3] for v in walk)))
+           if not m0 or classical.gamma_coefficient(pp, frame, 0) * m0 * m0 != (m2 + frame.omega * m1) * m0 - m1 * m1]
     checks.append(Check("gamma1_of_derived_functional", f"gamma_1^[n] mismatch at n={bad[-1]}" if bad else ""))
 
     rng = random.Random(7)

@@ -35,7 +35,8 @@ hahnpoly.functional.rodrigues_rhs, which reads the iterated derived_functional.
 
 The q-numbers are the Fraction definitions: [n]_q = (q^n - 1)/(q - 1), [n]_q! as a
 product of brackets and the q-binomial as a ratio of factorials. hahnpoly.qnum forms
-each as one Fraction over integer products; tests/test_qnum.py compares the two, and
+each as one Fraction, the factorials over the integer bracket sequence of
+hahnpoly.qnum._brackets; tests/test_qnum.py compares the two, and
 the per-index oracles below read this q_bracket. _hahn_number is the closed sum behind
 the monomial expansion of D, the oracle of the Pascal table in hahnpoly.verify._op_D_monomial.
 
@@ -176,7 +177,9 @@ def op_D_star(f: Poly, frame) -> Poly:
 
 
 def derivative_sequence(table: classical.RecurrenceTable, frame, k: int) -> list[Poly]:
-    """P_n^[k] = D^k P_{n+k} / prod_{j<=k} [n+j]_q, for n + k <= N + 1."""
+    """P_n^[k] = D^k P_{n+k} / prod_{j<=k} [n+j]_q, for n + k <= N + 1; k > N + 1 raises, as no n is left."""
+    if k > table.depth + 1:
+        raise ValueError(f"derivative_sequence needs k <= {table.depth + 1} at depth {table.depth}, got k={k}")
     out = []
     for n in range(len(table.polys) - k):
         p, norm = table.polys[n + k], Fraction(1)

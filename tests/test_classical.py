@@ -195,6 +195,15 @@ class TestDerivativeSequence:
         norm = q_bracket(3, q) * q_bracket(4, q)
         assert seq[2] == _iterates(op_D, table.polys[4], 2, preset.frame)[-1].scale(1 / norm)
 
+    @pytest.mark.parametrize("k", [5, 9])
+    def test_past_the_table_raises(self, k):
+        # P_0..P_4 of a depth-3 table reach k = 4 with one polynomial; past it there is none to return
+        table = recurrence(CHARLIER, Q1W1, 3)
+        assert len(derivative_sequence(table, Q1W1, 4)) == 1
+        for route in (derivative_sequence, ref.derivative_sequence):
+            with pytest.raises(ValueError, match=f"^derivative_sequence needs k <= 4 at depth 3, got k={k}$"):
+                route(table, Q1W1, k)
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_monic_steps_match_bracket_product_on_presets(self, name):
         # one monic D step per k against D^k P_{n+k} / prod_{j<=k} [n+j]_q
@@ -274,10 +283,11 @@ def test_norms_suite_fails_on_a_faulty_derived_functional(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["charlier", "al-salam-carlitz"])
 def test_norms_suite_fails_on_a_faulty_e_n(monkeypatch, name):
-    # a wrong e_2 gives a wrong second derived pair, so T_2 is not the D step of T_1; gamma_1^[2]
-    # reads the same wrong e_2 on both of its routes and cannot see it
+    # a wrong e_2 gives a wrong second derived pair, so T_2 is not the D step of T_1, and gamma_1 of
+    # that pair disagrees with the one read off the moments of the library's u^[2]
     failed = _failed_norms(monkeypatch, name, "e_n", lambda pear, frame, n: e_n(pear, frame, n) + (n == 2))
-    assert failed == {"norm_relation_k_le_3": "D step broke at (k,n)=(2,1)"}
+    assert failed == {"norm_relation_k_le_3": "D step broke at (k,n)=(2,1)",
+                      "gamma1_of_derived_functional": "gamma_1^[n] mismatch at n=2"}
 
 
 class TestRPolynomial:

@@ -6,6 +6,7 @@ from hahnpoly.qnum import (
     AdmissibilityError,
     HahnFrame,
     PearsonPair,
+    _brackets,
     d_n,
     e_n,
     q_binomial,
@@ -124,6 +125,14 @@ class TestIntegerRoutesMatchDefinitions:
         for n in range(-8, 41):
             for k in range(-2, max(n, 0) + 3):
                 assert outcome(q_binomial, n, k, q) == outcome(ref.q_binomial, n, k, q), (n, k)
+
+    @pytest.mark.parametrize("q", ORACLE_Q + [F(31, 37), F(2**61 - 1, 2**60 + 3)], ids=str)
+    def test_brackets(self, q):
+        # the one integer sequence of the kernels: [n]_q = b_n / s^(n-1), against the closed form
+        for top in range(41):
+            b = _brackets(q, top)
+            assert len(b) == top + 1 and b[0] == 0, top
+            assert all(F(bn, q.denominator ** (n - 1)) == q_bracket(n, q) for n, bn in enumerate(b) if n), top
 
     @pytest.mark.parametrize("q", [3, "3/7", "-2", 1.5], ids=str)
     def test_coerces_q_like_the_definitions(self, q):
