@@ -16,7 +16,7 @@ from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
-from .qnum import HahnFrame, PearsonPair, ScalarLike, _brackets, _ints, _powers, as_scalar
+from .qnum import HahnFrame, PearsonPair, ScalarLike, _ints, _powers, as_scalar
 
 
 def _fracs(nums: Iterable[int], dens: Iterable[int]) -> list[Fraction]:
@@ -156,15 +156,28 @@ def _compose_ints(nums: Sequence[int], alpha: Fraction, beta: Fraction) -> tuple
     and Gerhard 1997), and coefficient k of f(alpha x + beta) is
     h_k an^k / (bd^(m-k) ad^k) = h_k (an bd)^k ad^(m-k) / (bd^m ad^m).
     """
+    m, bd = len(nums) - 1, beta.denominator
+    return _taylor_shift(nums, beta.numerator, _powers(bd, m), _powers(alpha.numerator * bd, m),
+                         _powers(alpha.denominator, m))
+
+
+def _taylor_shift(nums: Sequence[int], bn: int, bd_pows: Sequence[int], abd_pows: Sequence[int],
+                  ad_pows: Sequence[int]) -> tuple[list[int], int]:
+    """The Taylor shift of _compose_ints, over the powers bd^k, (an bd)^k and ad^k for k <= len(nums) - 1 at least."""
     m = len(nums) - 1
-    bn, bd, ad = beta.numerator, beta.denominator, alpha.denominator
-    h = [n * p for n, p in zip(nums, reversed(_powers(bd, m)))]
+    h = [n * p for n, p in zip(nums, bd_pows[m::-1])]
     if bn:
         for i in range(m):
             for j in range(m - 1, i - 1, -1):
                 h[j] += bn * h[j + 1]
-    scales = map(mul, _powers(alpha.numerator * bd, m), reversed(_powers(ad, m)))
-    return list(map(mul, h, scales)), (bd * ad) ** max(m, 0)
+    top = max(m, 0)
+    return list(map(mul, h, map(mul, abd_pows, ad_pows[m::-1]))), bd_pows[top] * ad_pows[top]
+
+
+def _shift_ints(nums: Sequence[int], frame: HahnFrame) -> tuple[list[int], int]:
+    """L f = f(q x + omega) on integers, as _compose_ints(nums, q, omega), over the power tables of the frame."""
+    qd, od, qn_od = frame._shift_tables(len(nums) - 1)
+    return _taylor_shift(nums, frame.omega.numerator, od, qn_od, qd)
 
 
 def phi_poly(pear: PearsonPair) -> Poly:
@@ -179,12 +192,13 @@ def psi_poly(pear: PearsonPair) -> Poly:
 
 def op_L(f: Poly, frame: HahnFrame) -> Poly:
     """L f(x) = f(q x + omega)."""
-    return f.compose_affine(frame.q, frame.omega)
+    nums, den = _shift_ints(f.nums, frame)
+    return Poly._from_ints(nums, f.den * den)
 
 
 def op_L_star(f: Poly, frame: HahnFrame) -> Poly:
-    """L* f(x) = f((x - omega)/q); the inverse of op_L."""
-    return f.compose_affine(1 / frame.q, -frame.omega / frame.q)
+    """L* f(x) = f((x - omega)/q), the inverse of op_L: op_L in the reciprocal frame (1/q, -omega/q)."""
+    return op_L(f, frame.reciprocal())
 
 
 def op_D(f: Poly, frame: HahnFrame) -> Poly:
@@ -195,31 +209,30 @@ def op_D(f: Poly, frame: HahnFrame) -> Poly:
     constant omega. Otherwise it is (q-1)(x - r), r = rn/rd = -omega/(q-1), and
     the quotient is one synthetic division run on the integer polynomial
     rd^m den num(X/rd), whose root is rn. A nonzero remainder raises ArithmeticError.
+    r and c = 1/(q-1) are the frame's _divisor.
     """
-    q, omega = frame.q, frame.omega
-    lf, common = _compose_ints(f.nums, q, omega)
+    lf, common = _shift_ints(f.nums, frame)
     nums = [a - n * common for a, n in zip(lf, f.nums)]
     den = f.den * common
     if not any(nums):
         return Poly()
-    if q == 1:
-        return Poly._from_ints([n * omega.denominator for n in nums], den * omega.numerator)
-    r, c = -omega / (q - 1), 1 / (q - 1)
-    m, rn = len(nums) - 1, r.numerator
-    rd_pows = _powers(r.denominator, m)
+    if frame.q == 1:
+        return Poly._from_ints([n * frame.omega.denominator for n in nums], den * frame.omega.numerator)
+    rn, rd, cn, cd = frame._divisor
+    m = len(nums) - 1
+    rd_pows = _powers(rd, m)
     acc, quot = 0, []  # Horner from the top: G_{m-1}, ..., G_0, then the remainder
     for n, p in zip(reversed(nums), rd_pows):
         acc = acc * rn + n * p
         quot.append(acc)
     if quot.pop():
         raise ArithmeticError("divided difference left a nonzero remainder")
-    # quotient coefficient k is c G_k / (den rd^(m-1-k)) = c.num G_k rd^k / (den rd^(m-1) c.den)
-    return Poly._from_ints([g * c.numerator * p for g, p in zip(reversed(quot), rd_pows)],
-                           den * rd_pows[m - 1] * c.denominator)
+    # quotient coefficient k is c G_k / (den rd^(m-1-k)) = cn G_k rd^k / (den rd^(m-1) cd)
+    return Poly._from_ints([g * cn * p for g, p in zip(reversed(quot), rd_pows)], den * rd_pows[m - 1] * cd)
 
 
 def op_D_star(f: Poly, frame: HahnFrame) -> Poly:
-    """The divided difference in the reciprocal frame (1/q, -omega/q)."""
+    """The divided difference D* = op_D in the reciprocal frame (1/q, -omega/q), whose constants that frame keeps."""
     return op_D(f, frame.reciprocal())
 
 
@@ -232,11 +245,12 @@ def _y_node_ints(frame: HahnFrame, n: int) -> tuple[list[int], int]:
     """The nodes omega [j]_q of Y_n, j < n, as integers N_j over one t > 0, gcd(t, *N_j) = 1 (t = 1 at omega = 0).
 
     Node j is omega b_j / qd^(j-1) over the b_j of _brackets, brought over t = od qd^(n-2); node 0 is 0.
+    Both factors of N_j = on b_j qd^(n-1-j) are slices of the frame's _node_tables.
     """
     top = max(n - 2, 0)
-    powers = reversed(_powers(frame.q.denominator, top + 1))
-    nodes = [frame.omega.numerator * b * p for b, p in zip(_brackets(frame.q, top + 1), powers)][:n]
-    t = frame.omega.denominator * frame.q.denominator ** top
+    qd, on_b = frame._node_tables(top + 1)
+    nodes = list(map(mul, on_b[:n], qd[top + 1::-1]))
+    t = frame.omega.denominator * qd[top]
     g = gcd(t, *nodes)  # over od qd^(n-2) they need not be in lowest terms
     return [node // g for node in nodes], t // g
 

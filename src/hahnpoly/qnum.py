@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, repeat
 from math import lcm, prod
 from operator import mul
@@ -48,6 +49,14 @@ class HahnFrame:
     Rejected frames: q = 0, q = -1 (the rational roots of unity other
     than 1), and the degenerate point q = 1, omega = 0 where the
     operator is undefined.
+
+    A frame builds the integer constants its operators read once, on first
+    use, and keeps them on the instance: the reciprocal frame, the root and
+    factor of op_D's divisor (_divisor), and the power and bracket tables of
+    _node_tables and _shift_tables. They are not fields, so ==, hash and repr
+    read (q, omega) alone, copy and pickle carry (q, omega) alone, and the
+    constants live and die with the frame. Its memory is O(the longest length
+    asked of it).
     """
 
     q: Fraction
@@ -65,6 +74,10 @@ class HahnFrame:
         if q == 1 and omega == 0:
             raise ValueError("(q, omega) = (1, 0) is excluded: the operator is undefined")
 
+    def __reduce__(self):
+        # copy and pickle rebuild the frame from (q, omega); a clone builds its constants afresh
+        return HahnFrame, (self.q, self.omega)
+
     @property
     def omega0(self) -> Fraction:
         """omega / (1 - q); only defined away from q = 1."""
@@ -73,8 +86,49 @@ class HahnFrame:
         return self.omega / (1 - self.q)
 
     def reciprocal(self) -> "HahnFrame":
-        """The frame (1/q, -omega/q) of the starred operators."""
-        return HahnFrame(1 / self.q, -self.omega / self.q)
+        """The frame (1/q, -omega/q) of the starred operators: one object per frame, whose reciprocal is this frame."""
+        return self._reciprocal
+
+    @cached_property
+    def _reciprocal(self) -> "HahnFrame":
+        out = HahnFrame(1 / self.q, -self.omega / self.q)
+        out.__dict__["_reciprocal"] = self  # (1/(1/q), -(-omega/q)/(1/q)) is (q, omega)
+        return out
+
+    @cached_property
+    def _divisor(self) -> tuple[int, int, int, int]:
+        """(rn, rd, cn, cd) in lowest terms, for the root rn/rd = -omega/(q-1) and the factor cn/cd = 1/(q-1) of op_D.
+
+        Defined for q != 1 only; at q = 1 op_D divides by the constant omega.
+        """
+        r, c = -self.omega / (self.q - 1), 1 / (self.q - 1)
+        return r.numerator, r.denominator, c.numerator, c.denominator
+
+    def _grown(self, name: str, top: int, build) -> tuple[list[int], ...]:
+        """The tables build(k) kept under name, each of length > top.
+
+        A set too short for top is rebuilt at twice the length asked, 2 (top + 1), so each
+        rebuild at least doubles it and the frame holds at most twice the longest length asked
+        of it. Callers slice the tables and never write to them.
+        """
+        tables = self.__dict__.get(name)
+        if tables is None or len(tables[0]) <= top:
+            tables = build(2 * top + 1)
+            object.__setattr__(self, name, tables)
+        return tables
+
+    def _node_tables(self, top: int) -> tuple[list[int], list[int]]:
+        """qd^k and on b_k for k <= top at least, at q = qn/qd, omega = on/od: the factors of the Newton nodes.
+
+        b_k is the bracket sequence of _brackets.
+        """
+        return self._grown("_nodes", top, lambda k: (
+            _powers(self.q.denominator, k), [self.omega.numerator * b for b in _brackets(self.q, k)]))
+
+    def _shift_tables(self, top: int) -> tuple[list[int], list[int], list[int]]:
+        """qd^k, od^k and (qn od)^k for k <= top at least: the powers of the Taylor shift of L and D."""
+        qd, od = self.q.denominator, self.omega.denominator
+        return self._grown("_shift", top, lambda k: (_powers(qd, k), _powers(od, k), _powers(self.q.numerator * od, k)))
 
 
 @dataclass(frozen=True)

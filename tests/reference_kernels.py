@@ -173,7 +173,8 @@ def op_D(f: Poly, frame) -> Poly:
 
 
 def op_D_star(f: Poly, frame) -> Poly:
-    return op_D(f, frame.reciprocal())
+    """op_D in the frame (1/q, -omega/q), built from its definition rather than by frame.reciprocal()."""
+    return op_D(f, HahnFrame(1 / frame.q, -frame.omega / frame.q))
 
 
 def derivative_sequence(table: classical.RecurrenceTable, frame, k: int) -> list[Poly]:

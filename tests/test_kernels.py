@@ -153,6 +153,58 @@ def test_y_nodes_in_lowest_terms(frame):
             assert (nodes, t) == ([0] * n, 1), n
 
 
+# asked of one frame object in this order: the first length builds its tables, at twice that length,
+# and the others read shorter and longer slices of them
+GROWN_LENGTHS = (30, 3, 0, 1, 17, 45, 5)
+# past those tables, so the frame rebuilds them; the oracles take seconds there, so a fresh frame is the reference
+REGROWN_LENGTH = 64
+
+
+def grown_inputs(frame, n):
+    """A polynomial of n coefficients and a moment table of degree n over frame."""
+    f = Poly([F((-1) ** k * (k % 7 + 1), k % 3 + 1) for k in range(n)])
+    return f, MomentFunctional(frame, [F(k % 5 - 2, k % 4 + 1) for k in range(n + 1)])
+
+
+def grown_outputs(frame, n, kernels):
+    f, u = grown_inputs(frame, n)
+    out = {name: kernels[name](f, frame) for name in ("op_L", "op_L_star", "op_D", "op_D_star", "to_y_basis")}
+    out.update({name: kernels[name](u) for name in (*DIST_OPS, "power_moments")})
+    out.update(left_multiply=kernels["left_multiply"](f, u), pair=kernels["pair"](u, f))
+    return out
+
+
+LIBRARY_KERNELS = {"op_L": op_L, "op_L_star": op_L_star, "op_D": op_D, "op_D_star": op_D_star,
+                   "to_y_basis": to_y_basis, "power_moments": MomentFunctional.power_moments,
+                   "left_multiply": functional.left_multiply, "pair": functional.pair,
+                   **{name: getattr(functional, name) for name in DIST_OPS}}
+# the Fraction-entry recurrences stand in for the dist_* expansion oracles, which take seconds at degree 45;
+# they read the nodes of _y_node_ints, which the test pins to q_bracket
+ORACLE_KERNELS = {**{name: getattr(ref, name) for name in LIBRARY_KERNELS},
+                  **{name: getattr(ref, f"fraction_{name}") for name in DIST_OPS}}
+
+
+@pytest.mark.parametrize("frame", NODE_FRAMES + [HahnFrame(F(5, 2), F(1, 3))], ids=frame_id)
+def test_grown_frame_against_oracles(frame):
+    grown = HahnFrame(frame.q, frame.omega)
+    for n in GROWN_LENGTHS:
+        expected_nodes = [frame.omega * q_bracket(j, frame.q) for j in range(n)]
+        nodes, t = _y_node_ints(grown, n)
+        assert t > 0 and gcd(t, *nodes) == 1, n
+        assert [F(node, t) for node in nodes] == expected_nodes, n
+        product = Poly([1])  # Y_n as a product of Fraction factors
+        for node in expected_nodes:
+            product = ref.mul(product, Poly([-node, 1]))
+        expected = grown_outputs(frame, n, ORACLE_KERNELS)
+        for fr in (grown, HahnFrame(frame.q, frame.omega)):
+            assert y_basis(n, fr) == product, n
+            assert grown_outputs(fr, n, LIBRARY_KERNELS) == expected, n
+    nodes, t = _y_node_ints(grown, REGROWN_LENGTH)
+    assert [F(node, t) for node in nodes] == [frame.omega * q_bracket(j, frame.q) for j in range(REGROWN_LENGTH)]
+    fresh = HahnFrame(frame.q, frame.omega)
+    assert grown_outputs(grown, REGROWN_LENGTH, LIBRARY_KERNELS) == grown_outputs(fresh, REGROWN_LENGTH, LIBRARY_KERNELS)
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_gram_matrix_on_presets(name):
     preset = PRESETS[name]

@@ -43,6 +43,9 @@ class TestFrame:
     def test_reciprocal_involution(self):
         frame = HahnFrame(F(2, 3), F(-1, 5))
         assert frame.reciprocal().reciprocal() == frame
+        # the frame builds its reciprocal once, and that frame's reciprocal is the frame itself
+        assert frame.reciprocal() is frame.reciprocal() and frame.reciprocal().reciprocal() is frame
+        assert frame.reciprocal() == HahnFrame(F(3, 2), F(3, 10))
 
 
 class TestBracket:

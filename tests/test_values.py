@@ -1,7 +1,9 @@
 """The value types are immutable and survive copy and pickle with equal == and hash."""
 
 import copy
+import gc
 import pickle
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +12,8 @@ from hahnpoly.classical import PRESETS, Preset, check_regular, recurrence
 from hahnpoly.functional import solve_moments
 from hahnpoly.poly import Poly
 from hahnpoly.qnum import HahnFrame, PearsonPair
-from hahnpoly.verify import Check
+from hahnpoly.poly import op_D, op_D_star, op_L_star, to_y_basis
+from hahnpoly.verify import Check, gram_suite, identities_suite, norms_suite, rodrigues_suite
 
 CHARLIER = PRESETS["charlier"]
 
@@ -49,3 +52,47 @@ def test_clone_is_equal_with_equal_hash(kind, clone):
 def test_poly_hash_is_hash_of_its_integers():
     for p in (Poly(), Poly([F(-3, 4)]), VALUES["Poly"][0]):
         assert hash(p) == hash((p.nums, p.den))
+
+
+def warm_frame(q, omega):
+    """A frame that has built its reciprocal, its divisor and its power and bracket tables."""
+    frame = HahnFrame(q, omega)
+    f = Poly([1, F(-2, 3), 5, F(7, 2)])
+    op_D(f, frame), op_D_star(f, frame), op_L_star(f, frame), to_y_basis(f, frame)
+    assert {"_reciprocal", "_divisor", "_nodes", "_shift"} <= set(vars(frame))
+    return frame
+
+
+def test_warm_frame_is_the_value_of_a_fresh_one():
+    fresh, warm = HahnFrame(F(1, 2), F(-1, 3)), warm_frame(F(1, 2), F(-1, 3))
+    assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    for clone in CLONES.values():
+        out = clone(warm)
+        assert out == warm and hash(out) == hash(warm)
+    # a pickle carries q and omega alone, not the constants the frame has built
+    assert pickle.dumps(warm) == pickle.dumps(fresh)
+    for name in ("q", "omega"):
+        with pytest.raises(AttributeError):
+            setattr(warm, name, F(2))
+    assert (warm.q, warm.omega) == (F(1, 2), F(-1, 3))
+
+
+def test_frame_freed_after_suites():
+    # the frame and its reciprocal refer to each other; that cycle must not outlive the frame
+    frame = warm_frame(F(1, 2), F(1, 3))
+    pear = PRESETS["al-salam-carlitz"].pear
+    for checks in (gram_suite(pear, frame), rodrigues_suite(pear, frame), norms_suite(pear, frame),
+                   identities_suite([frame], 3)):
+        assert all(c.passed for c in checks), checks
+    refs = weakref.ref(frame), weakref.ref(frame.reciprocal())
+    del frame, checks
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+
+
+def test_frame_tables_stay_linear_in_the_longest_length():
+    # one long-lived frame asked for every depth up to 200 keeps tables of at most about twice that
+    frame = HahnFrame(1, F(1, 3))
+    for n in range(1, 201):
+        solve_moments(CHARLIER.pear, frame, 1, n).power_moments()
+    assert all(200 <= len(table) <= 2 * 200 for table in frame._node_tables(0))
