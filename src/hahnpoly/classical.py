@@ -25,8 +25,8 @@ from .qnum import (
     e_n,
     pearson_sequences,
 )
-from .poly import Poly, _y_node_ints, op_D, op_D_star, phi_poly, psi_poly, to_y_basis
-from .functional import InsufficientMomentsError, MomentFunctional, left_multiply
+from .poly import Poly, _y_node_ints, op_D, op_D_star, phi_poly, psi_poly
+from .functional import MomentFunctional, pair
 
 D_ZERO = "admissibility"
 PHI_ROOT = "phi_root_condition"
@@ -250,35 +250,16 @@ def r_polynomial(pear: PearsonPair, frame: HahnFrame, q_n: Poly) -> Poly:
 
 
 def gram_matrix(u: MomentFunctional, polys: Sequence[Poly], depth: int) -> list[list[Fraction]]:
-    """G[m][n] = <u, P_m P_n> for m, n <= depth.
+    """G[m][n] = <u, P_m P_n> for m, n <= depth: the definition, one pair per entry.
 
-    Each P_n is expanded in the Y basis once and each P_m u is formed once, so
-    every entry <P_m u, P_n> is a dot product: O(depth^2 * max_degree) scalar work.
+    The first entry, row by row, whose product passes u.max_degree raises pair's InsufficientMomentsError.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if depth + 1 > len(polys):
         raise ValueError("not enough polynomials for the requested Gram depth")
     polys = polys[: depth + 1]
-    coeffs = [to_y_basis(p, u.frame) for p in polys]
-    rows = []
-    for pm, cm in zip(polys, coeffs):
-        pm_u = None  # the moments of P_m u, formed on the first entry that needs it
-        row = []
-        for cn in coeffs:
-            if not cm or not cn:
-                row.append(Fraction(0))
-                continue
-            degree = len(cm) + len(cn) - 2
-            if degree > u.max_degree:
-                raise InsufficientMomentsError(
-                    f"pairing needs moments up to degree {degree}, table stops at {u.max_degree}"
-                )
-            if pm_u is None:
-                pm_u = left_multiply(pm, u).moments
-            row.append(sum((c * pm_u[k] for k, c in enumerate(cn)), Fraction(0)))
-        rows.append(row)
-    return rows
+    return [[pair(u, pm * pn) for pn in polys] for pm in polys]
 
 
 def _chebyshev_rows(

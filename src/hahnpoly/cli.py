@@ -16,13 +16,13 @@ the recurrence to max(n_max - 1, 0) without regularity; norms y_0..y_16 and P_0.
 recurrences to 7 - k (k <= 3) reading no d_m past d_15; identities no pair.
 The depth, `--n` or `$HAHNPOLY_DEPTH`, lies in 0..MAX_DEPTH (10 000); any other
 value is invalid input, rejected before any table is built.
-Each command builds only the format it prints. `recurrence --format json` writes
+Each command builds only the format it prints, and builds all of its text
+before the first write, in every format, so a failure while rendering (Python's
+4300-digit str limit) leaves stdout empty. `recurrence --format json` writes
 its text straight from the integer rows of P_0..P_{N+1}, byte-identical to
-json.dumps(payload, indent=2), and builds all of it before the first write, so
-a failure while rendering (Python's 4300-digit str limit) leaves stdout empty.
-csv and human never build that text, so `recurrence --format csv` never expands
-a P_n, and `--format human` expands only the P_0..P_4 it prints. The other
-commands print json.dumps of their payload.
+json.dumps(payload, indent=2). csv and human never build that text, so
+`recurrence --format csv` never expands a P_n, and `--format human` expands only
+the P_0..P_4 it prints. The other commands print json.dumps of their payload.
 """
 
 from __future__ import annotations
@@ -160,14 +160,14 @@ def _recurrence_json(table: RecurrenceTable) -> list[str]:
 
 
 def _emit(fmt: str, json_chunks, human_lines, csv_rows):
+    """Write the chosen format, built in full first: a failure to render writes nothing."""
     if fmt == "json":
-        sys.stdout.writelines(json_chunks())  # a list, built in full first: a failure to render writes nothing
+        chunks = json_chunks()
     elif fmt == "csv":
-        for row in csv_rows():
-            print(",".join(str(cell) for cell in row))
+        chunks = [",".join(str(cell) for cell in row) + "\n" for row in csv_rows()]
     else:
-        for line in human_lines():
-            print(line)
+        chunks = [line + "\n" for line in human_lines()]
+    sys.stdout.writelines(chunks)
 
 
 def cmd_classify(args) -> int:

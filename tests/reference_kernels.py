@@ -2,7 +2,9 @@
 
 Every dual operation here expands Y-basis polynomials as Poly objects,
 independently of the banded recurrences in hahnpoly.functional and of the
-synthetic-division to_y_basis; the affine substitution is Horner's rule over
+synthetic-division to_y_basis. Y_n itself is the `mul` product of its Fraction
+factors x - omega [j]_q, so no oracle rests on hahnpoly.poly.y_basis or its
+Newton nodes; the affine substitution is Horner's rule over
 Poly products, and the Gram suite reads the full Gram matrix. The products,
 L, L* and D here run on Fractions (`mul`, and D through `poly_divmod`), so no
 oracle rests on the integer-numerator kernels of hahnpoly.poly; `horner` is the
@@ -109,8 +111,19 @@ def _hahn_number(n: int, k: int, q: ScalarLike, omega: ScalarLike) -> Fraction:
     return omega**k * total
 
 
-# the library builds Y_n afresh on every call; the oracles ask for the same Y_n many times
-y_basis = lru_cache(maxsize=None)(poly.y_basis)
+# the oracles ask for the same Y_n many times, so each is multiplied out once per (n, q, omega)
+def y_basis(n: int, frame) -> Poly:
+    """Y_n = prod_{j<n} (x - omega [j]_q), as the mul product of its Fraction factors."""
+    if n < 0:
+        raise ValueError("y_basis needs n >= 0")
+    return _y_basis(n, frame.q, frame.omega)
+
+
+@lru_cache(maxsize=None)
+def _y_basis(n: int, q: Fraction, omega: Fraction) -> Poly:
+    if n == 0:
+        return Poly([1])
+    return mul(_y_basis(n - 1, q, omega), Poly([-omega * q_bracket(n - 1, q), 1]))
 
 
 def mul(f: Poly, g: Poly) -> Poly:

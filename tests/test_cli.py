@@ -34,6 +34,8 @@ def run(capsys, *argv):
 
 
 CHARLIER_FLAGS = ["--d", "-1", "--e", "1/2", "--b", "1", "--q", "1", "--omega", "1"]
+# a pair and frame with tall, unrelated denominators: the moments at depth 24 run past 640 digits
+TALL_FLAGS = ["--a=7/11", "--b=-5/13", "--c=3/17", "--d=-19/23", "--e=2/29", "--q=31/37", "--omega=5/41"]
 
 
 class TestArgumentHandling:
@@ -250,6 +252,18 @@ class TestMoments:
         payload = json.loads(out)
         for entry in payload["moments"] + payload["powerMoments"]:
             assert isinstance(entry, str) and "." not in entry
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    def test_digit_limit_crash_prints_nothing(self, capsys, fmt):
+        # under a 640-digit str limit the later rows fail to render, so no format may write the earlier ones
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValueError, match=r"Exceeds the limit \(640 digits\) for integer string conversion"):
+                main(["moments", *TALL_FLAGS, "--n", "24", "--format", fmt])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().out == ""
 
     def test_inadmissible_pair(self, capsys):
         code, _, err = run(

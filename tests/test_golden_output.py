@@ -4,9 +4,10 @@ Every command prints exact rationals, so a kernel change that keeps its results
 keeps the output byte for byte. The digest covers each call's argv, exit code,
 stdout and stderr: the presets through classify, recurrence and moments in all
 three formats at depths 0, 3 and 12; `verify --suite all` on each preset; the
-identities suite on the default frames and on one frame; and eight random pairs
+identities suite on the default frames and on one frame; eight random pairs
 regular to depth 20, one on each of the benchmark's frame kinds, one of them
-with a corrupted moment.
+with a corrupted moment; and moments and recurrence on one pair with tall,
+unrelated denominators in csv and human at depth 24.
 """
 
 import hashlib
@@ -29,8 +30,10 @@ PAIRS = [
     (("1", "1/2", "0", "3", "-3/2"), ("2/3", "1/3"), ["verify", "--suite", "gram"]),
     (("1", "2/3", "1", "-3", "-3"), ("3/2", "-1/2"), ["verify", "--suite", "gram", "--fuzz-moment=7"]),
 ]
+# a pair and frame with tall, unrelated denominators, regular to depth 30
+TALL_FLAGS = ["--a=7/11", "--b=-5/13", "--c=3/17", "--d=-19/23", "--e=2/29", "--q=31/37", "--omega=5/41"]
 # the digest of golden_calls(); change it only with a change of output that is meant
-GOLDEN_SHA256 = "ff0a208b421d7653f3f50149477d7932863219352ec1cbcc6819fed36093b193"
+GOLDEN_SHA256 = "bed09725e271510c6a38ca2b02a8535daf20b0a8ff4d7a07073d3f42a254d6fd"
 
 
 def golden_calls() -> list[list[str]]:
@@ -45,6 +48,8 @@ def golden_calls() -> list[list[str]]:
     for pear, (q, omega), command in PAIRS:
         flags = [f"--{k}={v}" for k, v in zip("abcde", pear)]
         calls.append([*command, *flags, f"--q={q}", f"--omega={omega}", "--n=20"])
+    calls += [[command, *TALL_FLAGS, f"--format={fmt}", "--n=24"]
+              for command in ("moments", "recurrence") for fmt in ("csv", "human")]
     return calls
 
 

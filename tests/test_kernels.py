@@ -205,14 +205,16 @@ def test_grown_frame_against_oracles(frame):
     assert grown_outputs(grown, REGROWN_LENGTH, LIBRARY_KERNELS) == grown_outputs(fresh, REGROWN_LENGTH, LIBRARY_KERNELS)
 
 
+@pytest.mark.parametrize("depth", [8, 16])
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_gram_matrix_on_presets(name):
+def test_gram_matrix_on_presets(name, depth):
     preset = PRESETS[name]
-    table = recurrence(preset.pear, preset.frame, 8)
-    u = solve_moments(preset.pear, preset.frame, F(3, 2), 16)
-    assert classical.gram_matrix(u, table.polys, 8) == ref.gram_matrix(u, table.polys, 8)
-    assert outcome(classical.gram_matrix, u.truncate(15), table.polys, 8) == outcome(
-        ref.gram_matrix, u.truncate(15), table.polys, 8
+    table = recurrence(preset.pear, preset.frame, depth)
+    u = solve_moments(preset.pear, preset.frame, F(3, 2), 2 * depth)
+    assert classical.gram_matrix(u, table.polys, depth) == ref.gram_matrix(u, table.polys, depth)
+    short = u.truncate(2 * depth - 1)  # P_depth^2 passes the table
+    assert outcome(classical.gram_matrix, short, table.polys, depth) == outcome(
+        ref.gram_matrix, short, table.polys, depth
     )
 
 
@@ -393,7 +395,6 @@ def test_gram_suite_forms_no_gram_matrix(name, monkeypatch):
         raise AssertionError("gram_suite read the Gram matrix or the expanded polynomials")
 
     monkeypatch.setattr(classical, "gram_matrix", unread)
-    monkeypatch.setattr(classical, "to_y_basis", unread)
     monkeypatch.setattr(RecurrenceTable, "polys", property(unread))
     got = [gram_suite(preset.pear, preset.frame, depth, F(1), fuzz) for depth, fuzz in runs]
     assert got == expected
