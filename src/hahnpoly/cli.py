@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 invalid input, 2 classification negative
 (admissibility/regularity failure), 3 verification mismatch, 141 stdout
 closed by its reader before the output was written (128 + SIGPIPE).
 Rationals are always rendered as strings like "3/7", never floats.
+A rational flag is `p` or `p/q` in decimal digits with an optional sign;
+decimals, exponents and any other form are invalid input (exit 1).
 `verify --suite` takes a name from verify.SUITES, or `all` for each of them in
 that order; a check passes exactly when its detail is empty.
 `verify --fuzz-moment` and `verify --y0` are read only by the gram suite, and
@@ -53,6 +55,8 @@ MAX_DEPTH = 10_000
 # argparse reads a token like -1/3 as an option, not as the value of the flag before it
 _FLAG = re.compile(r"--[^=]+")
 _NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
+# a rational flag is p or p/q with an optional sign; Fraction alone would also take 1e2000000
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class InputError(Exception):
@@ -67,10 +71,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_rational(text: str, field: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"{field}: {text!r} is not a rational (expected 'p' or 'p/q')")
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or more digits than int() reads
+            pass
+    raise InputError(f"{field}: {text!r} is not a rational (expected 'p' or 'p/q')")
 
 
 def _default_depth(fallback: int) -> int:

@@ -175,8 +175,8 @@ def _taylor_shift(nums: Sequence[int], bn: int, bd_pows: Sequence[int], abd_pows
 
 
 def _shift_ints(nums: Sequence[int], frame: HahnFrame) -> tuple[list[int], int]:
-    """L f = f(q x + omega) on integers, as _compose_ints(nums, q, omega), over the power tables of the frame."""
-    qd, od, qn_od = frame._shift_tables(len(nums) - 1)
+    """L f = f(q x + omega) on integers, as _compose_ints(nums, q, omega), over the powers of frame._tables."""
+    qd, od, qn_od, _ = frame._tables(len(nums) - 1)
     return _taylor_shift(nums, frame.omega.numerator, od, qn_od, qd)
 
 
@@ -245,10 +245,10 @@ def _y_node_ints(frame: HahnFrame, n: int) -> tuple[list[int], int]:
     """The nodes omega [j]_q of Y_n, j < n, as integers N_j over one t > 0, gcd(t, *N_j) = 1 (t = 1 at omega = 0).
 
     Node j is omega b_j / qd^(j-1) over the b_j of _brackets, brought over t = od qd^(n-2); node 0 is 0.
-    Both factors of N_j = on b_j qd^(n-1-j) are slices of the frame's _node_tables.
+    Both factors of N_j = on b_j qd^(n-1-j) are slices of the qd^k and on b_k of frame._tables.
     """
     top = max(n - 2, 0)
-    qd, on_b = frame._node_tables(top + 1)
+    qd, _, _, on_b = frame._tables(top + 1)
     nodes = list(map(mul, on_b[:n], qd[top + 1::-1]))
     t = frame.omega.denominator * qd[top]
     g = gcd(t, *nodes)  # over od qd^(n-2) they need not be in lowest terms

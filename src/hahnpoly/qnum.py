@@ -52,8 +52,8 @@ class HahnFrame:
 
     A frame builds the integer constants its operators read once, on first
     use, and keeps them on the instance: the reciprocal frame, the root and
-    factor of op_D's divisor (_divisor), and the power and bracket tables of
-    _node_tables and _shift_tables. They are not fields, so ==, hash and repr
+    factor of op_D's divisor (_divisor), and one set of power and bracket
+    tables (_tables). They are not fields, so ==, hash and repr
     read (q, omega) alone, copy and pickle carry (q, omega) alone, and the
     constants live and die with the frame. Its memory is O(the longest length
     asked of it).
@@ -104,31 +104,22 @@ class HahnFrame:
         r, c = -self.omega / (self.q - 1), 1 / (self.q - 1)
         return r.numerator, r.denominator, c.numerator, c.denominator
 
-    def _grown(self, name: str, top: int, build) -> tuple[list[int], ...]:
-        """The tables build(k) kept under name, each of length > top.
+    def _tables(self, top: int) -> tuple[list[int], list[int], list[int], list[int]]:
+        """qd^k, od^k, (qn od)^k and on b_k for k <= top at least, at q = qn/qd, omega = on/od.
 
-        A set too short for top is rebuilt at twice the length asked, 2 (top + 1), so each
-        rebuild at least doubles it and the frame holds at most twice the longest length asked
-        of it. Callers slice the tables and never write to them.
+        The powers of the Taylor shift of L and D, and the factors of the Newton nodes over
+        the bracket sequence b_k of _brackets. A set too short for top is rebuilt, all four
+        tables together, at twice the length asked, 2 (top + 1), so each rebuild at least
+        doubles it and the frame holds at most twice the longest length asked of it. Callers
+        slice the tables and never write to them.
         """
-        tables = self.__dict__.get(name)
+        tables = self.__dict__.get("_table_set")
         if tables is None or len(tables[0]) <= top:
-            tables = build(2 * top + 1)
-            object.__setattr__(self, name, tables)
+            k, qn, od = 2 * top + 1, self.q.numerator, self.omega.denominator
+            tables = (_powers(self.q.denominator, k), _powers(od, k), _powers(qn * od, k),
+                      [self.omega.numerator * b for b in _brackets(self.q, k)])
+            object.__setattr__(self, "_table_set", tables)
         return tables
-
-    def _node_tables(self, top: int) -> tuple[list[int], list[int]]:
-        """qd^k and on b_k for k <= top at least, at q = qn/qd, omega = on/od: the factors of the Newton nodes.
-
-        b_k is the bracket sequence of _brackets.
-        """
-        return self._grown("_nodes", top, lambda k: (
-            _powers(self.q.denominator, k), [self.omega.numerator * b for b in _brackets(self.q, k)]))
-
-    def _shift_tables(self, top: int) -> tuple[list[int], list[int], list[int]]:
-        """qd^k, od^k and (qn od)^k for k <= top at least: the powers of the Taylor shift of L and D."""
-        qd, od = self.q.denominator, self.omega.denominator
-        return self._grown("_shift", top, lambda k: (_powers(qd, k), _powers(od, k), _powers(self.q.numerator * od, k)))
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,27 @@ class TestArgumentHandling:
         assert code == EXIT_INPUT
         assert "rational" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("value", ["1e2000000", "1e3", "0.5", "inf", "nan", "1/0"])
+    @pytest.mark.parametrize("flag", ["--q", "--e", "--y0"])
+    def test_rational_is_p_or_p_over_q(self, capsys, flag, value):
+        # Fraction alone reads 1e2000000 as a 6.6-million-bit integer, which took 39 s to classify
+        flags = {"--q": "1", "--omega": "1", "--d": "-1", "--e": "1/2", "--y0": "1", flag: value}
+        start = time.perf_counter()
+        code, out, err = run(capsys, "moments", "--n", "2", *(f"{k}={v}" for k, v in flags.items()))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err) == {"error": f"{flag[2:]}: {value!r} is not a rational (expected 'p' or 'p/q')"}
+
+    def test_long_exponent_prints_nothing(self, capsys):
+        # read as 10**5000, q once raised the 4300-digit str() limit out of main with empty stdout
+        code, out, err = run(capsys, "moments", "--q", "1e5000", "--omega", "1", "--d", "1", "--n", "2")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "not a rational" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("text, value", [("7", 7), ("-1/3", F(-1, 3)), ("+2/4", F(1, 2)), ("-0", 0)])
+    def test_signed_rationals_parse(self, text, value):
+        assert cli._parse_rational(text, "q") == value
+
     def test_preset_exclusive_with_explicit(self, capsys):
         code, _, err = run(capsys, "classify", "--preset", "charlier", "--q", "2")
         assert code == EXIT_INPUT

@@ -59,7 +59,7 @@ def warm_frame(q, omega):
     frame = HahnFrame(q, omega)
     f = Poly([1, F(-2, 3), 5, F(7, 2)])
     op_D(f, frame), op_D_star(f, frame), op_L_star(f, frame), to_y_basis(f, frame)
-    assert {"_reciprocal", "_divisor", "_nodes", "_shift"} <= set(vars(frame))
+    assert {"_reciprocal", "_divisor", "_table_set"} <= set(vars(frame))
     return frame
 
 
@@ -75,6 +75,31 @@ def test_warm_frame_is_the_value_of_a_fresh_one():
         with pytest.raises(AttributeError):
             setattr(warm, name, F(2))
     assert (warm.q, warm.omega) == (F(1, 2), F(-1, 3))
+
+
+def test_frame_tables_regrow_at_twice_the_length_asked():
+    frame = HahnFrame(F(-2, 3), F(5, 7))
+    tables = frame._tables(20)
+    assert [len(table) for table in tables] == [42] * 4
+    assert frame._tables(41) is tables and frame._tables(0) is tables
+    regrown = frame._tables(42)
+    assert regrown is not tables and [len(table) for table in regrown] == [86] * 4
+    for kept in (tables, regrown):
+        # a fresh frame asked for top builds 2 (top + 1) entries, the length kept here
+        assert kept == HahnFrame(frame.q, frame.omega)._tables(len(kept[0]) // 2 - 1)
+
+
+def test_frame_holds_one_table_set_after_suites():
+    frame = HahnFrame(F(1, 2), F(1, 3))
+    pear = PRESETS["al-salam-carlitz"].pear
+    for checks in (gram_suite(pear, frame), rodrigues_suite(pear, frame), norms_suite(pear, frame),
+                   identities_suite([frame], 3)):
+        assert all(c.passed for c in checks), checks
+    for f in (frame, frame.reciprocal()):
+        assert set(vars(f)) == {"q", "omega", "_reciprocal", "_divisor", "_table_set"}
+        # callers only slice the tables: after all that work they still equal freshly built ones
+        kept = vars(f)["_table_set"]
+        assert kept == HahnFrame(f.q, f.omega)._tables(len(kept[0]) // 2 - 1)
 
 
 def test_frame_freed_after_suites():
@@ -95,4 +120,5 @@ def test_frame_tables_stay_linear_in_the_longest_length():
     frame = HahnFrame(1, F(1, 3))
     for n in range(1, 201):
         solve_moments(CHARLIER.pear, frame, 1, n).power_moments()
-    assert all(200 <= len(table) <= 2 * 200 for table in frame._node_tables(0))
+    tables = frame._tables(0)
+    assert len(tables) == 4 and all(200 <= len(table) <= 2 * 200 for table in tables)
