@@ -4,8 +4,11 @@ Exit codes: 0 success, 1 invalid input, 2 classification negative
 (admissibility/regularity failure), 3 verification mismatch, 141 stdout
 closed by its reader before the output was written (128 + SIGPIPE).
 Rationals are always rendered as strings like "3/7", never floats.
-A rational flag is `p` or `p/q` in decimal digits with an optional sign;
-decimals, exponents and any other form are invalid input (exit 1).
+A rational flag is `p` or `p/q` in decimal digits with an optional sign, the
+grammar of qnum.as_scalar; decimals, exponents and any other form are invalid input
+(exit 1). An integer flag (`--n`, `--test-degree`, `--fuzz-moment`) and
+`$HAHNPOLY_DEPTH` are `[+-]?[0-9]+`: ASCII digits with an optional sign, so `1_2`,
+` 12` and digits of other scripts are invalid input (exit 1) too.
 `verify --suite` takes a name from verify.SUITES, or `all` for each of them in
 that order; a check passes exactly when its detail is empty.
 `verify --fuzz-moment` and `verify --y0` are read only by the gram suite, and
@@ -38,7 +41,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator
 
-from .qnum import AdmissibilityError, HahnFrame, PearsonPair
+from .qnum import AdmissibilityError, HahnFrame, PearsonPair, as_scalar
 from .functional import DEFAULT_DEPTH, solve_moments
 from .classical import PRESETS, RecurrenceTable, RegularityError, check_regular, get_preset, recurrence
 from .verify import SUITES, SuiteArgumentError, run_suites
@@ -55,8 +58,8 @@ MAX_DEPTH = 10_000
 # argparse reads a token like -1/3 as an option, not as the value of the flag before it
 _FLAG = re.compile(r"--[^=]+")
 _NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
-# a rational flag is p or p/q with an optional sign; Fraction alone would also take 1e2000000
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# an integer flag is decimal digits with an optional sign; int() alone also reads 1_2, ' 12' and other scripts' digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class InputError(Exception):
@@ -71,12 +74,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_rational(text: str, field: str) -> Fraction:
-    if _RATIONAL.fullmatch(text):
+    try:  # as_scalar also rejects a zero denominator, and more digits than int() reads
+        return as_scalar(text)
+    except ValueError:
+        raise InputError(f"{field}: {text!r} is not a rational (expected 'p' or 'p/q')") from None
+
+
+def _parse_int(text: str) -> int:
+    """The type of the integer flags; argparse reports the error as `argument --n: invalid int value: 'x'`."""
+    if _INTEGER.fullmatch(text):
         try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):  # a zero denominator, or more digits than int() reads
+            return int(text)
+        except ValueError:  # more digits than int() reads
             pass
-    raise InputError(f"{field}: {text!r} is not a rational (expected 'p' or 'p/q')")
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _default_depth(fallback: int) -> int:
@@ -84,9 +95,9 @@ def _default_depth(fallback: int) -> int:
     if raw is None:
         return fallback
     try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{DEPTH_ENV}: {raw!r} is not an integer")
+        return _parse_int(raw)
+    except argparse.ArgumentTypeError:
+        raise InputError(f"{DEPTH_ENV}: {raw!r} is not an integer") from None
 
 
 def _depth(args, fallback: int) -> int:
@@ -346,7 +357,7 @@ def _pair_flags() -> argparse.ArgumentParser:
     flags.add_argument("--q", help="frame parameter q as a rational string")
     flags.add_argument("--omega", help="frame parameter omega as a rational string")
     flags.add_argument("--preset", help="named preset (mutually exclusive with explicit flags)")
-    flags.add_argument("--n", type=int, help=f"depth (default from ${DEPTH_ENV})")
+    flags.add_argument("--n", type=_parse_int, help=f"depth (default from ${DEPTH_ENV})")
     flags.add_argument("--y0", help="value of <u, 1> as a rational string (default 1)")
     flags.add_argument("--format", choices=["json", "csv", "human"], default="json")
     return flags
@@ -372,8 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=pair_flags, help="run exact verification suites")
     p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
-    p.add_argument("--test-degree", type=int)
-    p.add_argument("--fuzz-moment", type=int,
+    p.add_argument("--test-degree", type=_parse_int)
+    p.add_argument("--fuzz-moment", type=_parse_int,
                    help="corrupt moment y_k before the gram suite (expected to fail)")
     p.set_defaults(func=cmd_verify)
 

@@ -134,8 +134,8 @@ class MomentFunctional:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MomentFunctional":
-        frame = HahnFrame(Fraction(data["frame"]["q"]), Fraction(data["frame"]["omega"]))
-        return MomentFunctional(frame, tuple(Fraction(m) for m in data["moments"]))
+        """The table that to_json_dict wrote; every rational is read by as_scalar, so a string must be 'p' or 'p/q'."""
+        return MomentFunctional(HahnFrame(data["frame"]["q"], data["frame"]["omega"]), data["moments"])
 
 
 def _times(nums: Iterable[int], dens: Iterable[int], cns: Iterable[int], cds: Iterable[int]) -> tuple[list, list]:

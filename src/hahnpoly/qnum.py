@@ -9,6 +9,7 @@ prefix products of b_n and powers of s.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,6 +20,9 @@ from typing import Iterable, NamedTuple, Union
 
 Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
+# the one rational grammar, of as_scalar and so of every rational CLI flag; Fraction alone also
+# reads 1e200000 (a 664,386-bit numerator), 0.5, ' 1_0 ' and other scripts' digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 class AdmissibilityError(ValueError):
@@ -34,11 +38,22 @@ class AdmissibilityError(ValueError):
 
 
 def as_scalar(x: ScalarLike) -> Fraction:
-    """Coerce an int, Fraction, or 'p/q' string to an exact rational."""
+    """Coerce an int, Fraction, or 'p' or 'p/q' string to an exact rational.
+
+    A string is decimal digits with an optional sign, over an optional denominator of
+    digits (_RATIONAL); any other string, and a zero denominator, raise ValueError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         raise TypeError("floats are not allowed; pass Fraction, int, or 'p/q' string")
+    if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ValueError(f"{x!r} is not a rational (expected 'p' or 'p/q')")
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     return Fraction(x)
 
 

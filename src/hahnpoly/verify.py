@@ -95,17 +95,18 @@ def default_frames() -> list[HahnFrame]:
 
 
 def random_poly(rng: random.Random, max_degree: int) -> Poly:
+    """A polynomial of random degree <= max_degree: draws p/r, |p| <= 6, r <= 4, then a leading 0 < |p| <= 3, r <= 3."""
     deg = rng.randint(0, max_degree)
-    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg)]
-    coeffs.append(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
-    return Poly(coeffs)
+    draws = [(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg)]
+    draws.append((rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+    den = math.lcm(*(d for _, d in draws))
+    return Poly._from_ints([n * (den // d) for n, d in draws], den)
 
 
 def random_functional(rng: random.Random, frame: HahnFrame, depth: int) -> MomentFunctional:
-    return MomentFunctional(
-        frame,
-        tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(depth + 1)),
-    )
+    """A table y_0..y_depth of draws p/r, |p| <= 9 and r <= 5."""
+    draws = [(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(depth + 1)]
+    return MomentFunctional._from_ints(frame, (n for n, _ in draws), (d for _, d in draws))
 
 
 def _op_D_monomial(f: Poly, frame: HahnFrame) -> Poly:
@@ -134,14 +135,19 @@ def _op_D_monomial(f: Poly, frame: HahnFrame) -> Poly:
     return Poly._from_ints([c * s ** (deg - 1 - m) for m, c in enumerate(out)], cd * (wd * s) ** (deg - 1))
 
 
-def _leibniz(product, h: Poly, frame: HahnFrame, iterates: list):
+def _iterates_from(op, x, image, n: int, *args) -> list:
+    """_iterates(op, x, n, *args) from the image = op(x, *args) already held, so op runs one time fewer."""
+    return [x, *_iterates(op, image, n - 1, *args)][: n + 1]
+
+
+def _leibniz(product, dh: list, frame: HahnFrame, iterates: list):
     """The q-Leibniz sum for D^n(h g): sum_j [n choose j]_q product(L^j D^{n-j} h, D^j g).
 
-    iterates holds D^0 g, ..., D^n g; g is a polynomial with product operator.mul,
-    or a functional with product left_multiply.
+    dh holds D^0 h, ..., D^n h of a polynomial h, and iterates holds D^0 g, ..., D^n g; g is a
+    polynomial with product operator.mul, or a functional with product left_multiply.
+    L^j is op_L applied j times, so a fault in op_L reaches the sum.
     """
     n = len(iterates) - 1
-    dh = _iterates(op_D, h, n, frame)
     terms = (product(_iterates(op_L, dh[n - j], j, frame)[-1], g_j).scale(q_binomial(n, j, frame.q))
              for j, g_j in enumerate(iterates))
     return functools.reduce(operator.add, terms)
@@ -158,6 +164,9 @@ def identities_suite(
     commutation laws, the product rules, both Leibniz formulas, the
     monomial expansion of the divided difference, and the functional
     identities L*L = I, D*L = qD on random moment tables.
+    A case computes each image once: every iterate list starts from the
+    image the case already holds, and the Leibniz sums read the D-iterates
+    of both factors.
     frames=None runs default_frames(); an empty list or cases < 1 raises SuiteArgumentError.
     """
     frames = default_frames() if frames is None else frames
@@ -181,14 +190,15 @@ def identities_suite(
 
         lf, sf, df, lg = op_L(f, fr), op_L_star(f, fr), op_D(f, fr), op_L(g, fr)
         fg = f * g
+        dg, dfg = op_D(g, fr), op_D(fg, fr)
         record("P2_L_star_L_identity", op_L_star(lf, fr) == f and op_L(sf, fr) == f, detail)
         n = rng.randint(0, 8)
         record("P1_iterated_L_substitution",
-               _iterates(op_L, f, n, fr)[-1]
+               _iterates_from(op_L, f, lf, n, fr)[-1]
                == f.compose_affine(q**n, fr.omega * q_bracket(n, q)), detail)
         m = rng.randint(1, 4)
         record("P1_negative_powers",
-               _iterates(op_L_star, f, m, fr)[-1]
+               _iterates_from(op_L_star, f, sf, m, fr)[-1]
                == f.compose_affine(q**-m, fr.omega * q_bracket(-m, q)), detail)
         record("P3_D_star_D_commutation",
                op_D_star(df, fr) == op_D(op_D_star(f, fr), fr).scale(q), detail)
@@ -196,11 +206,11 @@ def identities_suite(
         record("P3_D_L_commutation", op_D(lf, fr) == op_L(df, fr).scale(q), detail)
         record("P4_D_star_L", op_D_star(lf, fr) == df.scale(q), detail)
         record("P4a_L_multiplicative", op_L(fg, fr) == lf * lg, detail)
-        record("P5_product_rule", op_D(fg, fr) == df * lg + f * op_D(g, fr), detail)
+        record("P5_product_rule", dfg == df * lg + f * dg, detail)
         k = rng.randint(0, 4)
         record("leibniz_polynomial",
-               _leibniz(operator.mul, f, fr, _iterates(op_D, g, k, fr))
-               == _iterates(op_D, fg, k, fr)[-1], detail)
+               _leibniz(operator.mul, _iterates_from(op_D, f, df, k, fr), fr, _iterates_from(op_D, g, dg, k, fr))
+               == _iterates_from(op_D, fg, dfg, k, fr)[-1], detail)
         record("D_division_vs_monomial", df == _op_D_monomial(f, fr), detail)
         nb = rng.randint(0, 12)
         record("D_y_basis_diagonal",
@@ -222,8 +232,8 @@ def identities_suite(
                dhu.agrees_with(left_multiply(dh, lu) + left_multiply(h, du))
                and dhu.agrees_with(left_multiply(dh, u) + left_multiply(lh, du)), detail)
         nl = rng.randint(0, 3)
-        lhs = _iterates(dist_D, hu, nl)[-1]
-        rhs = _leibniz(left_multiply, h, fr, _iterates(dist_D, u, nl))
+        lhs = _iterates_from(dist_D, hu, dhu, nl)[-1]
+        rhs = _leibniz(left_multiply, _iterates_from(op_D, h, dh, nl, fr), fr, _iterates_from(dist_D, u, du, nl))
         record("leibniz_functional", lhs.truncate(min(7, lhs.max_degree)).agrees_with(rhs), detail)
 
     return [Check(name, detail) for name, detail in details.items()]

@@ -48,6 +48,11 @@ one monic D step per k, and tests/test_classical.py requires equal sequences.
 
 recurrence_payload is the `recurrence` JSON payload as each coefficient's Fraction and its
 str(); tests/test_cli.py holds the CLI's text, written from the integer rows, against it.
+
+random_poly_fractions and random_functional_fractions are the identities suite's random draws
+built as one Fraction per coefficient, through Poly(...) and MomentFunctional(...);
+tests/test_identities.py requires hahnpoly.verify's integer draws to equal them, seed by seed,
+so the suite checks the same cases.
 """
 
 from __future__ import annotations
@@ -594,3 +599,16 @@ def recurrence_payload(beta: Sequence[Fraction], gamma: Sequence[Fraction]) -> d
         "gamma": [str(g) for g in gamma],
         "polynomials": [[str(c) for c in p.coeffs] for p in recurrence_polys(beta, gamma)],
     }
+
+
+def random_poly_fractions(rng, max_degree: int) -> Poly:
+    """verify.random_poly from the same rng calls, one Fraction per coefficient, through Poly(...)."""
+    deg = rng.randint(0, max_degree)
+    coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(deg)]
+    coeffs.append(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+    return Poly(coeffs)
+
+
+def random_functional_fractions(rng, frame: HahnFrame, depth: int) -> MomentFunctional:
+    """verify.random_functional from the same rng calls, one Fraction per moment, through MomentFunctional(...)."""
+    return MomentFunctional(frame, tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(depth + 1)))

@@ -65,6 +65,28 @@ class TestArgumentHandling:
     def test_signed_rationals_parse(self, text, value):
         assert cli._parse_rational(text, "q") == value
 
+    @pytest.mark.parametrize("value", ["1_2", " 12", "12 ", "\u0661\u0662", "x", "1.0", "0x1"])
+    @pytest.mark.parametrize("argv", [["classify", "--preset", "charlier", "--n"],
+                                      ["verify", "--preset", "charlier", "--suite", "rodrigues", "--test-degree"],
+                                      ["verify", "--preset", "charlier", "--suite", "gram", "--fuzz-moment"]],
+                             ids=lambda argv: argv[-1])
+    def test_integer_flag_is_ascii_digits(self, capsys, argv, value):
+        # int() alone reads 1_2, ' 12' and Arabic-Indic digits as 12
+        code, out, err = run(capsys, *argv[:-1], f"{argv[-1]}={value}")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err) == {"error": f"hahnpoly {argv[0]}: argument {argv[-1]}: invalid int value: {value!r}"}
+
+    @pytest.mark.parametrize("text, value", [("12", 12), ("+3", 3), ("-0", 0), ("007", 7)])
+    def test_signed_integers_parse(self, text, value):
+        assert cli._parse_int(text) == value
+
+    @pytest.mark.parametrize("value", ["1_2", " 12", "\u0661\u0662"])
+    def test_depth_env_var_is_ascii_digits(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("HAHNPOLY_DEPTH", value)
+        code, out, err = run(capsys, "moments", "--preset", "charlier")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err) == {"error": f"HAHNPOLY_DEPTH: {value!r} is not an integer"}
+
     def test_preset_exclusive_with_explicit(self, capsys):
         code, _, err = run(capsys, "classify", "--preset", "charlier", "--q", "2")
         assert code == EXIT_INPUT

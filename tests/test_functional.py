@@ -184,7 +184,7 @@ class TestDistributionalOperators:
     def test_functional_leibniz(self, frame, values, f, n):
         u = functional_of(frame, values)
         lhs = _iterates(dist_D, left_multiply(f, u), n)[-1]
-        rhs = _leibniz(left_multiply, f, frame, _iterates(dist_D, u, n))
+        rhs = _leibniz(left_multiply, _iterates(op_D, f, n, frame), frame, _iterates(dist_D, u, n))
         top = min(6, lhs.max_degree, rhs.max_degree)
         assert lhs.moments[: top + 1] == rhs.moments[: top + 1]
 
@@ -278,6 +278,16 @@ class TestSerialization:
         data = u.to_json_dict()
         assert data["basis"] == "Y"
         assert MomentFunctional.from_json_dict(data).moments == u.moments
+
+    @pytest.mark.parametrize("field", ["q", "omega", "moment"])
+    def test_json_reads_the_rational_grammar(self, field):
+        data = solve_moments(CHARLIER, Q1W1, 1, 3).to_json_dict()
+        if field == "moment":
+            data["moments"][2] = "1e3"
+        else:
+            data["frame"][field] = "1e3"
+        with pytest.raises(ValueError, match="'1e3' is not a rational"):
+            MomentFunctional.from_json_dict(data)
 
     def test_rationals_rendered_as_strings(self):
         u = functional_of(Q1W1, [F(1, 3)])

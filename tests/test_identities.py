@@ -1,9 +1,11 @@
 import importlib.util
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import reference_kernels as ref
 from hahnpoly import functional, verify
 from hahnpoly.classical import PRESETS
 from hahnpoly.functional import MomentFunctional
@@ -53,6 +55,40 @@ def test_identities_suite_fault_injection(monkeypatch, name):
     checks = verify.identities_suite(cases=28)
     assert {c.name for c in checks if not c.passed} == IDENTITY_FAULTS[name]
     assert len(checks) == 17
+
+
+# verify-level calls of identities_suite(cases=14, seed=20240817) when each case computes every
+# image once; recomputing the images a case holds (D f and D h inside _leibniz, iterate lists
+# from f, g, f g, u and h u) reads 235 op_D, 249 op_L, 73 op_L_star and 76 dist_D calls
+CALL_COUNTS = {"op_D": 190, "op_L": 238, "op_L_star": 59, "dist_L": 42, "dist_D": 52}
+
+
+def test_identities_suite_computes_each_image_once(monkeypatch):
+    counts = dict.fromkeys(CALL_COUNTS, 0)
+
+    def counted(name, op):
+        def call(*args):
+            counts[name] += 1
+            return op(*args)
+        return call
+
+    for name in CALL_COUNTS:
+        monkeypatch.setattr(verify, name, counted(name, getattr(verify, name)))
+    verify.identities_suite(cases=14, seed=20240817)
+    assert counts == CALL_COUNTS
+
+
+def test_integer_draws_equal_the_fraction_draws():
+    # one case's draws, in the suite's order: equal values, and the rng left in the same state
+    frames = verify.default_frames()
+    for seed in range(100):
+        fast, slow = random.Random(seed), random.Random(seed)
+        frame = frames[seed % len(frames)]
+        for max_degree in (10, 6):
+            assert verify.random_poly(fast, max_degree) == ref.random_poly_fractions(slow, max_degree), seed
+        assert verify.random_functional(fast, frame, 10) == ref.random_functional_fractions(slow, frame, 10), seed
+        assert verify.random_poly(fast, 3) == ref.random_poly_fractions(slow, 3), seed
+        assert fast.getstate() == slow.getstate(), seed
 
 
 def test_identities_suite_keeps_the_first_failure(monkeypatch):

@@ -299,7 +299,7 @@ class TestYBasis:
 
 def leibniz_expand(f, g, frame, n):
     """D^n(fg) by the q-Leibniz sum of hahnpoly.verify."""
-    return _leibniz(mul, f, frame, _iterates(op_D, g, n, frame))
+    return _leibniz(mul, _iterates(op_D, f, n, frame), frame, _iterates(op_D, g, n, frame))
 
 
 class TestLeibniz:

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from hahnpoly.qnum import (
     HahnFrame,
     PearsonPair,
     _brackets,
+    as_scalar,
     d_n,
     e_n,
     q_binomial,
@@ -19,6 +21,25 @@ import reference_kernels as ref
 from reference_kernels import _hahn_number as hahn_number
 
 Q_TEST_SET = [F(1), F(2), F(1, 2), F(3, 5), F(-2), F(-1, 3)]
+
+
+class TestRationalGrammar:
+    @pytest.mark.parametrize("text, value", [("7", 7), ("-1/3", F(-1, 3)), ("+2/4", F(1, 2)), ("-0", 0)])
+    def test_p_or_p_over_q(self, text, value):
+        assert as_scalar(text) == value
+
+    @pytest.mark.parametrize("text", ["1e5", "0.5", " 1_0 ", "1_0", "1/0", "inf", "nan", "1/-2", "\u0661\u0662", ""])
+    def test_any_other_string_is_a_value_error(self, text):
+        # Fraction alone reads 1e5 as 100000, 0.5 as 1/2 and ' 1_0 ' as 10
+        with pytest.raises(ValueError):
+            as_scalar(text)
+
+    def test_tall_exponent_frame_raises_at_once(self):
+        # Fraction("1e200000") is a 664,386-bit integer
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="is not a rational"):
+            HahnFrame("1e200000", 1)
+        assert time.perf_counter() - start < 1
 
 
 class TestFrame:
