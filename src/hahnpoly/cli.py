@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 invalid input, 2 classification negative
-(admissibility/regularity failure), 3 verification mismatch, 141 stdout
-closed by its reader before the output was written (128 + SIGPIPE).
+(admissibility/regularity failure), 3 verification mismatch, 4 any other
+error a command raises (today only Python's 4300-digit str limit, while
+rendering), printed as {"error": "<type>: <message>"} on stderr with stdout
+empty, 141 stdout closed by its reader before the output was written
+(128 + SIGPIPE).
 Rationals are always rendered as strings like "3/7", never floats.
 A rational flag is `p` or `p/q` in decimal digits with an optional sign, the
 grammar of qnum.as_scalar; decimals, exponents and any other form are invalid input
@@ -23,7 +26,7 @@ The depth, `--n` or `$HAHNPOLY_DEPTH`, lies in 0..MAX_DEPTH (10 000); any other
 value is invalid input, rejected before any table is built.
 Each command builds only the format it prints, and builds all of its text
 before the first write, in every format, so a failure while rendering (Python's
-4300-digit str limit) leaves stdout empty. `recurrence --format json` writes
+4300-digit str limit, exit 4) leaves stdout empty. `recurrence --format json` writes
 its text straight from the integer rows of P_0..P_{N+1}, byte-identical to
 json.dumps(payload, indent=2). csv and human never build that text, so
 `recurrence --format csv` never expands a P_n, and `--format human` expands only
@@ -50,6 +53,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_NEGATIVE = 2
 EXIT_MISMATCH = 3
+EXIT_INTERNAL = 4
 EXIT_PIPE = 141
 
 DEPTH_ENV = "HAHNPOLY_DEPTH"
@@ -425,6 +429,10 @@ def main(argv=None) -> int:
         # the reader closed stdout; point it at devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    except Exception as exc:
+        # every format is built before the first write, so stdout is still empty here
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Everything here is exact (:class:`fractions.Fraction`, or integers over shared
 denominators), so all identities downstream can be asserted with ``==``.
 With q = r/s, [n]_q = b_n / s^(n-1) for the one integer sequence b_n of
 _brackets, and [n]_q! and the q-binomial are each one reduced Fraction over
-prefix products of b_n and powers of s.
+prefix products of b_n and powers of s; d_n and e_n read pearson_sequences.
 """
 
 from __future__ import annotations
@@ -161,25 +161,6 @@ def _ints(xs: Iterable[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
-def q_bracket(n: int, q: ScalarLike) -> Fraction:
-    """[n]_q = (q^n - 1)/(q - 1), or n itself at q = 1.
-
-    Negative n is allowed through the same rational formula (requires
-    q != 0 there). With q = r/s this is (r^n - s^n) / ((r - s) s^(n-1)),
-    and s (s^m - r^m) / (r^m (r - s)) at n = -m.
-    """
-    q = as_scalar(q)
-    if q == 1:
-        return Fraction(n)
-    if n < 0 and q == 0:
-        raise ValueError("q_bracket with n < 0 needs q != 0")
-    r, s = q.numerator, q.denominator
-    if n > 0:
-        return Fraction(r**n - s**n, (r - s) * s ** (n - 1))
-    m = -n
-    return Fraction(s * (s**m - r**m), r**m * (r - s))
-
-
 def _powers(base: int, top: int) -> list[int]:
     """[base^0, base^1, ..., base^top]."""
     return list(accumulate(repeat(base, top), mul, initial=1))
@@ -192,6 +173,19 @@ def _brackets(q: Fraction, top: int) -> list[int]:
     """
     r = q.numerator
     return list(accumulate(_powers(q.denominator, top)[:top], lambda b, p: p + r * b, initial=0))
+
+
+def q_bracket(n: int, q: ScalarLike) -> Fraction:
+    """[n]_q = (q^n - 1)/(q - 1), or n itself at q = 1: b_n / s^(n-1) over the b_n of _brackets, at q = r/s.
+
+    Negative n reads [-m]_q = -q^(-m) [m]_q, which needs q != 0.
+    """
+    q = as_scalar(q)
+    if n < 0:
+        if q == 0:
+            raise ValueError("q_bracket with n < 0 needs q != 0")
+        return -q**n * q_bracket(-n, q)
+    return Fraction(q.denominator * _brackets(q, n)[n], q.denominator**n)
 
 
 def q_factorial(n: int, q: ScalarLike) -> Fraction:
@@ -215,16 +209,6 @@ def q_binomial(n: int, k: int, q: ScalarLike) -> Fraction:
     return Fraction(f[n], f[k] * f[n - k] * q.denominator ** (k * (n - k)))
 
 
-def d_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
-    """d_n = d q^n + a [n]_q."""
-    return pair.d * frame.q**n + pair.a * q_bracket(n, frame.q)
-
-
-def e_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
-    """e_n = e q^n + (omega d_n + b) [n]_q."""
-    return pair.e * frame.q**n + (frame.omega * d_n(pair, frame, n) + pair.b) * q_bracket(n, frame.q)
-
-
 class PearsonSequences(NamedTuple):
     """Unreduced integer numerators of q^n, [n]_q, d_n (0 <= n <= m) and e_n (0 <= n <= m_e), and of the pair.
 
@@ -246,7 +230,7 @@ class PearsonSequences(NamedTuple):
 
 
 def pearson_sequences(pear: PearsonPair, frame: HahnFrame, m: int, m_e: int) -> PearsonSequences:
-    """The sequences that d_n and e_n define, by O(m) integer work: K_n = s b_n over the b_n of _brackets,
+    """The one formula of d_n and e_n, by O(m) integer work: K_n = s b_n over the b_n of _brackets,
     D_n = d' R_n + a' K_n (a = a'/L, d = d'/L) and E_n = M e L R_n S_n + (W D_n + M b L S_n) K_n.
     """
     if not 0 <= m_e <= m:
@@ -260,17 +244,32 @@ def pearson_sequences(pear: PearsonPair, frame: HahnFrame, m: int, m_e: int) -> 
     return PearsonSequences(r_pow, s_pow, bracket, ds, es, L, M, W, *_ints((pear.a, pear.b, pear.c)))
 
 
+def d_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
+    """d_n = d q^n + a [n]_q, n >= 0: D_n / (L S_n) of pearson_sequences."""
+    if n < 0:
+        raise ValueError("d_n needs n >= 0")
+    seq = pearson_sequences(pair, frame, n, 0)
+    return Fraction(seq.d[n], seq.L * seq.s_pow[n])
+
+
+def e_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
+    """e_n = e q^n + (omega d_n + b) [n]_q, n >= 0: E_n / (M L S_n^2) of pearson_sequences."""
+    if n < 0:
+        raise ValueError("e_n needs n >= 0")
+    seq = pearson_sequences(pair, frame, n, n)
+    return Fraction(seq.e[n], seq.M * seq.L * seq.s_pow[n] ** 2)
+
+
 def rodrigues_constant(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
-    """k_n = q^{n(n-3)/2} * prod_{j=0}^{n-1} 1/d_{n+j-1}.
+    """k_n = q^{n(n-3)/2} * prod_{j=0}^{n-1} 1/d_{n+j-1}, over the D_j of one pearson_sequences call.
 
     Raises AdmissibilityError if any factor in the product vanishes.
     """
     if n < 0:
         raise ValueError("rodrigues_constant needs n >= 0")
-    out = frame.q ** (n * (n - 3) // 2)
-    for j in range(n):
-        dj = d_n(pair, frame, n + j - 1)
+    seq = pearson_sequences(pair, frame, max(2 * n - 2, 0), 0)
+    ds = seq.d[n - 1:2 * n - 1]  # d_j = D_j / (L S_j) for j = n-1 .. 2n-2; empty at n = 0
+    for j, dj in enumerate(ds, n - 1):
         if dj == 0:
-            raise AdmissibilityError(n + j - 1)
-        out /= dj
-    return out
+            raise AdmissibilityError(j)
+    return frame.q ** (n * (n - 3) // 2) * Fraction(seq.L**n * prod(seq.s_pow[n - 1:2 * n - 1]), prod(ds))

@@ -84,14 +84,14 @@ class Check:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
+# built once, so the frames keep the operator constants they build for every suite that reads them
+_DEFAULT_FRAMES = tuple(HahnFrame(q, omega) for q in FRAME_Q_VALUES for omega in FRAME_OMEGA_VALUES
+                        if not (q == 1 and omega == 0))
+
+
 def default_frames() -> list[HahnFrame]:
-    frames = []
-    for q in FRAME_Q_VALUES:
-        for omega in FRAME_OMEGA_VALUES:
-            if q == 1 and omega == 0:
-                continue
-            frames.append(HahnFrame(q, omega))
-    return frames
+    """The 14 frames of FRAME_Q_VALUES x FRAME_OMEGA_VALUES but (1, 0), as one shared set of frame objects."""
+    return list(_DEFAULT_FRAMES)
 
 
 def random_poly(rng: random.Random, max_degree: int) -> Poly:

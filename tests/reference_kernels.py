@@ -37,9 +37,12 @@ hahnpoly.functional.rodrigues_rhs, which reads the iterated derived_functional.
 
 The q-numbers are the Fraction definitions: [n]_q = (q^n - 1)/(q - 1), [n]_q! as a
 product of brackets and the q-binomial as a ratio of factorials. hahnpoly.qnum forms
-each as one Fraction, the factorials over the integer bracket sequence of
-hahnpoly.qnum._brackets; tests/test_qnum.py compares the two, and
-the per-index oracles below read this q_bracket. _hahn_number is the closed sum behind
+each as one Fraction over the integer bracket sequence of hahnpoly.qnum._brackets;
+tests/test_qnum.py compares the two. d_n = d q^n + a [n]_q and e_n are the Fraction
+closed forms over this q_bracket, and rodrigues_constant divides by them one factor at
+a time; hahnpoly.qnum reads all three off pearson_sequences, and tests/test_sequences.py
+compares the two. The per-index oracles below read these d_n, e_n and q_bracket, so
+none of them rests on the library's q-numbers. _hahn_number is the closed sum behind
 the monomial expansion of D, the oracle of the Pascal table in hahnpoly.verify._op_D_monomial.
 
 derivative_sequence is the bracket-product route to the monic derivatives,
@@ -68,9 +71,7 @@ from hahnpoly.classical import D_ZERO, PHI_ROOT, RegularityReport
 from hahnpoly.functional import InsufficientMomentsError, MomentFunctional
 from hahnpoly import poly
 from hahnpoly.poly import Poly, phi_poly, psi_poly
-from hahnpoly.qnum import (
-    AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar, d_n, e_n, pearson_sequences,
-)
+from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, ScalarLike, _ints, as_scalar, pearson_sequences
 from hahnpoly.verify import RESIDUAL_DEPTH, Check, SuiteArgumentError
 
 
@@ -99,6 +100,32 @@ def q_binomial(n: int, k: int, q: ScalarLike) -> Fraction:
     if k < 0 or n < 0 or k > n:
         raise ValueError(f"q_binomial needs 0 <= k <= n, got n={n}, k={k}")
     return q_factorial(n, q) / (q_factorial(k, q) * q_factorial(n - k, q))
+
+
+def d_n(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
+    """d_n = d q^n + a [n]_q over the Fraction q_bracket above; any n, with d_{-m} through [-m]_q."""
+    return pear.d * frame.q**n + pear.a * q_bracket(n, frame.q)
+
+
+def e_n(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
+    """e_n = e q^n + (omega d_n + b) [n]_q over the Fraction q_bracket above."""
+    return pear.e * frame.q**n + (frame.omega * d_n(pear, frame, n) + pear.b) * q_bracket(n, frame.q)
+
+
+def rodrigues_constant(pear: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
+    """k_n = q^{n(n-3)/2} prod_{j=0}^{n-1} 1/d_{n+j-1}, one Fraction step per factor d_n above.
+
+    Raises AdmissibilityError at the first vanishing factor.
+    """
+    if n < 0:
+        raise ValueError("rodrigues_constant needs n >= 0")
+    out = frame.q ** (n * (n - 3) // 2)
+    for j in range(n - 1, 2 * n - 1):
+        dj = d_n(pear, frame, j)
+        if dj == 0:
+            raise AdmissibilityError(j)
+        out /= dj
+    return out
 
 
 def _hahn_number(n: int, k: int, q: ScalarLike, omega: ScalarLike) -> Fraction:

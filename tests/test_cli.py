@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import reference_kernels as ref
 from hahnpoly import cli, verify
 from hahnpoly.cli import (
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_MISMATCH,
     EXIT_NEGATIVE,
     EXIT_OK,
@@ -237,16 +239,17 @@ class TestRecurrence:
         assert len(out.splitlines()) == (102 if fmt == "csv" else 106)
         assert ("P_" in out) == (fmt == "human")
 
-    def test_digit_limit_crash_prints_nothing(self, capsys):
-        # every chunk of the JSON text is built before the first write, so the crash leaves stdout empty
+    def test_digit_limit_exits_internal_and_prints_nothing(self, capsys):
+        # every chunk of the JSON text is built before the first write, so the error leaves stdout empty
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)  # Python's default, whatever the environment set
         try:
-            with pytest.raises(ValueError, match=r"Exceeds the limit \(4300 digits\) for integer string conversion"):
-                main(["recurrence", "--preset", "al-salam-carlitz", "--n", "100", "--format", "json"])
+            code, out, err = run(capsys, "recurrence", "--preset", "al-salam-carlitz", "--n", "100", "--format", "json")
         finally:
             sys.set_int_max_str_digits(limit)
-        assert capsys.readouterr().out == ""
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert re.match(r"ValueError: Exceeds the limit \(4300 digits\) for integer string conversion",
+                        json.loads(err)["error"])
 
     def test_human_expands_only_the_printed_polys(self, capsys, monkeypatch):
         # human prints P_0..P_4, which a depth-3 table holds; P_100 of this table is megabytes
@@ -297,16 +300,17 @@ class TestMoments:
             assert isinstance(entry, str) and "." not in entry
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
-    def test_digit_limit_crash_prints_nothing(self, capsys, fmt):
+    def test_digit_limit_exits_internal_and_prints_nothing(self, capsys, fmt):
         # under a 640-digit str limit the later rows fail to render, so no format may write the earlier ones
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
-            with pytest.raises(ValueError, match=r"Exceeds the limit \(640 digits\) for integer string conversion"):
-                main(["moments", *TALL_FLAGS, "--n", "24", "--format", fmt])
+            code, out, err = run(capsys, "moments", *TALL_FLAGS, "--n", "24", "--format", fmt)
         finally:
             sys.set_int_max_str_digits(limit)
-        assert capsys.readouterr().out == ""
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert re.match(r"ValueError: Exceeds the limit \(640 digits\) for integer string conversion",
+                        json.loads(err)["error"])
 
     def test_inadmissible_pair(self, capsys):
         code, _, err = run(
@@ -673,3 +677,26 @@ def test_json_output_is_canonical(capsys, flags, pear, frame, depth):
         outputs[command[0]] = out
     table = recurrence(pear, frame, depth)
     assert json.loads(outputs["recurrence"]) == ref.recurrence_payload(table.beta, table.gamma)
+
+
+def test_error_contract_census(capsys):
+    # small seeded pairs, free or with some d_m = 0, over the default frames: no command may end in the
+    # catch-all exit 4, and a nonzero exit that prints nothing on stdout explains itself as JSON on stderr
+    rng = random.Random(37)
+    values = [F(p, r) for p in range(-3, 4) for r in (1, 2, 3)]
+    codes = set()
+    for frame in verify.default_frames() * 8:
+        coeffs = dict(zip("abcde", (rng.choice(values) for _ in range(5))))
+        if rng.random() < 0.3:  # d_m = 0 for some m <= 12
+            m = rng.randint(0, 12)
+            coeffs["a"] = coeffs["a"] or F(1)
+            coeffs["d"] = -coeffs["a"] * ref.q_bracket(m, frame.q) / frame.q**m
+        flags = [f"--{k}={v}" for k, v in coeffs.items()] + [f"--q={frame.q}", f"--omega={frame.omega}"]
+        depth = str(rng.randint(0, 12))
+        for command in (["classify"], ["recurrence"], ["moments"], ["verify", "--suite", "gram"]):
+            code, out, err = run(capsys, *command, *flags, "--n", depth)
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_NEGATIVE, EXIT_MISMATCH), (command, flags, depth, err)
+            assert err == "" or isinstance(json.loads(err), dict), (command, flags, depth)
+            assert code == EXIT_OK or out or err, (command, flags, depth)
+            codes.add(code)
+    assert {EXIT_OK, EXIT_NEGATIVE} <= codes

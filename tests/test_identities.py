@@ -10,7 +10,7 @@ from hahnpoly import functional, verify
 from hahnpoly.classical import PRESETS
 from hahnpoly.functional import MomentFunctional
 from hahnpoly.poly import Poly
-from hahnpoly.qnum import q_bracket
+from hahnpoly.qnum import HahnFrame, q_bracket
 
 
 def _poly_fault(op):
@@ -89,6 +89,15 @@ def test_integer_draws_equal_the_fraction_draws():
         assert verify.random_functional(fast, frame, 10) == ref.random_functional_fractions(slow, frame, 10), seed
         assert verify.random_poly(fast, 3) == ref.random_poly_fractions(slow, 3), seed
         assert fast.getstate() == slow.getstate(), seed
+
+
+def test_default_frames_are_shared_and_read_like_fresh_ones():
+    # one set of frame objects, in a new list per call, whose warm constants change no check
+    first, second = verify.default_frames(), verify.default_frames()
+    assert first is not second and all(a is b for a, b in zip(first, second)) and len(first) == 14
+    fresh = [HahnFrame(f.q, f.omega) for f in first]
+    for seed in range(10):
+        assert verify.identities_suite(cases=14, seed=seed) == verify.identities_suite(fresh, 14, seed), seed
 
 
 def test_identities_suite_keeps_the_first_failure(monkeypatch):

@@ -156,7 +156,7 @@ class TestIntegerRoutesMatchDefinitions:
         for top in range(41):
             b = _brackets(q, top)
             assert len(b) == top + 1 and b[0] == 0, top
-            assert all(F(bn, q.denominator ** (n - 1)) == q_bracket(n, q) for n, bn in enumerate(b) if n), top
+            assert all(F(bn, q.denominator ** (n - 1)) == ref.q_bracket(n, q) for n, bn in enumerate(b) if n), top
 
     @pytest.mark.parametrize("q", [3, "3/7", "-2", 1.5], ids=str)
     def test_coerces_q_like_the_definitions(self, q):
@@ -254,6 +254,12 @@ class TestPearsonCoefficients:
                 assert d_n(pear, frame, 2 * k + 2) + frame.q * d_n(pear, frame, 2 * k) == (
                     (1 + frame.q) * d_n(pear, frame, 2 * k + 1)
                 )
+
+    @pytest.mark.parametrize("fn", [d_n, e_n])
+    def test_negative_index_raises(self, fn):
+        pear = PearsonPair(F(2), F(-1), F(3), F(5), F(1))
+        with pytest.raises(ValueError, match="needs n >= 0"):
+            fn(pear, HahnFrame(F(3, 5), F(-1, 3)), -1)
 
     def test_rejects_all_zero(self):
         with pytest.raises(ValueError):

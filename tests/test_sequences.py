@@ -1,7 +1,8 @@
 """The one-pass q-sequences and what the engine reads off them, against the per-index routes.
 
 pearson_sequences holds Python ints, and over its denominators they must
-equal q**n, q_bracket, d_n and e_n index by index, and omega and a, b, c; check_regular,
+equal q**n and the Fraction closed forms q_bracket, d_n and e_n of reference_kernels
+index by index, and omega and a, b, c; check_regular,
 solve_moments and recurrence (beta, gamma and the in-place P_n expansion)
 must equal the per-index oracles in reference_kernels, and the integer moment
 table, in both of its forms, the Fraction-step recurrence there, at y0 in
@@ -9,6 +10,8 @@ table, in both of its forms, the Fraction-step recurrence there, at y0 in
 plus q in {5/2, 2/3, -3}, with pairs where some d_m vanishes or some
 gamma_{n+1} is zero included. The same checks run on tall draws: pair
 coefficients, and q and omega, with unrelated denominators of 16 to 64 bits.
+The library's d_n, e_n and rodrigues_constant, which read pearson_sequences, must
+equal the closed forms of reference_kernels on the ORACLE_Q frames, small pairs and tall.
 """
 
 from fractions import Fraction as F
@@ -25,8 +28,11 @@ from hahnpoly.classical import (
     recurrence,
 )
 from hahnpoly.functional import MomentFunctional, _moment_table, solve_moments
-from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, d_n, e_n, pearson_sequences, q_bracket
-from hahnpoly.verify import default_frames
+from hahnpoly import qnum
+from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, pearson_sequences
+from hahnpoly.verify import FRAME_OMEGA_VALUES, default_frames
+from reference_kernels import d_n, e_n, q_bracket
+from test_qnum import ORACLE_Q
 
 FRAMES = default_frames() + [HahnFrame(q, omega) for q in (F(5, 2), F(2, 3), F(-3)) for omega in (F(0), F(1))]
 
@@ -177,6 +183,24 @@ def test_tall_frames_against_per_index(data):
     check_engine(pear, frame, depth)
     check_moment_table(pear, frame, 2 * depth)
     check_recurrence(pear, frame, depth)
+
+
+# the valid frames over ORACLE_Q; test_qnum holds q_bracket to its closed form there for n = -8..40
+ORACLE_FRAMES = [HahnFrame(q, omega) for q in ORACLE_Q if q not in (0, -1)
+                 for omega in FRAME_OMEGA_VALUES if (q, omega) != (1, 0)]
+
+
+@pytest.mark.parametrize("frame", ORACLE_FRAMES, ids=frame_id)
+@checked
+@given(st.data())
+def test_library_pearson_numbers_equal_the_closed_forms(frame, data):
+    pear = data.draw(pairs(frame, coeffs=data.draw(st.sampled_from([coeff_st, tall_st]))))
+    for n in range(41):
+        assert qnum.d_n(pear, frame, n) == d_n(pear, frame, n), n
+        assert qnum.e_n(pear, frame, n) == e_n(pear, frame, n), n
+    for n in range(13):
+        assert admissibility(qnum.rodrigues_constant, pear, frame, n) \
+            == admissibility(ref.rodrigues_constant, pear, frame, n), n
 
 
 def test_rejects_bad_bounds():

@@ -358,9 +358,44 @@ def test_library_lines_fit_120_columns():
 
 
 def test_sequence_kernel_not_exported():
-    # the engine reads the one-pass sequences; d_n, e_n and q_bracket stay the public definitions
+    # the engine reads the one-pass sequences; d_n, e_n and q_bracket stay public, read off them
     assert not {"pearson_sequences", "PearsonSequences"} & set(hahnpoly.__all__)
     assert {"d_n", "e_n", "q_bracket", "rodrigues_constant"} <= set(hahnpoly.__all__)
+
+
+# the q-numbers and Y_n that tests/reference_kernels.py defines for itself, as the oracles of the library's
+ORACLE_OWN_NAMES = {"d_n", "e_n", "q_bracket", "q_factorial", "q_binomial", "y_basis", "_brackets"}
+
+
+def _library_names_read(tree, names) -> list[str]:
+    """The names in names that tree takes from hahnpoly: by a from-import, or as an attribute of a name it imports."""
+    bound, found = set(), []  # the local names of hahnpoly and of what is imported from it
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {(a.asname or a.name).split(".")[0] for a in node.names if a.name.split(".")[0] == "hahnpoly"}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hahnpoly":
+            bound |= {a.asname or a.name for a in node.names}
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name in names]
+    found += [f"{ast.unparse(node)} (line {node.lineno})" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in names
+              and isinstance(node.value, (ast.Name, ast.Attribute)) and ast.unparse(node.value).split(".")[0] in bound]
+    return found
+
+
+def test_oracle_import_lint_detects():
+    code = ("import math, hahnpoly.poly\nfrom hahnpoly import poly as p, qnum\n"
+            "from hahnpoly.qnum import (HahnFrame, d_n,\n    q_bracket as qb)\nfrom other import e_n\n"
+            "def f(): return p.y_basis, qnum._brackets, hahnpoly.poly.y_basis, math.q_binomial, p.op_D\n")
+    assert sorted(_library_names_read(ast.parse(code), ORACLE_OWN_NAMES)) == [
+        "d_n (line 3)", "hahnpoly.poly.y_basis (line 6)", "p.y_basis (line 6)", "q_bracket (line 3)",
+        "qnum._brackets (line 6)"]
+
+
+def test_oracles_define_their_own_q_numbers():
+    # an oracle that imports the library's [n]_q, d_n, e_n or Y_n passes whenever the library is wrong the same way
+    path = REPO / "tests" / "reference_kernels.py"
+    found = _library_names_read(ast.parse(path.read_text(), filename=str(path)), ORACLE_OWN_NAMES)
+    assert not found, found
 
 
 # Fraction's private names differ between CPython versions: _normalize= was
