@@ -129,7 +129,7 @@ def theta2(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
 
 
 def _phi_root(s: PearsonSequences, n: int) -> int:
-    """Phi_n with phi(-e_n/d_{2n}) = phi(-E_n/(M D_{2n})) = Phi_n / (C (M D_{2n})^2), s.phi = [pa, pb, pc]."""
+    """Phi_n = lam (M D_{2n})^2 phi(-e_n/d_{2n}), since -e_n/d_{2n} = -E_n/(M D_{2n})."""
     a, b, c = s.phi
     e, md = s.e[n], s.M * s.d[2 * n]
     return (a * e - b * md) * e + c * md * md
@@ -147,11 +147,11 @@ def _beta(s: PearsonSequences, n: int) -> Fraction:
 
 
 def _gamma(s: PearsonSequences, n: int) -> Fraction:
-    """gamma_{n+1} = -R_n K_{n+1} D_{n-1} L S_n Phi_n / (C M^2 D_{2n-1} D_{2n+1} D_{2n}^2) as one Fraction;
+    """gamma_{n+1} = -R_n K_{n+1} D_{n-1} S_n Phi_n / (M^2 D_{2n-1} D_{2n+1} D_{2n}^2) as one Fraction;
     D_{n-1}/D_{2n-1} is 1 at n = 0 (see gamma_coefficient)."""
     md = s.M * s.d[2 * n]
-    num = -s.r_pow[n] * s.bracket[n + 1] * s.L * s.s_pow[n] * _phi_root(s, n)
-    den = s.C * md * md * s.d[2 * n + 1]
+    num = -s.r_pow[n] * s.bracket[n + 1] * s.s_pow[n] * _phi_root(s, n)
+    den = md * md * s.d[2 * n + 1]
     if n:
         num, den = num * s.d[n - 1], den * s.d[2 * n - 1]
     return Fraction(num, den)
@@ -325,11 +325,13 @@ PRESETS: dict[str, Preset] = {
         ),
         Preset(
             "meixner", PearsonPair(0, 1, 2, -1, Fraction(1, 3)), HahnFrame(1, 1),
-            "q=1, omega=1, phi=x+2, psi=1/3-x; degree-one phi with nonzero constant term",
+            "q=1, omega=1, phi=x+2, psi=1/3-x; Charlier with mu = 7/3 in x + 2: "
+            "beta_n = n + 1/3, gamma_{n+1} = 7(n+1)/3",
         ),
         Preset(
             "al-salam-carlitz", PearsonPair(1, -3, 2, -4, 1), HahnFrame(Fraction(1, 2), 0),
-            "q=1/2, omega=0, phi=(x-1)(x-2), psi=-4x+1; quadratic phi on the q-lattice",
+            "q=1/2, omega=0, phi=(x-1)(x-2), psi=-4x+1; quadratic phi on the q-lattice; regular, not positive-definite "
+            "(gamma_2 = -144/5); not the Al-Salam-Carlitz family",
         ),
         Preset(
             "little-q-laguerre", PearsonPair(0, 1, 0, -1, Fraction(1, 2)), HahnFrame(Fraction(1, 2), 0),

@@ -204,9 +204,9 @@ def _moment_steps(pear: PearsonPair, frame: HahnFrame, y0: ScalarLike, depth: in
     """Numerators N_n and positive steps h_n with y_n = N_n / (h_0 h_1 ... h_n), 0 <= n <= depth.
 
     Over -d_n the recurrence reads y_{n+1} = A_n y_n + B_n y_{n-1}, with one Fraction each on the
-    integer sequences: A_n = -(E_n + s W K_n D_{n-1}) / (M S_n D_n) and
-    B_n = -K_n (c' M^2 L S_{n-1}^2 + c'' W E_{n-1}) / (c'' M^2 S_{n-1}^2 D_n), c = c'/c''.
-    Over h = lcm(M S_n, c'' M^2 S_{n-1}^2) |D_n| both are integers, a_n = A_n h and b_n = B_n h, so
+    integer sequences, where lam cancels: A_n = -(E_n + s W K_n D_{n-1}) / (M S_n D_n) and
+    B_n = -K_n (pc M^2 S_{n-1}^2 + W E_{n-1}) / (M^2 S_{n-1}^2 D_n), phi = [pa, pb, pc].
+    Over h = lcm(M S_n, M^2 S_{n-1}^2) |D_n| both are integers, a_n = A_n h and b_n = B_n h, so
     y_{n+1} = N / (h_0 ... h_n h) with N = a_n N_n + b_n h_n N_{n-1}. The step then drops the
     factor g = gcd(N, h): N_{n+1} = N / g and h_{n+1} = h / g. That gcd pairs a tall integer with
     one of O(n) bits, so it costs about one multiplication, and it keeps h_0 ... h_n close to the
@@ -217,7 +217,7 @@ def _moment_steps(pear: PearsonPair, frame: HahnFrame, y0: ScalarLike, depth: in
         raise ValueError(f"a moment table needs depth >= 0, got {depth}")
     top = max(depth - 1, 0)
     s = pearson_sequences(pear, frame, top, top)
-    c, cd, M, W, mm = s.phi[2], s.C, s.M, s.W, s.M * s.M
+    c, M, W, mm = s.phi[2], s.M, s.W, s.M * s.M
     y0 = as_scalar(y0)
     nums, steps = [y0.numerator], [y0.denominator]
     for n in range(depth):
@@ -229,10 +229,10 @@ def _moment_steps(pear: PearsonPair, frame: HahnFrame, y0: ScalarLike, depth: in
             h, nxt = M * abs(dn), sign * s.e[0] * nums[0]
         else:
             bracket, sq = s.bracket[n], s.s_pow[n - 1] ** 2
-            over_a, over_b = M * s.s_pow[n], cd * mm * sq
+            over_a, over_b = M * s.s_pow[n], mm * sq
             common = lcm(over_a, over_b)
             a = sign * (common // over_a) * (s.e[n] + s.s_pow[1] * W * bracket * s.d[n - 1])
-            b = sign * (common // over_b) * bracket * (c * mm * s.L * sq + cd * W * s.e[n - 1])
+            b = sign * (common // over_b) * bracket * (c * mm * sq + W * s.e[n - 1])
             h = common * abs(dn)
             nxt = a * nums[n] + b * steps[n] * nums[n - 1]
         g = gcd(nxt, h)

@@ -128,8 +128,17 @@ class Poly:
         return Poly._from_ints([c.numerator * n for n in self.nums], c.denominator * self.den)
 
     def compose_affine(self, alpha: ScalarLike, beta: ScalarLike) -> "Poly":
-        """Substitute x -> alpha*x + beta: an integer Taylor shift, O(deg^2) integer work."""
-        nums, den = _compose_ints(self.nums, as_scalar(alpha), as_scalar(beta))
+        """Substitute x -> alpha*x + beta: an integer Taylor shift, O(deg^2) integer work.
+
+        On the numerators of f, m = deg f, alpha = an/ad and beta = bn/bd, h(x) = sum_k nums[k] bd^(m-k) x^k
+        is bd^m f(x/bd), so h(x + bn) is rounds of synthetic addition h_j += bn h_{j+1} (von zur Gathen and
+        Gerhard 1997), and coefficient k of f(alpha x + beta) is
+        h_k an^k / (bd^(m-k) ad^k) = h_k (an bd)^k ad^(m-k) / (bd^m ad^m), over den bd^m ad^m in all.
+        """
+        alpha, beta = as_scalar(alpha), as_scalar(beta)
+        m, bd = len(self.nums) - 1, beta.denominator
+        nums, den = _taylor_shift(self.nums, beta.numerator, _powers(bd, m), _powers(alpha.numerator * bd, m),
+                                  _powers(alpha.denominator, m))
         return Poly._from_ints(nums, self.den * den)
 
     def __repr__(self):
@@ -148,22 +157,9 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _compose_ints(nums: Sequence[int], alpha: Fraction, beta: Fraction) -> tuple[list[int], int]:
-    """f(alpha x + beta) for f = sum_k nums[k] x^k, as integer numerators over bd^m ad^m (1 if nums is empty).
-
-    With beta = bn/bd, h(x) = sum_k nums[k] bd^(m-k) x^k is bd^m f(x/bd), so
-    h(x + bn) is rounds of synthetic addition h_j += bn h_{j+1} (von zur Gathen
-    and Gerhard 1997), and coefficient k of f(alpha x + beta) is
-    h_k an^k / (bd^(m-k) ad^k) = h_k (an bd)^k ad^(m-k) / (bd^m ad^m).
-    """
-    m, bd = len(nums) - 1, beta.denominator
-    return _taylor_shift(nums, beta.numerator, _powers(bd, m), _powers(alpha.numerator * bd, m),
-                         _powers(alpha.denominator, m))
-
-
 def _taylor_shift(nums: Sequence[int], bn: int, bd_pows: Sequence[int], abd_pows: Sequence[int],
                   ad_pows: Sequence[int]) -> tuple[list[int], int]:
-    """The Taylor shift of _compose_ints, over the powers bd^k, (an bd)^k and ad^k for k <= len(nums) - 1 at least."""
+    """The Taylor shift of Poly.compose_affine, over the powers bd^k, (an bd)^k and ad^k for k < len(nums) at least."""
     m = len(nums) - 1
     h = [n * p for n, p in zip(nums, bd_pows[m::-1])]
     if bn:
@@ -175,7 +171,7 @@ def _taylor_shift(nums: Sequence[int], bn: int, bd_pows: Sequence[int], abd_pows
 
 
 def _shift_ints(nums: Sequence[int], frame: HahnFrame) -> tuple[list[int], int]:
-    """L f = f(q x + omega) on integers, as _compose_ints(nums, q, omega), over the powers of frame._tables."""
+    """L f = f(q x + omega) on integers, as Poly.compose_affine(q, omega), over the powers of frame._tables."""
     qd, od, qn_od, _ = frame._tables(len(nums) - 1)
     return _taylor_shift(nums, frame.omega.numerator, od, qn_od, qd)
 

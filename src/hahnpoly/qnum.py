@@ -212,9 +212,10 @@ def q_binomial(n: int, k: int, q: ScalarLike) -> Fraction:
 class PearsonSequences(NamedTuple):
     """Unreduced integer numerators of q^n, [n]_q, d_n (0 <= n <= m) and e_n (0 <= n <= m_e), and of the pair.
 
-    With q = r/s: q^n = R_n/S_n, [n]_q = K_n/S_n, d_n = D_n/(L S_n), e_n = E_n/(M L S_n^2),
-    omega = W/M and (a, b, c) = phi/C, where L = lcm(den a, den d), M = lcm(den omega, den b, den e)
-    and C = lcm(den a, den b, den c).
+    The pair is scaled once to integers, (a, b, c, d, e) = (pa, pb, pc, pd, pe)/lam with lam the lcm of
+    their denominators; D(phi u) = psi u is homogeneous in (phi, psi), so lam cancels from every ratio
+    and zero test. With q = r/s: q^n = R_n/S_n, [n]_q = K_n/S_n, lam d_n = D_n/S_n,
+    lam e_n = E_n/(M S_n^2), omega = W/M in lowest terms, and phi = [pa, pb, pc].
     """
 
     r_pow: list[int]
@@ -222,42 +223,40 @@ class PearsonSequences(NamedTuple):
     bracket: list[int]
     d: list[int]
     e: list[int]
-    L: int
+    lam: int
     M: int
     W: int
     phi: list[int]
-    C: int
 
 
 def pearson_sequences(pear: PearsonPair, frame: HahnFrame, m: int, m_e: int) -> PearsonSequences:
     """The one formula of d_n and e_n, by O(m) integer work: K_n = s b_n over the b_n of _brackets,
-    D_n = d' R_n + a' K_n (a = a'/L, d = d'/L) and E_n = M e L R_n S_n + (W D_n + M b L S_n) K_n.
+    D_n = pd R_n + pa K_n and E_n = M (pe R_n S_n + pb S_n K_n) + W D_n K_n.
     """
     if not 0 <= m_e <= m:
         raise ValueError(f"pearson_sequences needs 0 <= m_e <= m, got m={m}, m_e={m_e}")
-    (a, d), L = _ints((pear.a, pear.d))
-    (W, b, e), M = _ints((frame.omega, pear.b, pear.e))
-    s = frame.q.denominator
+    (a, b, c, d, e), lam = _ints((pear.a, pear.b, pear.c, pear.d, pear.e))
+    M, W, s = frame.omega.denominator, frame.omega.numerator, frame.q.denominator
     r_pow, s_pow, bracket = _powers(frame.q.numerator, m), _powers(s, m), [s * k for k in _brackets(frame.q, m)]
     ds = [d * rn + a * kn for rn, kn in zip(r_pow, bracket)]
-    es = [(e * r_pow[n] + b * bracket[n]) * L * s_pow[n] + W * ds[n] * bracket[n] for n in range(m_e + 1)]
-    return PearsonSequences(r_pow, s_pow, bracket, ds, es, L, M, W, *_ints((pear.a, pear.b, pear.c)))
+    es = [M * (e * r_pow[n] + b * bracket[n]) * s_pow[n] + W * ds[n] * bracket[n] for n in range(m_e + 1)]
+    return PearsonSequences(r_pow, s_pow, bracket, ds, es, lam, M, W, [a, b, c])
 
 
 def d_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
-    """d_n = d q^n + a [n]_q, n >= 0: D_n / (L S_n) of pearson_sequences."""
+    """d_n = d q^n + a [n]_q, n >= 0: D_n / (lam S_n) of pearson_sequences."""
     if n < 0:
         raise ValueError("d_n needs n >= 0")
     seq = pearson_sequences(pair, frame, n, 0)
-    return Fraction(seq.d[n], seq.L * seq.s_pow[n])
+    return Fraction(seq.d[n], seq.lam * seq.s_pow[n])
 
 
 def e_n(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
-    """e_n = e q^n + (omega d_n + b) [n]_q, n >= 0: E_n / (M L S_n^2) of pearson_sequences."""
+    """e_n = e q^n + (omega d_n + b) [n]_q, n >= 0: E_n / (M lam S_n^2) of pearson_sequences."""
     if n < 0:
         raise ValueError("e_n needs n >= 0")
     seq = pearson_sequences(pair, frame, n, n)
-    return Fraction(seq.e[n], seq.M * seq.L * seq.s_pow[n] ** 2)
+    return Fraction(seq.e[n], seq.M * seq.lam * seq.s_pow[n] ** 2)
 
 
 def rodrigues_constant(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
@@ -268,8 +267,8 @@ def rodrigues_constant(pair: PearsonPair, frame: HahnFrame, n: int) -> Fraction:
     if n < 0:
         raise ValueError("rodrigues_constant needs n >= 0")
     seq = pearson_sequences(pair, frame, max(2 * n - 2, 0), 0)
-    ds = seq.d[n - 1:2 * n - 1]  # d_j = D_j / (L S_j) for j = n-1 .. 2n-2; empty at n = 0
+    ds = seq.d[n - 1:2 * n - 1]  # d_j = D_j / (lam S_j) for j = n-1 .. 2n-2; empty at n = 0
     for j, dj in enumerate(ds, n - 1):
         if dj == 0:
             raise AdmissibilityError(j)
-    return frame.q ** (n * (n - 3) // 2) * Fraction(seq.L**n * prod(seq.s_pow[n - 1:2 * n - 1]), prod(ds))
+    return frame.q ** (n * (n - 3) // 2) * Fraction(seq.lam**n * prod(seq.s_pow[n - 1:2 * n - 1]), prod(ds))

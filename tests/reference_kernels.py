@@ -553,12 +553,12 @@ def solve_moments_fractions(
 
     The recurrence y_{n+1} = A_n y_n + B_n y_{n-1} reads the integer sequences of
     pearson_sequences, with A_n = -(E_n + s W K_n D_{n-1}) / (M S_n D_n) and
-    B_n = -K_n (c' M^2 L S_{n-1}^2 + c'' W E_{n-1}) / (c'' M^2 S_{n-1}^2 D_n), c = c'/c'',
+    B_n = -K_n (pc M^2 S_{n-1}^2 + W E_{n-1}) / (M^2 S_{n-1}^2 D_n), phi = [pa, pb, pc],
     each one Fraction, and every y_n is reduced as it is formed.
     """
     top = max(depth - 1, 0)
     s = pearson_sequences(pear, frame, top, top)
-    c, cd, M, W, mm = s.phi[2], s.C, s.M, s.W, s.M * s.M
+    c, M, W, mm = s.phi[2], s.M, s.W, s.M * s.M
     y = [as_scalar(y0)]
     for n in range(depth):
         dn = s.d[n]
@@ -569,7 +569,7 @@ def solve_moments_fractions(
             continue
         bracket, sq = s.bracket[n], s.s_pow[n - 1] ** 2
         first = Fraction(-(s.e[n] + s.s_pow[1] * W * bracket * s.d[n - 1]), M * s.s_pow[n] * dn)
-        second = Fraction(-bracket * (c * mm * s.L * sq + cd * W * s.e[n - 1]), cd * mm * sq * dn)
+        second = Fraction(-bracket * (c * mm * sq + W * s.e[n - 1]), mm * sq * dn)
         y.append(first * y[n] + second * y[n - 1])
     return MomentFunctional(frame, tuple(y))
 

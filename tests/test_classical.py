@@ -395,6 +395,15 @@ def test_preset_recurrence_is_its_family(name):
     assert list(table.gamma[1:]) == [gamma(n) for n in range(1, 41)]
 
 
+def test_al_salam_carlitz_preset_is_not_its_family():
+    # Al-Salam-Carlitz I and II have beta_1/beta_0 = q or 1/q; this pair gives 29 at q = 1/2, and a negative gamma_2
+    preset = get_preset("al-salam-carlitz")
+    table = recurrence(preset.pear, preset.frame, 2)
+    assert table.beta[1] / table.beta[0] == 29 and preset.frame.q == F(1, 2)
+    assert table.gamma[2] == F(-144, 5)
+    assert "not the Al-Salam-Carlitz family" in preset.description
+
+
 # every public callable with a depth argument, on the charlier pair; at a negative depth each raises
 # and names the depth its caller passed, rather than return an empty result or the bounds of a helper
 NEGATIVE_DEPTH_CALLS = {

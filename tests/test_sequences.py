@@ -12,9 +12,12 @@ gamma_{n+1} is zero included. The same checks run on tall draws: pair
 coefficients, and q and omega, with unrelated denominators of 16 to 64 bits.
 The library's d_n, e_n and rodrigues_constant, which read pearson_sequences, must
 equal the closed forms of reference_kernels on the ORACLE_Q frames, small pairs and tall.
+A pair scaled by any lam != 0 must give the same verdict, beta, gamma, moments and suite
+checks, with d_n, e_n and the Pearson residual times lam and rodrigues_constant times lam^-n.
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,10 +30,10 @@ from hahnpoly.classical import (
     gamma_coefficient,
     recurrence,
 )
-from hahnpoly.functional import MomentFunctional, _moment_table, solve_moments
+from hahnpoly.functional import MomentFunctional, _moment_table, pearson_residual, solve_moments
 from hahnpoly import qnum
 from hahnpoly.qnum import AdmissibilityError, HahnFrame, PearsonPair, pearson_sequences
-from hahnpoly.verify import FRAME_OMEGA_VALUES, default_frames
+from hahnpoly.verify import FRAME_OMEGA_VALUES, default_frames, run_suites
 from reference_kernels import d_n, e_n, q_bracket
 from test_qnum import ORACLE_Q
 
@@ -86,14 +89,14 @@ def check_sequences(pear, frame, m, m_e):
     for field in s:
         assert all(type(v) is int for v in (field if isinstance(field, list) else [field]))
     assert len(s.r_pow) == len(s.s_pow) == len(s.bracket) == len(s.d) == m + 1 and len(s.e) == m_e + 1
-    assert F(s.W, s.M) == frame.omega
-    assert [F(p, s.C) for p in s.phi] == [pear.a, pear.b, pear.c]
+    assert F(s.W, s.M) == frame.omega and gcd(s.W, s.M) == 1 and s.M > 0  # omega = W/M in lowest terms
+    assert s.lam > 0 and [F(p, s.lam) for p in s.phi] == [pear.a, pear.b, pear.c]
     for n in range(m + 1):
         assert F(s.r_pow[n], s.s_pow[n]) == frame.q**n
         assert F(s.bracket[n], s.s_pow[n]) == q_bracket(n, frame.q)
-        assert F(s.d[n], s.L * s.s_pow[n]) == d_n(pear, frame, n)
+        assert F(s.d[n], s.lam * s.s_pow[n]) == d_n(pear, frame, n)
     for n in range(m_e + 1):
-        assert F(s.e[n], s.M * s.L * s.s_pow[n] ** 2) == e_n(pear, frame, n)
+        assert F(s.e[n], s.M * s.lam * s.s_pow[n] ** 2) == e_n(pear, frame, n)
 
 
 def check_engine(pear, frame, depth):
@@ -183,6 +186,42 @@ def test_tall_frames_against_per_index(data):
     check_engine(pear, frame, depth)
     check_moment_table(pear, frame, 2 * depth)
     check_recurrence(pear, frame, depth)
+
+
+# a nonzero lam of either sign, small or tall
+scale_st = st.one_of(coeff_st, tall_st).filter(bool)
+HOMOGENEITY_SUITES = ["gram", "rodrigues", "norms"]
+
+
+def beta_gamma(pear, frame):
+    table = recurrence(pear, frame, 12)
+    return table.beta, table.gamma
+
+
+@pytest.mark.parametrize("frame", FRAMES, ids=frame_id)
+@checked
+@given(st.data())
+def test_scaled_pair_has_the_same_functional(frame, data):
+    # D(phi u) = psi u is homogeneous in (phi, psi): lam (phi, psi) has the same u, verdict, beta_n and gamma_n
+    pear = data.draw(pairs(frame, coeffs=data.draw(st.sampled_from([coeff_st, tall_st]))))
+    lam = data.draw(scale_st)
+    scaled = PearsonPair(*(lam * x for x in (pear.a, pear.b, pear.c, pear.d, pear.e)))
+    assert check_regular(scaled, frame, 12) == check_regular(pear, frame, 12)
+    assert outcome(beta_gamma, scaled, frame) == outcome(beta_gamma, pear, frame)
+    assert admissibility(solve_moments, scaled, frame, F(2, 3), 24) \
+        == admissibility(solve_moments, pear, frame, F(2, 3), 24)
+    assert outcome(run_suites, scaled, frame, HOMOGENEITY_SUITES) \
+        == outcome(run_suites, pear, frame, HOMOGENEITY_SUITES)
+    for n in range(25):
+        assert qnum.d_n(scaled, frame, n) == lam * qnum.d_n(pear, frame, n), n
+        assert qnum.e_n(scaled, frame, n) == lam * qnum.e_n(pear, frame, n), n
+    u = MomentFunctional(frame, data.draw(st.lists(coeff_st, min_size=12, max_size=12)))
+    assert pearson_residual(scaled, u, 10) == [lam * r for r in pearson_residual(pear, u, 10)]
+    for n in range(8):
+        expected = admissibility(qnum.rodrigues_constant, pear, frame, n)
+        if isinstance(expected, F):
+            expected /= lam**n
+        assert admissibility(qnum.rodrigues_constant, scaled, frame, n) == expected, n
 
 
 # the valid frames over ORACLE_Q; test_qnum holds q_bracket to its closed form there for n = -8..40

@@ -363,6 +363,28 @@ def test_sequence_kernel_not_exported():
     assert {"d_n", "e_n", "q_bracket", "rodrigues_constant"} <= set(hahnpoly.__all__)
 
 
+def _attribute_reads(tree, attr) -> list[int]:
+    """The lines where tree reads the attribute attr of any object, as .attr or getattr(..., "attr")."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr == attr)
+                  or (isinstance(node, ast.Call) and _called_name(node.func) == "getattr" and len(node.args) > 1
+                      and isinstance(node.args[1], ast.Constant) and node.args[1].value == attr))
+
+
+def test_attribute_read_lint_detects():
+    code = ("def f(s, lam):\n    x = s.lam\n    return s.phi[0] * lam, getattr(s, 'lam'), getattr(s, 'M')\n"
+            "y = pearson_sequences(p, f, 3, 1).lam\nz = dict(lam=1)\n")
+    assert _attribute_reads(ast.parse(code), "lam") == [2, 3, 4]
+
+
+def test_only_qnum_reads_the_pair_scale():
+    # D(phi u) = psi u is homogeneous, so the scale lam of the integer pair cancels from every ratio and
+    # zero test; only qnum's d_n, e_n and rodrigues_constant, which return values of the pair, read it
+    found = [f"{path.name}:{line}" for path in SOURCES if path.name != "qnum.py"
+             for line in _attribute_reads(ast.parse(path.read_text(), filename=str(path)), "lam")]
+    assert SOURCES and not found, found
+
+
 # the q-numbers and Y_n that tests/reference_kernels.py defines for itself, as the oracles of the library's
 ORACLE_OWN_NAMES = {"d_n", "e_n", "q_bracket", "q_factorial", "q_binomial", "y_basis", "_brackets"}
 
