@@ -11,7 +11,6 @@ from .qnum import (
     AdmissibilityError,
     HahnFrame,
     PearsonPair,
-    Scalar,
     as_scalar,
     d_n,
     e_n,

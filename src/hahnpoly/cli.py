@@ -7,11 +7,11 @@ rendering), printed as {"error": "<type>: <message>"} on stderr with stdout
 empty, 141 stdout closed by its reader before the output was written
 (128 + SIGPIPE).
 Rationals are always rendered as strings like "3/7", never floats.
-A rational flag is `p` or `p/q` in decimal digits with an optional sign, the
-grammar of qnum.as_scalar; decimals, exponents and any other form are invalid input
-(exit 1). An integer flag (`--n`, `--test-degree`, `--fuzz-moment`) and
-`$HAHNPOLY_DEPTH` are `[+-]?[0-9]+`: ASCII digits with an optional sign, so `1_2`,
-` 12` and digits of other scripts are invalid input (exit 1) too.
+A rational flag is `p` or `p/q` in decimal digits with an optional sign, the grammar of qnum.as_scalar;
+an empty value, decimals, exponents and any other form are invalid input (exit 1). An integer flag (`--n`,
+`--test-degree`, `--fuzz-moment`) and `$HAHNPOLY_DEPTH` are `[+-]?[0-9]+`: ASCII digits with an optional sign,
+so `1_2`, ` 12` and digits of other scripts are invalid input (exit 1) too. Each flag's value (`--preset` too) is
+parsed as argparse reads it, so a malformed one is reported before the rules on which flags may be combined.
 `verify --suite` takes a name from verify.SUITES, or `all` for each of them in
 that order; a check passes exactly when its detail is empty.
 `verify --fuzz-moment` and `verify --y0` are read only by the gram suite, and
@@ -41,12 +41,13 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 from math import gcd
 from typing import Iterable, Iterator
 
 from .qnum import AdmissibilityError, HahnFrame, PearsonPair, as_scalar
 from .functional import DEFAULT_DEPTH, solve_moments
-from .classical import PRESETS, RecurrenceTable, RegularityError, check_regular, get_preset, recurrence
+from .classical import PRESETS, Preset, RecurrenceTable, RegularityError, check_regular, get_preset, recurrence
 from .verify import SUITES, SuiteArgumentError, run_suites
 
 EXIT_OK = 0
@@ -78,10 +79,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_rational(text: str, field: str) -> Fraction:
+    """The type of the rational flag --field. Its InputError leaves parse_args as raised, for main to print:
+    argparse converts only an ArgumentTypeError, TypeError or ValueError that a type raises."""
     try:  # as_scalar also rejects a zero denominator, and more digits than int() reads
         return as_scalar(text)
     except ValueError:
         raise InputError(f"{field}: {text!r} is not a rational (expected 'p' or 'p/q')") from None
+
+
+def _parse_preset(name: str) -> Preset:
+    """The type of --preset; its InputError leaves parse_args as _parse_rational's does."""
+    try:
+        return get_preset(name)
+    except KeyError as exc:
+        raise InputError(exc.args[0]) from None
 
 
 def _parse_int(text: str) -> int:
@@ -94,18 +105,14 @@ def _parse_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _default_depth(fallback: int) -> int:
-    raw = os.environ.get(DEPTH_ENV)
-    if raw is None:
-        return fallback
-    try:
-        return _parse_int(raw)
-    except argparse.ArgumentTypeError:
-        raise InputError(f"{DEPTH_ENV}: {raw!r} is not an integer") from None
-
-
-def _depth(args, fallback: int) -> int:
-    depth = args.n if args.n is not None else _default_depth(fallback)
+def _depth(args, default: int) -> int:
+    """The depth: --n, else $HAHNPOLY_DEPTH, else the command's default; in 0..MAX_DEPTH."""
+    depth, raw = args.n, os.environ.get(DEPTH_ENV)
+    if depth is None:
+        try:
+            depth = default if raw is None else _parse_int(raw)
+        except argparse.ArgumentTypeError:
+            raise InputError(f"{DEPTH_ENV}: {raw!r} is not an integer") from None
     if not 0 <= depth <= MAX_DEPTH:
         raise InputError(f"depth (--n or ${DEPTH_ENV}) must be in 0..{MAX_DEPTH}, got {depth}")
     return depth
@@ -114,31 +121,22 @@ def _depth(args, fallback: int) -> int:
 def _resolve_frame(args) -> HahnFrame:
     if args.q is None or args.omega is None:
         raise InputError("an explicit frame needs --q and --omega (or use --preset)")
-    q = _parse_rational(args.q, "q")
-    omega = _parse_rational(args.omega, "omega")
     try:
-        return HahnFrame(q, omega)
+        return HahnFrame(args.q, args.omega)
     except ValueError as exc:
         raise InputError(str(exc))
 
 
 def _resolve_pair(args) -> tuple[PearsonPair, HahnFrame]:
-    explicit = [f for f in ("a", "b", "c", "d", "e", "q", "omega")
-                if getattr(args, f, None) is not None]
     if args.preset is not None:
-        if explicit:
+        if any(getattr(args, f) is not None for f in ("a", "b", "c", "d", "e", "q", "omega")):
             raise InputError("--preset is mutually exclusive with explicit pair/frame flags")
-        try:
-            preset = get_preset(args.preset)
-        except KeyError as exc:
-            raise InputError(str(exc))
-        return preset.pear, preset.frame
+        return args.preset.pear, args.preset.frame
     if args.q is None or args.omega is None:
         raise InputError("an explicit pair needs --q and --omega (or use --preset)")
     frame = _resolve_frame(args)
-    coeffs = {f: _parse_rational(getattr(args, f) or "0", f) for f in ("a", "b", "c", "d", "e")}
-    try:
-        pear = PearsonPair(**coeffs)
+    try:  # an absent coefficient is 0
+        pear = PearsonPair(*(getattr(args, f) or 0 for f in ("a", "b", "c", "d", "e")))
     except ValueError as exc:
         raise InputError(str(exc))
     return pear, frame
@@ -218,7 +216,7 @@ def cmd_classify(args) -> int:
 def cmd_recurrence(args) -> int:
     pear, frame = _resolve_pair(args)
     depth = _depth(args, 12)
-    y0 = _parse_rational(args.y0, "y0") if args.y0 is not None else Fraction(1)
+    y0 = args.y0 if args.y0 is not None else Fraction(1)
     if y0 == 0:  # the paper's u is nonzero
         print(json.dumps({"error": "y0 = 0: the zero functional has no orthogonal sequence"}), file=sys.stderr)
         return EXIT_NEGATIVE
@@ -248,7 +246,7 @@ def cmd_recurrence(args) -> int:
 def cmd_moments(args) -> int:
     pear, frame = _resolve_pair(args)
     depth = _depth(args, DEFAULT_DEPTH)
-    y0 = _parse_rational(args.y0, "y0") if args.y0 is not None else Fraction(1)
+    y0 = args.y0 if args.y0 is not None else Fraction(1)
     try:
         u = solve_moments(pear, frame, y0, depth)
     except AdmissibilityError as exc:
@@ -287,7 +285,7 @@ def cmd_verify(args) -> int:
     test_degree = 8 if args.test_degree is None else args.test_degree
     if not 0 <= test_degree <= MAX_DEPTH:
         raise InputError(f"--test-degree must be in 0..{MAX_DEPTH}, got {test_degree}")
-    y0 = _parse_rational(args.y0, "y0") if args.y0 is not None else Fraction(1)
+    y0 = args.y0 if args.y0 is not None else Fraction(1)
     for suite, flags in (("gram", (("--fuzz-moment", args.fuzz_moment), ("--y0", args.y0))),
                          ("rodrigues", (("--test-degree", args.test_degree),))):
         unread = [f for f, v in flags if v is not None]
@@ -299,7 +297,7 @@ def cmd_verify(args) -> int:
         checks = run_suites(
             pear, frame, suites,
             depth=depth, test_degree=test_degree, y0=y0, fuzz_moment=args.fuzz_moment,
-            label=args.preset or "pair",
+            label=args.preset.name if args.preset is not None else "pair",
         )
     except SuiteArgumentError as exc:
         raise InputError(str(exc))
@@ -356,13 +354,14 @@ def cmd_presets(args) -> int:
 def _pair_flags() -> argparse.ArgumentParser:
     """The flags that classify, recurrence, moments and verify share, built once."""
     flags = argparse.ArgumentParser(add_help=False)
+    rational = {f: partial(_parse_rational, field=f) for f in ("a", "b", "c", "d", "e", "q", "omega", "y0")}
     for flag in ("a", "b", "c", "d", "e"):
-        flags.add_argument(f"--{flag}", help=f"coefficient {flag} as a rational string")
-    flags.add_argument("--q", help="frame parameter q as a rational string")
-    flags.add_argument("--omega", help="frame parameter omega as a rational string")
-    flags.add_argument("--preset", help="named preset (mutually exclusive with explicit flags)")
+        flags.add_argument(f"--{flag}", type=rational[flag], help=f"coefficient {flag} as a rational string")
+    flags.add_argument("--q", type=rational["q"], help="frame parameter q as a rational string")
+    flags.add_argument("--omega", type=rational["omega"], help="frame parameter omega as a rational string")
+    flags.add_argument("--preset", type=_parse_preset, help="named preset (mutually exclusive with explicit flags)")
     flags.add_argument("--n", type=_parse_int, help=f"depth (default from ${DEPTH_ENV})")
-    flags.add_argument("--y0", help="value of <u, 1> as a rational string (default 1)")
+    flags.add_argument("--y0", type=rational["y0"], help="value of <u, 1> as a rational string (default 1)")
     flags.add_argument("--format", choices=["json", "csv", "human"], default="json")
     return flags
 

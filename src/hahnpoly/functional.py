@@ -134,8 +134,11 @@ class MomentFunctional:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MomentFunctional":
-        """The table that to_json_dict wrote; every rational is read by as_scalar, so a string must be 'p' or 'p/q'."""
-        return MomentFunctional(HahnFrame(data["frame"]["q"], data["frame"]["omega"]), data["moments"])
+        """The table that to_json_dict wrote: basis "Y", maxDegree len(moments) - 1, each rational 'p' or 'p/q'."""
+        top, basis, moments = data.get("maxDegree"), data.get("basis"), data["moments"]
+        if basis != "Y" or top != len(moments) - 1:
+            raise ValueError(f"expected basis 'Y' and maxDegree {len(moments) - 1}, got {basis!r} and {top!r}")
+        return MomentFunctional(HahnFrame(data["frame"]["q"], data["frame"]["omega"]), moments)
 
 
 def _times(nums: Iterable[int], dens: Iterable[int], cns: Iterable[int], cds: Iterable[int]) -> tuple[list, list]:

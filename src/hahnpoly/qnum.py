@@ -18,7 +18,6 @@ from math import lcm, prod
 from operator import mul
 from typing import Iterable, NamedTuple, Union
 
-Scalar = Fraction
 ScalarLike = Union[Fraction, int, str]
 # the one rational grammar, of as_scalar and so of every rational CLI flag; Fraction alone also
 # reads 1e200000 (a 664,386-bit numerator), 0.5, ' 1_0 ' and other scripts' digits

@@ -376,9 +376,7 @@ def _psi_k_recursive(pear: PearsonPair, frame: HahnFrame, k: int) -> Poly:
 
 
 def _theta2_definitional(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
-    """theta_2(x; n) from its defining combination d_{2n} phi + q psi^[n] psi^[n-1]."""
-    if n < 1:
-        raise ValueError("theta2 needs n >= 1")
+    """theta_2(x; n) from its defining combination d_{2n} phi + q psi^[n] psi^[n-1], for n >= 1."""
     return d_n(pear, frame, 2 * n) * phi_poly(pear) + frame.q * (
         psi_k(pear, frame, n) * psi_k(pear, frame, n - 1)
     )
@@ -430,13 +428,13 @@ def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
     # x^2 = Y_2 + omega Y_1, so gamma_1 y_0^2 = (y_2 + omega y_1) y_0 - y_1^2; a zero y_0 leaves gamma_1 undefined
     bad = [n for n, (pp, (m0, m1, m2)) in enumerate(zip(derived, (v.moments[:3] for v in walk)))
            if not m0 or classical.gamma_coefficient(pp, frame, 0) * m0 * m0 != (m2 + frame.omega * m1) * m0 - m1 * m1]
-    checks.append(Check("gamma1_of_derived_functional", f"gamma_1^[n] mismatch at n={bad[-1]}" if bad else ""))
+    checks.append(Check("gamma1_of_derived_functional", f"gamma_1^[n] mismatch at n={bad[0]}" if bad else ""))
 
     rng = random.Random(7)
     rs = [r_polynomial(pear, frame, Poly.monomial(n) + (random_poly(rng, n - 1) if n else Poly())) for n in range(7)]
     bad = [n for n, r in enumerate(rs) if r.degree() != n + 1 or r.leading() != q ** (1 - n) * d_n(pear, frame, n)]
     checks.append(Check("r_polynomial_leading_coefficient",
-                        f"R_{{n+1}} leading coefficient wrong at n={bad[-1]}" if bad else ""))
+                        f"R_{{n+1}} leading coefficient wrong at n={bad[0]}" if bad else ""))
     return checks
 
 

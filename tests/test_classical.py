@@ -290,6 +290,21 @@ def test_norms_suite_fails_on_a_faulty_e_n(monkeypatch, name):
                       "gamma1_of_derived_functional": "gamma_1^[n] mismatch at n=2"}
 
 
+def test_norms_suite_names_the_first_faulty_e_n(monkeypatch):
+    # every e_n from n = 2 on is wrong, so each derived pair from k = 2 on fails; the check names the first
+    failed = _failed_norms(monkeypatch, "charlier", "e_n", lambda pear, frame, n: e_n(pear, frame, n) + (n >= 2))
+    assert failed["gamma1_of_derived_functional"] == "gamma_1^[n] mismatch at n=2"
+
+
+def test_norms_suite_names_the_first_faulty_r_polynomial(monkeypatch):
+    # R_{n+1} is doubled for every q_n of degree n >= 3, so its leading coefficient is wrong from n = 3 on
+    def faulty(pear, frame, q_n):
+        return r_polynomial(pear, frame, q_n) * (2 if q_n.degree() >= 3 else 1)
+
+    assert _failed_norms(monkeypatch, "charlier", "r_polynomial", faulty) == {
+        "r_polynomial_leading_coefficient": "R_{n+1} leading coefficient wrong at n=3"}
+
+
 class TestRPolynomial:
     def test_q0_constant(self):
         pear, frame = CHARLIER, Q1W1

@@ -98,6 +98,45 @@ class TestArgumentHandling:
         code, _, err = run(capsys, "classify", "--preset", "legendre")
         assert code == EXIT_INPUT
 
+    def test_unknown_preset_message(self, capsys):
+        # the message is get_preset's own text, not the repr of its KeyError
+        code, out, err = run(capsys, "classify", "--preset", "legendre")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err) == {
+            "error": "unknown preset 'legendre'; available: al-salam-carlitz, charlier, little-q-laguerre, meixner"}
+
+    @pytest.mark.parametrize("flag", ["a", "b", "c", "d", "e"])
+    def test_empty_coefficient_is_invalid(self, capsys, flag):
+        # an empty --a= once read as a = 0 and classified that pair
+        flags = {"a": "0", "b": "1", "d": "-1", flag: ""}
+        code, out, err = run(capsys, "classify", *(f"--{k}={v}" for k, v in flags.items()),
+                             "--q=1", "--omega=1", "--n", "2")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err) == {"error": f"{flag}: '' is not a rational (expected 'p' or 'p/q')"}
+
+    @pytest.mark.parametrize("argv, error", [
+        (["classify", "--preset", "legendre", "--q", "2"], "unknown preset 'legendre'"),
+        (["classify", "--preset", "charlier", "--q", "x"], "q: 'x' is not a rational"),
+        (["verify", "--suite", "identities", "--y0", "x"], "y0: 'x' is not a rational"),
+    ], ids=["preset", "q", "y0"])
+    def test_malformed_value_before_flag_rules(self, capsys, argv, error):
+        # argparse parses each value as it reads it, before any rule on which flags may be combined
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err)["error"].startswith(error)
+
+    def test_integer_past_str_digit_limit(self, capsys):
+        # int() refuses more than 4300 digits with a ValueError, which _parse_int reports as any other bad int
+        digits = "1" * 5000
+        code, out, err = run(capsys, "classify", "--preset", "charlier", "--n", digits)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err) == {"error": f"hahnpoly classify: argument --n: invalid int value: {digits!r}"}
+
+    def test_all_zero_pair_is_invalid(self, capsys):
+        code, out, err = run(capsys, "classify", "--q", "1", "--omega", "1")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err) == {"error": "phi and psi cannot both be the zero polynomial"}
+
     def test_explicit_needs_frame(self, capsys):
         code, _, err = run(capsys, "classify", "--d", "-1", "--e", "1/2")
         assert code == EXIT_INPUT
@@ -187,12 +226,17 @@ class TestClassify:
             "condition": "phi_root_condition",
         }
 
-    @pytest.mark.parametrize("y0", ["5", "-1/3", "abc"])
-    def test_y0_is_invalid_input(self, capsys, y0):
+    @pytest.mark.parametrize("y0, error", [
+        ("5", "--y0: classify reads no moment table"),
+        ("-1/3", "--y0: classify reads no moment table"),
+        # argparse parses the value before classify applies its rule
+        ("abc", "y0: 'abc' is not a rational"),
+    ], ids=["5", "-1/3", "abc"])
+    def test_y0_is_invalid_input(self, capsys, y0, error):
         # classify reads no moment table, so a --y0 it ignored would look accepted
         code, out, err = run(capsys, "classify", "--preset", "charlier", "--y0", y0)
         assert (code, out) == (EXIT_INPUT, "")
-        assert json.loads(err)["error"].startswith("--y0: classify reads no moment table")
+        assert json.loads(err)["error"].startswith(error)
 
     def test_human_format(self, capsys):
         code, out, _ = run(
@@ -546,8 +590,10 @@ def test_pair_flags_shared(command):
     flags = ["--a=1", "--b=2", "--c=3", "--d=4", "--e=5", "--q=6", "--omega=7",
              "--preset=charlier", "--n=8", "--y0=9", "--format=csv"]
     args = build_parser().parse_args([command, *flags])
-    assert (args.a, args.b, args.c, args.d, args.e, args.q, args.omega) == tuple("1234567")
-    assert (args.preset, args.n, args.y0, args.format) == ("charlier", 8, "9", "csv")
+    # each value is parsed by its flag's argparse type
+    assert (args.a, args.b, args.c, args.d, args.e, args.q, args.omega) == tuple(range(1, 8))
+    assert all(type(v) is F for v in (args.a, args.b, args.c, args.d, args.e, args.q, args.omega, args.y0))
+    assert (args.preset, args.n, args.y0, args.format) == (PRESETS["charlier"], 8, 9, "csv")
 
 
 class TestOutOfRangeInput:
@@ -640,6 +686,50 @@ class TestPresets:
         lines = out.strip().splitlines()
         assert lines[0] == "name,a,b,c,d,e,q,omega"
         assert len(lines) == 5
+
+
+class TestPinnedText:
+    """Exact csv and human text of paths the JSON cases above do not reach."""
+
+    def test_verify_csv(self, capsys):
+        code, out, err = run(capsys, "verify", "--preset", "charlier", "--suite", "gram", "--n", "3", "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (
+            "name,passed,detail\n"
+            "charlier:pearson_residual_zero,True,\n"
+            "charlier:gram_off_diagonal_zero,True,\n"
+            "charlier:gram_diagonal_product_of_gammas,True,\n"
+        )
+
+    def test_presets_human(self, capsys):
+        code, out, err = run(capsys, "presets", "--format", "human")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "".join(f"{name}: {p.description}\n" for name, p in PRESETS.items())
+        assert out.splitlines()[0] == (
+            "charlier: q=1, omega=1, phi=x, psi=1/2-x; forward-difference lattice, beta_n=n+1/2, gamma_{n+1}=(n+1)/2")
+
+    def test_classify_human_not_regular(self, capsys):
+        code, out, err = run(capsys, "classify", "--b=1", "--d=-2", "--e=1", "--q=1", "--omega=1", "--n", "4",
+                             "--format", "human")
+        assert (code, err) == (EXIT_NEGATIVE, "")
+        assert out == "not regular: phi_root_condition at n=1\npsi has degree one: True\n"
+
+    def test_recurrence_human_with_zero_coefficients(self, capsys):
+        # an odd P_n has no constant term, and Poly's repr skips each zero coefficient
+        code, out, err = run(capsys, "recurrence", "--a=0", "--b=0", "--c=1", "--d=-1", "--e=0", "--q=1/2",
+                             "--omega=0", "--n", "3", "--format", "human")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (
+            "n=0: beta=0 gamma=-\n"
+            "n=1: beta=0 gamma=2\n"
+            "n=2: beta=0 gamma=12\n"
+            "n=3: beta=0 gamma=56\n"
+            "P_0 = Poly(1)\n"
+            "P_1 = Poly(1*x)\n"
+            "P_2 = Poly(-2 + 1*x^2)\n"
+            "P_3 = Poly(-14*x + 1*x^3)\n"
+            "P_4 = Poly(112 + -70*x^2 + 1*x^4)\n"
+        )
 
 
 def _random_regular_pairs(count):

@@ -289,6 +289,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="'1e3' is not a rational"):
             MomentFunctional.from_json_dict(data)
 
+    @pytest.mark.parametrize("field, value", [("basis", "monomial"), ("maxDegree", 7), ("maxDegree", 0)])
+    def test_json_fields_restating_the_moments_must_agree(self, field, value):
+        # basis "monomial" or maxDegree 7 once built the two-entry Y table silently
+        data = {"frame": {"q": "2", "omega": "1"}, "basis": "Y", "moments": ["1", "2"], "maxDegree": 1}
+        assert MomentFunctional.from_json_dict(data).moments == (1, 2)
+        data[field] = value
+        with pytest.raises(ValueError, match=f"expected basis 'Y' and maxDegree 1, got .*{value}"):
+            MomentFunctional.from_json_dict(data)
+
+    @pytest.mark.parametrize("field", ["basis", "maxDegree"])
+    def test_json_field_restating_the_moments_is_required(self, field):
+        data = solve_moments(CHARLIER, Q1W1, 1, 3).to_json_dict()
+        del data[field]
+        with pytest.raises(ValueError, match="expected basis 'Y' and maxDegree 3, got"):
+            MomentFunctional.from_json_dict(data)
+
+    @pytest.mark.parametrize("depth", [0, 1, 8])
+    def test_json_round_trip_at_each_depth(self, depth):
+        u = solve_moments(CHARLIER, HahnFrame(F(1, 2), F(1)), F(-2, 3), depth)
+        v = MomentFunctional.from_json_dict(u.to_json_dict())
+        assert (v.frame, v.moments, v.to_json_dict()) == (u.frame, u.moments, u.to_json_dict())
+
     def test_rationals_rendered_as_strings(self):
         u = functional_of(Q1W1, [F(1, 3)])
         assert u.to_json_dict()["moments"] == ["1/3"]

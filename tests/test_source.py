@@ -177,6 +177,38 @@ def test_library_has_no_unreferenced_privates():
     assert SOURCES and not found, found
 
 
+def _reads(node, owners=frozenset()):
+    """The names node reads by name or attribute, less a def's or class's reads of its own name."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        owners |= {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in owners:
+        yield node.id
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr not in owners:
+        yield node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, owners)
+
+
+def _readerless(names, trees) -> list[str]:
+    """The names in names that no tree reads; an import or an assignment alone is no read."""
+    read = {name for tree in trees for name in _reads(tree)}
+    return [name for name in names if name not in read]
+
+
+def test_readerless_export_lint_detects():
+    trees = [ast.parse("Alias = int\ndef own(n):\n    return own(n - 1)\nclass Used: pass\n"),
+             ast.parse("from m import Alias, own\nimport m\nm.by_attribute\nUsed()")]
+    assert _readerless(["Alias", "own", "Used", "by_attribute", "absent"], trees) == ["Alias", "own", "absent"]
+
+
+def test_every_export_has_a_reader():
+    # a public name that nothing in the library, tests, demos or bench reads is dead API; __init__.py only re-exports
+    paths = [p for p in SOURCES if p.name != "__init__.py"]
+    paths += sorted(p for folder in ("tests", "demos", "bench") for p in (REPO / folder).rglob("*.py"))
+    found = _readerless(hahnpoly.__all__, [ast.parse(path.read_text(), filename=str(path)) for path in paths])
+    assert hahnpoly.__all__ and not found, found
+
+
 def _unused_parameters(tree) -> list[str]:
     """Parameters, self and cls aside, that their function's body never reads (nested bodies count).
 
