@@ -1,41 +1,36 @@
-"""Command-line surface.
+"""Command-line surface: `hahnpoly <command> [--flag value ...]`, read by _parse from the table COMMANDS.
 
-Exit codes: 0 success, 1 invalid input, 2 classification negative
-(admissibility/regularity failure), 3 verification mismatch, 4 any other
-error a command raises (today only Python's 4300-digit str limit, while
-rendering), printed as {"error": "<type>: <message>"} on stderr with stdout
-empty, 141 stdout closed by its reader before the output was written
-(128 + SIGPIPE).
-Rationals are always rendered as strings like "3/7", never floats.
-A rational flag is `p` or `p/q` in decimal digits with an optional sign, the grammar of qnum.as_scalar;
-an empty value, decimals, exponents and any other form are invalid input (exit 1). An integer flag (`--n`,
-`--test-degree`, `--fuzz-moment`) and `$HAHNPOLY_DEPTH` are `[+-]?[0-9]+`: ASCII digits with an optional sign,
-so `1_2`, ` 12` and digits of other scripts are invalid input (exit 1) too. Each flag's value (`--preset` too) is
-parsed as argparse reads it, so a malformed one is reported before the rules on which flags may be combined.
-`verify --suite` takes a name from verify.SUITES, or `all` for each of them in
-that order; a check passes exactly when its detail is empty.
-`verify --fuzz-moment` and `verify --y0` are read only by the gram suite, and
-`verify --test-degree` (0..MAX_DEPTH, default 8) only by the rodrigues suite:
-with a --suite that does not run the suite that reads it (`all` runs both), such a flag is invalid input.
-`classify` reads no moment table, so `classify --y0` is invalid input too.
+Exit codes: 0 success, 1 invalid input, 2 classification negative (admissibility/regularity failure),
+3 verification mismatch, 4 any other error a command raises (today only Python's 4300-digit str limit, while
+rendering), printed as {"error": "<type>: <message>"} on stderr with stdout empty, 141 stdout closed by its reader
+before the output was written (128 + SIGPIPE). Rationals are always rendered as strings like "3/7", never floats.
+A flag is read only by its exact long name, as `--flag value` or `--flag=value`; no prefix is read (`--om` is
+invalid input, not `--omega`). The token after a flag is its value, verbatim, so `--y0 -1/3` reads -1/3. A repeated
+flag keeps its last value. Each value (`--preset` too) is parsed as it is read, so a malformed one is reported
+before the rules on which flags may be combined. A rational flag is `p` or `p/q` in decimal digits with an optional
+sign, the grammar of qnum.as_scalar; an empty value, decimals, exponents and any other form are invalid input (exit
+1). An integer flag (`--n`, `--test-degree`, `--fuzz-moment`) and `$HAHNPOLY_DEPTH` are `[+-]?[0-9]+`: ASCII digits
+with an optional sign, so `1_2`, ` 12` and digits of other scripts are invalid input (exit 1) too.
+`verify --suite` takes a name from verify.SUITES, or `all` for each of them in that order; a check passes exactly
+when its detail is empty. `verify --fuzz-moment` and `verify --y0` are read only by the gram suite, and
+`verify --test-degree` (0..MAX_DEPTH, default 8) only by the rodrigues suite: with a --suite that does not run the
+suite that reads it (`all` runs both), such a flag is invalid input. `classify` reads no moment table, so
+`classify --y0` is invalid input too.
 At --n N a verify suite exits 2 only on a failure inside its window: gram y_0..y_max(2N,21) and the
 recurrence to N; rodrigues, at n_max = min(5, N), y_0..y_D with D = verify.moment_depth_for(n_max) and
 the recurrence to max(n_max - 1, 0) without regularity; norms y_0..y_16 and P_0..P_8, its derived-pair
 recurrences to 7 - k (k <= 3) reading no d_m past d_15; identities no pair.
-The depth, `--n` or `$HAHNPOLY_DEPTH`, lies in 0..MAX_DEPTH (10 000); any other
-value is invalid input, rejected before any table is built.
-Each command builds only the format it prints, and builds all of its text
-before the first write, in every format, so a failure while rendering (Python's
-4300-digit str limit, exit 4) leaves stdout empty. `recurrence --format json` writes
-its text straight from the integer rows of P_0..P_{N+1}, byte-identical to
-json.dumps(payload, indent=2). csv and human never build that text, so
-`recurrence --format csv` never expands a P_n, and `--format human` expands only
-the P_0..P_4 it prints. The other commands print json.dumps of their payload.
+The depth, `--n` or `$HAHNPOLY_DEPTH`, lies in 0..MAX_DEPTH (10 000); any other value is invalid input, rejected
+before any table is built.
+Each command builds only the format it prints, and builds all of its text before the first write, in every format,
+so a failure while rendering (Python's 4300-digit str limit, exit 4) leaves stdout empty. `recurrence --format json`
+writes its text straight from the integer rows of P_0..P_{N+1}, byte-identical to json.dumps(payload, indent=2).
+csv and human never build that text, so `recurrence --format csv` never expands a P_n, and `--format human` expands
+only the P_0..P_4 it prints. The other commands print json.dumps of their payload.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -43,6 +38,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 from math import gcd
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from .qnum import AdmissibilityError, HahnFrame, PearsonPair, as_scalar
@@ -60,9 +56,6 @@ EXIT_PIPE = 141
 DEPTH_ENV = "HAHNPOLY_DEPTH"
 # the largest depth a command accepts; a table that deep already takes minutes at q = 1
 MAX_DEPTH = 10_000
-# argparse reads a token like -1/3 as an option, not as the value of the flag before it
-_FLAG = re.compile(r"--[^=]+")
-_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
 # an integer flag is decimal digits with an optional sign; int() alone also reads 1_2, ' 12' and other scripts' digits
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
@@ -71,16 +64,8 @@ class InputError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument error is an InputError (exit 1 with JSON), not argparse's usage text and exit 2."""
-
-    def error(self, message):
-        raise InputError(f"{self.prog}: {message}")
-
-
 def _parse_rational(text: str, field: str) -> Fraction:
-    """The type of the rational flag --field. Its InputError leaves parse_args as raised, for main to print:
-    argparse converts only an ArgumentTypeError, TypeError or ValueError that a type raises."""
+    """The type of the rational flag --field; its InputError carries the whole message."""
     try:  # as_scalar also rejects a zero denominator, and more digits than int() reads
         return as_scalar(text)
     except ValueError:
@@ -88,7 +73,7 @@ def _parse_rational(text: str, field: str) -> Fraction:
 
 
 def _parse_preset(name: str) -> Preset:
-    """The type of --preset; its InputError leaves parse_args as _parse_rational's does."""
+    """The type of --preset; its InputError carries get_preset's message."""
     try:
         return get_preset(name)
     except KeyError as exc:
@@ -96,13 +81,13 @@ def _parse_preset(name: str) -> Preset:
 
 
 def _parse_int(text: str) -> int:
-    """The type of the integer flags; argparse reports the error as `argument --n: invalid int value: 'x'`."""
+    """The type of the integer flags; _parse reports the ValueError as `argument --n: invalid int value: 'x'`."""
     if _INTEGER.fullmatch(text):
         try:
             return int(text)
         except ValueError:  # more digits than int() reads
             pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    raise ValueError(f"invalid int value: {text!r}")
 
 
 def _depth(args, default: int) -> int:
@@ -111,7 +96,7 @@ def _depth(args, default: int) -> int:
     if depth is None:
         try:
             depth = default if raw is None else _parse_int(raw)
-        except argparse.ArgumentTypeError:
+        except ValueError:
             raise InputError(f"{DEPTH_ENV}: {raw!r} is not an integer") from None
     if not 0 <= depth <= MAX_DEPTH:
         raise InputError(f"depth (--n or ${DEPTH_ENV}) must be in 0..{MAX_DEPTH}, got {depth}")
@@ -132,14 +117,11 @@ def _resolve_pair(args) -> tuple[PearsonPair, HahnFrame]:
         if any(getattr(args, f) is not None for f in ("a", "b", "c", "d", "e", "q", "omega")):
             raise InputError("--preset is mutually exclusive with explicit pair/frame flags")
         return args.preset.pear, args.preset.frame
-    if args.q is None or args.omega is None:
-        raise InputError("an explicit pair needs --q and --omega (or use --preset)")
     frame = _resolve_frame(args)
     try:  # an absent coefficient is 0
-        pear = PearsonPair(*(getattr(args, f) or 0 for f in ("a", "b", "c", "d", "e")))
+        return PearsonPair(*(getattr(args, f) or 0 for f in ("a", "b", "c", "d", "e"))), frame
     except ValueError as exc:
         raise InputError(str(exc))
-    return pear, frame
 
 
 def _dumped(payload):
@@ -190,6 +172,7 @@ def _emit(fmt: str, json_chunks, human_lines, csv_rows):
 
 
 def cmd_classify(args) -> int:
+    """regularity report for a pair"""
     pear, frame = _resolve_pair(args)
     depth = _depth(args, 12)
     if args.y0 is not None:
@@ -214,6 +197,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_recurrence(args) -> int:
+    """beta_n, gamma_n and the monic polynomials"""
     pear, frame = _resolve_pair(args)
     depth = _depth(args, 12)
     y0 = args.y0 if args.y0 is not None else Fraction(1)
@@ -244,6 +228,7 @@ def cmd_recurrence(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    """Y-basis and power-basis moment tables"""
     pear, frame = _resolve_pair(args)
     depth = _depth(args, DEFAULT_DEPTH)
     y0 = args.y0 if args.y0 is not None else Fraction(1)
@@ -271,6 +256,7 @@ def cmd_moments(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """run exact verification suites"""
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     pear = frame = None
     pair_flags = any(getattr(args, f) is not None for f in ("a", "b", "c", "d", "e"))
@@ -327,6 +313,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_presets(args) -> int:
+    """list the shipped preset catalog"""
     def payload():
         return {
             name: {
@@ -351,74 +338,81 @@ def cmd_presets(args) -> int:
     return EXIT_OK
 
 
-def _pair_flags() -> argparse.ArgumentParser:
-    """The flags that classify, recurrence, moments and verify share, built once."""
-    flags = argparse.ArgumentParser(add_help=False)
-    rational = {f: partial(_parse_rational, field=f) for f in ("a", "b", "c", "d", "e", "q", "omega", "y0")}
-    for flag in ("a", "b", "c", "d", "e"):
-        flags.add_argument(f"--{flag}", type=rational[flag], help=f"coefficient {flag} as a rational string")
-    flags.add_argument("--q", type=rational["q"], help="frame parameter q as a rational string")
-    flags.add_argument("--omega", type=rational["omega"], help="frame parameter omega as a rational string")
-    flags.add_argument("--preset", type=_parse_preset, help="named preset (mutually exclusive with explicit flags)")
-    flags.add_argument("--n", type=_parse_int, help=f"depth (default from ${DEPTH_ENV})")
-    flags.add_argument("--y0", type=rational["y0"], help="value of <u, 1> as a rational string (default 1)")
-    flags.add_argument("--format", choices=["json", "csv", "human"], default="json")
-    return flags
+def _parse_choice(names: tuple[str, ...], text: str) -> str:
+    """The type of --format and --suite: one of names, spelt in full."""
+    if text not in names:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})")
+    return text
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="hahnpoly",
-        description="Classify Pearson pairs for the Hahn operator and generate/verify "
-        "their orthogonal polynomial sequences, in exact rational arithmetic.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)  # subparsers are _Parser too
-    pair_flags = [_pair_flags()]
-
-    p = sub.add_parser("classify", parents=pair_flags, help="regularity report for a pair")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("recurrence", parents=pair_flags, help="beta_n, gamma_n and the monic polynomials")
-    p.set_defaults(func=cmd_recurrence)
-
-    p = sub.add_parser("moments", parents=pair_flags, help="Y-basis and power-basis moment tables")
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("verify", parents=pair_flags, help="run exact verification suites")
-    p.add_argument("--suite", choices=[*SUITES, "all"], default="all")
-    p.add_argument("--test-degree", type=_parse_int)
-    p.add_argument("--fuzz-moment", type=_parse_int,
-                   help="corrupt moment y_k before the gram suite (expected to fail)")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("presets", help="list the shipped preset catalog")
-    p.add_argument("--format", choices=["json", "csv", "human"], default="json")
-    p.set_defaults(func=cmd_presets)
-
-    return parser
+_FORMAT = partial(_parse_choice, ("json", "csv", "human"))
+_PAIR_FLAGS = {
+    **{f"--{f}": partial(_parse_rational, field=f) for f in ("a", "b", "c", "d", "e", "q", "omega", "y0")},
+    "--preset": _parse_preset,
+    "--n": _parse_int,
+    "--format": _FORMAT,
+}
+# each command: its handler and {flag: value parser}; an absent flag is None, save the two below
+COMMANDS = {
+    "classify": (cmd_classify, _PAIR_FLAGS),
+    "recurrence": (cmd_recurrence, _PAIR_FLAGS),
+    "moments": (cmd_moments, _PAIR_FLAGS),
+    "verify": (cmd_verify, {**_PAIR_FLAGS, "--suite": partial(_parse_choice, (*SUITES, "all")),
+                            "--test-degree": _parse_int, "--fuzz-moment": _parse_int}),
+    "presets": (cmd_presets, {"--format": _FORMAT}),
+}
+_DEFAULTS = {"--format": "json", "--suite": "all"}
 
 
-_parser = None  # built on the first main call; $HAHNPOLY_DEPTH is read per call, not here
+def _help(command: str | None):
+    """Print the usage text of -h and --help, built from COMMANDS, and exit 0."""
+    if command is None:
+        lines = (f"  {name:<11} {handler.__doc__ or ''}" for name, (handler, _) in COMMANDS.items())
+        text = f"usage: hahnpoly {{{','.join(COMMANDS)}}} ...\n\n" + "\n".join(lines)
+    else:
+        handler, flags = COMMANDS[command]
+        options = (f"[{flag} {{{','.join(parse.args[0])}}}]" if getattr(parse, "func", None) is _parse_choice
+                   else f"[{flag} {flag[2:].upper()}]" for flag, parse in flags.items())
+        text = f"usage: hahnpoly {command} [-h] {' '.join(options)}\n\n{handler.__doc__ or ''}"
+    print(text)
+    raise SystemExit(0)
 
 
-def _join_negative_fractions(argv: list[str]) -> list[str]:
-    """['--y0', '-1/3'] becomes ['--y0=-1/3'], which argparse reads as the flag's value."""
-    out = []
-    for token in argv:
-        if out and _FLAG.fullmatch(out[-1]) and _NEGATIVE_FRACTION.fullmatch(token):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
+def _parse(argv: list[str]):
+    """(handler, args) for argv: a command, then flags from its COMMANDS entry, in the grammar the module states.
+
+    Each value is parsed as it is read; -h or --help prints the usage text.
+    """
+    command, *tokens = argv or [None]
+    if command in ("-h", "--help"):
+        _help(None)
+    if command not in COMMANDS:
+        raise InputError("hahnpoly: the following arguments are required: command" if command is None else
+                         f"hahnpoly: argument command: invalid choice: {command!r} "
+                         f"(choose from {', '.join(map(repr, COMMANDS))})")
+    handler, flags = COMMANDS[command]
+    values = {flag: _DEFAULTS.get(flag) for flag in flags}
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _help(command)
+        flag, eq, text = token.partition("=")
+        if flag not in flags:
+            raise InputError(f"hahnpoly {command}: unrecognized arguments: {token}")
+        if not eq and (text := next(tokens, None)) is None:
+            raise InputError(f"hahnpoly {command}: argument {flag}: expected one argument")
+        try:
+            values[flag] = flags[flag](text)
+        except ValueError as exc:  # an InputError (a rational's or preset's message) passes as raised
+            raise InputError(f"hahnpoly {command}: argument {flag}: {exc}") from None
+    # --test-degree is read as args.test_degree
+    return handler, SimpleNamespace(**{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(_join_negative_fractions(sys.argv[1:] if argv is None else argv))
-        code = args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        code = handler(args)
         sys.stdout.flush()
         return code
     except InputError as exc:

@@ -134,11 +134,19 @@ class MomentFunctional:
 
     @staticmethod
     def from_json_dict(data: dict) -> "MomentFunctional":
-        """The table that to_json_dict wrote: basis "Y", maxDegree len(moments) - 1, each rational 'p' or 'p/q'."""
-        top, basis, moments = data.get("maxDegree"), data.get("basis"), data["moments"]
-        if basis != "Y" or top != len(moments) - 1:
+        """The table that to_json_dict wrote: a frame of strings q and omega, basis "Y", moments a list of strings,
+        maxDegree len(moments) - 1, each rational 'p' or 'p/q'. Any other shape raises ValueError naming the field."""
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {data!r}")
+        frame, moments = data.get("frame"), data.get("moments")
+        if not (isinstance(frame, dict) and all(isinstance(frame.get(k), str) for k in ("q", "omega"))):
+            raise ValueError(f"frame: expected an object with strings q and omega, got {frame!r}")
+        if not (isinstance(moments, list) and all(isinstance(m, str) for m in moments)):
+            raise ValueError(f"moments: expected a list of strings, got {moments!r:.80}")
+        top, basis = data.get("maxDegree"), data.get("basis")
+        if basis != "Y" or type(top) is not int or top != len(moments) - 1:
             raise ValueError(f"expected basis 'Y' and maxDegree {len(moments) - 1}, got {basis!r} and {top!r}")
-        return MomentFunctional(HahnFrame(data["frame"]["q"], data["frame"]["omega"]), moments)
+        return MomentFunctional(HahnFrame(frame["q"], frame["omega"]), moments)
 
 
 def _times(nums: Iterable[int], dens: Iterable[int], cns: Iterable[int], cds: Iterable[int]) -> tuple[list, list]:

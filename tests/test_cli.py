@@ -21,7 +21,8 @@ from hahnpoly.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_PIPE,
-    build_parser,
+    COMMANDS,
+    _parse,
     main,
 )
 from hahnpoly.classical import PRESETS, RecurrenceTable, check_regular, recurrence
@@ -120,7 +121,7 @@ class TestArgumentHandling:
         (["verify", "--suite", "identities", "--y0", "x"], "y0: 'x' is not a rational"),
     ], ids=["preset", "q", "y0"])
     def test_malformed_value_before_flag_rules(self, capsys, argv, error):
-        # argparse parses each value as it reads it, before any rule on which flags may be combined
+        # _parse parses each value as it reads it, before any rule on which flags may be combined
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_INPUT, "")
         assert json.loads(err)["error"].startswith(error)
@@ -137,10 +138,14 @@ class TestArgumentHandling:
         assert (code, out) == (EXIT_INPUT, "")
         assert json.loads(err) == {"error": "phi and psi cannot both be the zero polynomial"}
 
-    def test_explicit_needs_frame(self, capsys):
-        code, _, err = run(capsys, "classify", "--d", "-1", "--e", "1/2")
-        assert code == EXIT_INPUT
-        assert "--q" in json.loads(err)["error"]
+    @pytest.mark.parametrize("argv", [["classify", "--d", "-1", "--e", "1/2"], ["classify", "--d=-1", "--q=1"],
+                                      ["verify", "--suite", "identities", "--omega", "1"]],
+                             ids=lambda argv: " ".join(argv))
+    def test_explicit_needs_frame(self, capsys, argv):
+        # a pair and a frame alone report the one missing-frame message
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err) == {"error": "an explicit frame needs --q and --omega (or use --preset)"}
 
     def test_degenerate_frame_is_input_error(self, capsys):
         code, _, _ = run(capsys, "classify", "--d", "1", "--q", "1", "--omega", "0")
@@ -154,7 +159,7 @@ class TestArgumentHandling:
         ]
     ])
     def test_argument_error_exits_with_json(self, capsys, argv, names):
-        # argparse would print usage and exit 2, the code for a negative classification
+        # an argument error is invalid input, not exit 2, the code for a negative classification
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_INPUT, "")
         assert names in json.loads(err)["error"]
@@ -165,7 +170,7 @@ class TestArgumentHandling:
         (["classify", "--b", "1", "--e", "1/2", "--q", "1", "--omega", "1"], "--d", "-3/2"),
     ], ids=["y0", "e", "d"])
     def test_negative_fraction_value(self, capsys, base, flag, value):
-        # argparse alone reads -1/3 as an option and reports "expected one argument"
+        # the token after a flag is its value, even when it starts with "-"
         split = run(capsys, *base, flag, value)
         assert split == run(capsys, *base, f"{flag}={value}")
         assert split[0] != EXIT_INPUT and split[2] == ""
@@ -188,10 +193,8 @@ class TestArgumentHandling:
         assert len(json.loads(out)["moments"]) == 4
 
     def test_depth_env_var_read_per_call(self, capsys, monkeypatch):
-        # the parser is built once per process; the depth variable is still read on every call
-        builds = []
-        monkeypatch.setattr(cli, "_parser", None)
-        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        # the flag table is built once, at import; the depth variable is still read on every call
+        table = {name: dict(flags) for name, (_, flags) in COMMANDS.items()}
         checked = []
         for depth in ("3", "5"):
             monkeypatch.setenv("HAHNPOLY_DEPTH", depth)
@@ -199,7 +202,7 @@ class TestArgumentHandling:
             assert code == EXIT_OK
             checked.append(json.loads(out)["checkedDThrough"])
         assert checked == [7, 11]
-        assert builds == [1]
+        assert {name: flags for name, (_, flags) in COMMANDS.items()} == table
 
     def test_depth_env_var_invalid(self, capsys, monkeypatch):
         monkeypatch.setenv("HAHNPOLY_DEPTH", "three")
@@ -229,7 +232,7 @@ class TestClassify:
     @pytest.mark.parametrize("y0, error", [
         ("5", "--y0: classify reads no moment table"),
         ("-1/3", "--y0: classify reads no moment table"),
-        # argparse parses the value before classify applies its rule
+        # _parse parses the value before classify applies its rule
         ("abc", "y0: 'abc' is not a rational"),
     ], ids=["5", "-1/3", "abc"])
     def test_y0_is_invalid_input(self, capsys, y0, error):
@@ -382,8 +385,11 @@ class TestCheckRecord:
 
 class TestSuiteList:
     def test_suite_choices(self):
-        sub = next(a for a in build_parser()._actions if a.dest == "command").choices["verify"]
-        assert next(a for a in sub._actions if a.dest == "suite").choices == [*verify.SUITES, "all"]
+        for suite in [*verify.SUITES, "all"]:
+            assert _parse(["verify", "--suite", suite])[1].suite == suite
+        with pytest.raises(cli.InputError) as exc:
+            _parse(["verify", "--suite", "gramm"])
+        assert str(exc.value).endswith(f"(choose from {', '.join(map(repr, [*verify.SUITES, 'all']))})")
 
     def test_suite_all_lists_every_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--preset", "charlier", "--suite", "all", "--n", "2")
@@ -589,11 +595,86 @@ def test_closed_stdout_exits_141():
 def test_pair_flags_shared(command):
     flags = ["--a=1", "--b=2", "--c=3", "--d=4", "--e=5", "--q=6", "--omega=7",
              "--preset=charlier", "--n=8", "--y0=9", "--format=csv"]
-    args = build_parser().parse_args([command, *flags])
-    # each value is parsed by its flag's argparse type
+    handler, args = _parse([command, *flags])
+    assert handler is COMMANDS[command][0]
+    # each value is parsed by its flag's value parser
     assert (args.a, args.b, args.c, args.d, args.e, args.q, args.omega) == tuple(range(1, 8))
     assert all(type(v) is F for v in (args.a, args.b, args.c, args.d, args.e, args.q, args.omega, args.y0))
     assert (args.preset, args.n, args.y0, args.format) == (PRESETS["charlier"], 8, 9, "csv")
+
+
+# for each flag in COMMANDS: a value, and another value to be overridden by it
+FLAG_SAMPLES = {
+    **{f"--{f}": ("-1/3", "7") for f in ("a", "b", "c", "d", "e", "q", "omega", "y0")},
+    "--preset": ("charlier", "meixner"),
+    "--n": ("3", "5"),
+    "--format": ("csv", "human"),
+    "--suite": ("gram", "norms"),
+    "--test-degree": ("2", "4"),
+    "--fuzz-moment": ("1", "2"),
+}
+GRAMMAR_CASES = [(command, flag) for command, (_, flags) in COMMANDS.items() for flag in flags]
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("command, flag", GRAMMAR_CASES, ids=[" ".join(case) for case in GRAMMAR_CASES])
+    def test_flag_forms(self, capsys, command, flag):
+        value, other = FLAG_SAMPLES[flag]
+        parsed = vars(_parse([command, flag, value])[1])
+        assert parsed[flag[2:].replace("-", "_")] is not None
+        assert vars(_parse([command, f"{flag}={value}"])[1]) == parsed
+        # the last occurrence wins
+        assert vars(_parse([command, f"{flag}={other}", flag, value])[1]) == parsed
+        bad = {(command, flag): f"argument {flag}: expected one argument"}
+        if len(flag) > 3:  # a prefix names no flag
+            bad[(command, flag[:-1], value)] = f"unrecognized arguments: {flag[:-1]}"
+        for argv, error in bad.items():
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (EXIT_INPUT, ""), argv
+            assert json.loads(err) == {"error": f"hahnpoly {command}: {error}"}, argv
+
+    @pytest.mark.parametrize("argv, error", [
+        (["classify", "--om", "1", "--q", "2", "--d", "1"], "hahnpoly classify: unrecognized arguments: --om"),
+        (["verify", "--fuzz", "3"], "hahnpoly verify: unrecognized arguments: --fuzz"),
+        (["verify", "--suite", "rodrigues", "--test", "3"], "hahnpoly verify: unrecognized arguments: --test"),
+        (["classify", "--bogus", "1"], "hahnpoly classify: unrecognized arguments: --bogus"),
+        (["classify", "charlier"], "hahnpoly classify: unrecognized arguments: charlier"),
+        (["presets", "--n", "3"], "hahnpoly presets: unrecognized arguments: --n"),
+        (["moments", "--preset", "charlier", "--n"], "hahnpoly moments: argument --n: expected one argument"),
+        ([], "hahnpoly: the following arguments are required: command"),
+        (["nope"], "hahnpoly: argument command: invalid choice: 'nope' "
+                   "(choose from 'classify', 'recurrence', 'moments', 'verify', 'presets')"),
+    ], ids=lambda case: " ".join(case) if isinstance(case, list) else None)
+    def test_malformed_argv_exits_with_json(self, capsys, argv, error):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err) == {"error": error}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_flag(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--format", "csv", flag])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert out.startswith(f"usage: hahnpoly {command} [-h] ")
+        assert all(f"[{f} " in out for f in COMMANDS[command][1])
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_names_every_command(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert all(f"  {command} " in out for command in COMMANDS)
+
+    def test_no_argparse_in_a_fresh_process(self):
+        # argparse built its tree of parsers on the first main call of every process; COMMANDS is read instead
+        env = dict(os.environ, PYTHONPATH=str(Path(hahnpoly.__file__).parents[1]))
+        child = "import sys; from hahnpoly import cli; cli.main(['presets']); print('argparse' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestOutOfRangeInput:
@@ -631,7 +712,7 @@ class TestDepthBound:
     @staticmethod
     def run_measured(capsys, *argv):
         """run(capsys, *argv), with its wall time and its tracemalloc peak."""
-        main(["presets"])  # build the parser outside the measurement
+        main(["presets"])  # import and warm the CLI outside the measurement
         capsys.readouterr()
         tracemalloc.start()
         start = time.perf_counter()
@@ -668,7 +749,7 @@ class TestDepthBound:
         assert "HAHNPOLY_DEPTH" in json.loads(err)["error"]
 
     def test_bound_is_inclusive(self):
-        args = build_parser().parse_args(["classify", "--n", str(cli.MAX_DEPTH)])
+        _, args = _parse(["classify", "--n", str(cli.MAX_DEPTH)])
         assert cli._depth(args, 12) == cli.MAX_DEPTH == 10_000
 
 

@@ -289,7 +289,8 @@ class TestSerialization:
         with pytest.raises(ValueError, match="'1e3' is not a rational"):
             MomentFunctional.from_json_dict(data)
 
-    @pytest.mark.parametrize("field, value", [("basis", "monomial"), ("maxDegree", 7), ("maxDegree", 0)])
+    @pytest.mark.parametrize("field, value", [("basis", "monomial"), ("maxDegree", 7), ("maxDegree", 0),
+                                              ("maxDegree", "1"), ("maxDegree", True), ("maxDegree", 1.0)])
     def test_json_fields_restating_the_moments_must_agree(self, field, value):
         # basis "monomial" or maxDegree 7 once built the two-entry Y table silently
         data = {"frame": {"q": "2", "omega": "1"}, "basis": "Y", "moments": ["1", "2"], "maxDegree": 1}
@@ -303,6 +304,26 @@ class TestSerialization:
         data = solve_moments(CHARLIER, Q1W1, 1, 3).to_json_dict()
         del data[field]
         with pytest.raises(ValueError, match="expected basis 'Y' and maxDegree 3, got"):
+            MomentFunctional.from_json_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("moments", "12"), ("moments", None), ("moments", [1, 2]), ("moments", ["1", 2]), ("moments", {"0": "1"}),
+        ("frame", None), ("frame", "2"), ("frame", {"q": "2"}), ("frame", {"q": 2, "omega": "1"}),
+        ("frame", {"q": "2", "omega": 1}), ("frame", ["2", "1"]),
+    ])
+    def test_json_reads_only_what_to_json_dict_writes(self, field, value):
+        # "moments": "12" once built the table (1, 2), one moment per character
+        data = {"frame": {"q": "2", "omega": "1"}, "basis": "Y", "moments": ["1", "2"], "maxDegree": 1}
+        if value is None:
+            del data[field]
+        else:
+            data[field] = value
+        with pytest.raises(ValueError, match=f"^{field}: expected "):
+            MomentFunctional.from_json_dict(data)
+
+    @pytest.mark.parametrize("data", [["1", "2"], "{}", None])
+    def test_json_must_be_an_object(self, data):
+        with pytest.raises(ValueError, match="expected a JSON object"):
             MomentFunctional.from_json_dict(data)
 
     @pytest.mark.parametrize("depth", [0, 1, 8])
