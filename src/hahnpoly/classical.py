@@ -280,21 +280,26 @@ def _chebyshev_rows(
     frame None. Each row is an integer vector over one positive denominator: the three
     terms are brought over the lcm of theirs. A Y-coefficient row is then divided by its
     content, so it is the canonical form of P_k; a sigma row is not, and is read by value.
+    Its denominators nest, den_k = den_{k-1} r_k, so den_k = den_{k-2} lcm(r_{k-1} t b_den, g_den).
     """
     first, shift = (moments, 1) if moments is not None else (([1], 1), -1)
     count = max(len(first[0]) - 1, depth + 1)  # the nodes the longest row after r_0 reads
     nodes, t = ([0] * count, 1) if frame is None else _y_node_ints(frame, count)
     prev, prev_d = [], 1
     cur, cur_d = first
+    r = cur_d  # den_0 over the den_{-1} = 1 of the empty row
     rows = [first]
     for k in range(1, depth + 1):
         b = table.beta[k - 1]
         g = table.gamma[k - 1] if k >= 2 else 0
-        den = lcm(cur_d * t * b.denominator, prev_d * g.denominator)
-        # (t_l - beta) r[l] over den is r[l] (nodes[l] nb - bt), and r[l + shift] is r[l + shift] s
-        f = den // (cur_d * t * b.denominator)
+        if moments is None:
+            den = lcm(cur_d * t * b.denominator, prev_d * g.denominator)
+            f, sg = den // (cur_d * t * b.denominator), den // (prev_d * g.denominator) * g.numerator
+        else:
+            m = lcm(r * t * b.denominator, g.denominator)
+            f, sg, den, r = m // (r * t * b.denominator), m // g.denominator * g.numerator, prev_d * m, m // r
+        # (t_l - beta) r[l] over den is r[l] (nodes[l] nb - bt), r[l + shift] is r[l + shift] s; sg is 0 at k = 1
         nb, bt, s = f * b.denominator, f * b.numerator * t, f * t * b.denominator
-        sg = den // (prev_d * g.denominator) * g.numerator  # 0 at k = 1
         ahead = cur[1:] if shift > 0 else [0] + cur
         nxt = [s * a + (node * nb - bt) * c - sg * p
                for a, node, c, p in zip(ahead, nodes, cur + [0], chain(prev, repeat(0)))]

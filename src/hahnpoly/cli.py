@@ -12,14 +12,16 @@ sign, the grammar of qnum.as_scalar; an empty value, decimals, exponents and any
 1). An integer flag (`--n`, `--test-degree`, `--fuzz-moment`) and `$HAHNPOLY_DEPTH` are `[+-]?[0-9]+`: ASCII digits
 with an optional sign, so `1_2`, ` 12` and digits of other scripts are invalid input (exit 1) too.
 `verify --suite` takes a name from verify.SUITES, or `all` for each of them in that order; a check passes exactly
-when its detail is empty. `verify --fuzz-moment` and `verify --y0` are read only by the gram suite, and
-`verify --test-degree` (0..MAX_DEPTH, default 8) only by the rodrigues suite: with a --suite that does not run the
-suite that reads it (`all` runs both), such a flag is invalid input. `classify` reads no moment table, so
+when its detail is empty. `identities` runs first, on the given frame or on the 14 verify.default_frames(); then each
+pair suite of PAIR_SUITES runs on the given pair, its checks named `pair:<check>` (`<preset>:<check>` with --preset),
+or on every preset in turn when no pair is given. `verify --fuzz-moment` and `verify --y0` are read only by the gram
+suite, and `verify --test-degree` (0..MAX_DEPTH, default 8) only by the rodrigues suite: with a --suite that does not
+run the suite that reads it (`all` runs both), such a flag is invalid input. `classify` reads no moment table, so
 `classify --y0` is invalid input too.
-At --n N a verify suite exits 2 only on a failure inside its window: gram y_0..y_max(2N,21) and the
-recurrence to N; rodrigues, at n_max = min(5, N), y_0..y_D with D = verify.moment_depth_for(n_max) and
-the recurrence to max(n_max - 1, 0) without regularity; norms y_0..y_16 and P_0..P_8, its derived-pair
-recurrences to 7 - k (k <= 3) reading no d_m past d_15; identities no pair.
+At --n N a verify suite exits 2 only on a failure inside its window: gram y_0..y_max(2N,21) and the recurrence to N;
+rodrigues, at n_max = min(5, N) and without regularity, y_0..y_D with D = verify.moment_depth_for(n_max) and the
+recurrence to max(n_max - 1, 0); norms y_0..y_16 and P_0..P_8, its derived-pair recurrences to 7 - k (k <= 3)
+reading no d_m past d_15; identities no pair.
 The depth, `--n` or `$HAHNPOLY_DEPTH`, lies in 0..MAX_DEPTH (10 000); any other value is invalid input, rejected
 before any table is built.
 Each command builds only the format it prints, and builds all of its text before the first write, in every format,
@@ -44,7 +46,7 @@ from typing import Iterable, Iterator
 from .qnum import AdmissibilityError, HahnFrame, PearsonPair, as_scalar
 from .functional import DEFAULT_DEPTH, solve_moments
 from .classical import PRESETS, Preset, RecurrenceTable, RegularityError, check_regular, get_preset, recurrence
-from .verify import SUITES, SuiteArgumentError, run_suites
+from .verify import SUITES, Check, SuiteArgumentError, gram_suite, identities_suite, norms_suite, rodrigues_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -255,6 +257,19 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
+# the pair suites in SUITES order, each run on (args, pear, frame) with args.n the depth, and the flags only it reads;
+# each lambda reads its suite as a global when it runs, so a rebinding of the suite is seen
+PAIR_SUITES = {
+    "gram": (lambda args, pear, frame: gram_suite(
+        pear, frame, args.n, Fraction(1) if args.y0 is None else args.y0, args.fuzz_moment), ("--fuzz-moment", "--y0")),
+    # the Rodrigues formula holds without regularity; only admissibility is needed
+    "rodrigues": (lambda args, pear, frame: rodrigues_suite(
+        pear, frame, min(5, args.n), 8 if args.test_degree is None else args.test_degree, require_regular=False),
+        ("--test-degree",)),
+    "norms": (lambda args, pear, frame: norms_suite(pear, frame), ()),
+}
+
+
 def cmd_verify(args) -> int:
     """run exact verification suites"""
     suites = list(SUITES) if args.suite == "all" else [args.suite]
@@ -267,24 +282,22 @@ def cmd_verify(args) -> int:
             frame = _resolve_frame(args)
     elif args.preset is not None or pair_flags or frame_flags:
         pear, frame = _resolve_pair(args)
-    depth = _depth(args, 8)
-    test_degree = 8 if args.test_degree is None else args.test_degree
-    if not 0 <= test_degree <= MAX_DEPTH:
-        raise InputError(f"--test-degree must be in 0..{MAX_DEPTH}, got {test_degree}")
-    y0 = args.y0 if args.y0 is not None else Fraction(1)
-    for suite, flags in (("gram", (("--fuzz-moment", args.fuzz_moment), ("--y0", args.y0))),
-                         ("rodrigues", (("--test-degree", args.test_degree),))):
-        unread = [f for f, v in flags if v is not None]
+    args.n = _depth(args, 8)  # the resolved depth, as PAIR_SUITES reads it
+    if args.test_degree is not None and not 0 <= args.test_degree <= MAX_DEPTH:
+        raise InputError(f"--test-degree must be in 0..{MAX_DEPTH}, got {args.test_degree}")
+    for suite, (_, flags) in PAIR_SUITES.items():
+        unread = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
         if unread and suite not in suites:
-            raise InputError(
-                f"{' and '.join(unread)}: read only by the {suite} suite, which --suite {args.suite} does not run"
-            )
+            raise InputError(f"{' and '.join(unread)}: read only by the {suite} suite, "
+                             f"which --suite {args.suite} does not run")
+    runs = [run for suite, (run, _) in PAIR_SUITES.items() if suite in suites]
+    label = args.preset.name if args.preset is not None else "pair"
+    targets = [(pear, frame, label)] if pear is not None else [(p.pear, p.frame, p.name) for p in PRESETS.values()]
     try:
-        checks = run_suites(
-            pear, frame, suites,
-            depth=depth, test_degree=test_degree, y0=y0, fuzz_moment=args.fuzz_moment,
-            label=args.preset.name if args.preset is not None else "pair",
-        )
+        checks = identities_suite([frame] if frame is not None else None) if "identities" in suites else []
+        for pp, fr, name in targets:
+            for run in runs:
+                checks += [Check(f"{name}:{c.name}", c.detail) for c in run(args, pp, fr)]
     except SuiteArgumentError as exc:
         raise InputError(str(exc))
     except (AdmissibilityError, RegularityError) as exc:

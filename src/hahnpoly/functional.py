@@ -377,14 +377,15 @@ def pearson_residual(pear: PearsonPair, u: MomentFunctional, depth: int) -> list
         raise InsufficientMomentsError(f"residual to depth {depth} needs a moment table of degree >= {need}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    return _residual_ints(phi, psi, u.frame, *u._over_lcm(depth + 2), depth)
+    return [Fraction(n, d) for n, d in _residual_ints(phi, psi, u.frame, *u._over_lcm(depth + 2), depth)]
 
 
 def _residual_ints(
     phi: Poly, psi: Poly, frame: HahnFrame, y: Sequence[int], den: int, depth: int
-) -> list[Fraction]:
+) -> list[tuple[int, int]]:
     """pearson_residual on the moments y[k] / den, which must reach the degree it checks; reads y_0..y_{depth+1}.
 
+    Entry n is an unreduced (num, den), so a zero test reads num alone and takes no gcd.
     On integers: V_n, W_n are the numerators of phi u, psi u from _horner, N_n/t the nodes and
     q = qn/qd. dist_L's forward substitution gives <L(phi u), Y_n> = O_n/(qn^(n+1) t^n S_V) with
     O_n = qd^(n+1) t^n V_n - qd N_n O_{n-1}, and [n]_q = b_n/qd^(n-1) over the b_n of _brackets then gives
@@ -397,11 +398,11 @@ def _residual_ints(
     w, pw = _horner([c * (cd // psi.den) for c in psi.nums or (0,)], y, nodes, t)
     qn, qd = frame.q.numerator, frame.q.denominator
     scale = den * cd * pv * pw
-    out = [Fraction(-w[0] * pv, scale)]
+    out = [(-w[0] * pv, scale)]
     o, a, g = 0, 1, qn  # a = (qd t)^n, g = qn^(n+1)
     for n, b in enumerate(_brackets(frame.q, depth)[1:]):  # b = b_{n+1}
         o = qd * (a * v[n] - nodes[n] * o)
-        out.append(Fraction(-b * o * pw - w[n + 1] * a * g * pv, a * g * scale))
+        out.append((-b * o * pw - w[n + 1] * a * g * pv, a * g * scale))
         a, g = a * qd * t, g * qn
     return out
 

@@ -49,8 +49,9 @@ def as_scalar(x: ScalarLike) -> Fraction:
     if isinstance(x, str):
         if not _RATIONAL.fullmatch(x):
             raise ValueError(f"{x!r} is not a rational (expected 'p' or 'p/q')")
-        try:
-            return Fraction(x)
+        num, _, den = x.partition("/")
+        try:  # int() raises ValueError past 4300 digits, as Fraction(x) does
+            return Fraction(int(num), int(den or 1))
         except ZeroDivisionError:
             raise ValueError(f"{x!r} has a zero denominator") from None
     return Fraction(x)

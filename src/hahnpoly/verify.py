@@ -269,7 +269,7 @@ def gram_suite(
     if fuzz_moment is not None:
         nums[fuzz_moment] += den
     residual = _residual_ints(phi_poly(pear), psi_poly(pear), frame, nums, den, RESIDUAL_DEPTH)
-    bad = [i for i, r in enumerate(residual) if r != 0]
+    bad = [i for i, (r, _) in enumerate(residual) if r]
     checks.append(Check(
         "pearson_residual_zero", f"nonzero residual at Y-degrees {bad[:4]} (cell {bad[0]})" if bad else ""
     ))
@@ -435,38 +435,4 @@ def norms_suite(pear: PearsonPair, frame: HahnFrame) -> list[Check]:
     bad = [n for n, r in enumerate(rs) if r.degree() != n + 1 or r.leading() != q ** (1 - n) * d_n(pear, frame, n)]
     checks.append(Check("r_polynomial_leading_coefficient",
                         f"R_{{n+1}} leading coefficient wrong at n={bad[0]}" if bad else ""))
-    return checks
-
-
-def run_suites(
-    pear: Optional[PearsonPair],
-    frame: Optional[HahnFrame],
-    suites: list[str],
-    depth: int = 10,
-    test_degree: int = 8,
-    y0: Fraction = Fraction(1),
-    fuzz_moment: Optional[int] = None,
-    label: str = "pair",
-) -> list[Check]:
-    unknown = [s for s in suites if s not in SUITES]
-    if unknown:
-        raise SuiteArgumentError(f"unknown suites {unknown}; the suites are {', '.join(SUITES)}")
-    checks = []
-    if "identities" in suites:
-        checks += identities_suite(frames=[frame] if frame is not None else None)
-    # the suites run once per (pair, frame) target, in this order
-    runners = {
-        "gram": lambda pp, fr: gram_suite(pp, fr, depth, y0, fuzz_moment),
-        # the Rodrigues formula holds without regularity; only admissibility is needed
-        "rodrigues": lambda pp, fr: rodrigues_suite(pp, fr, min(5, depth), test_degree, require_regular=False),
-        "norms": norms_suite,
-    }
-    chosen = [run for suite, run in runners.items() if suite in suites]
-    if pear is None:
-        targets = [(p.pear, p.frame, p.name) for p in classical.PRESETS.values()]
-    else:
-        targets = [(pear, frame, label)]
-    for pp, fr, name in targets:
-        for run in chosen:
-            checks += [Check(f"{name}:{c.name}", c.detail) for c in run(pp, fr)]
     return checks

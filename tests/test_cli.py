@@ -396,19 +396,19 @@ class TestSuiteList:
         assert code == EXIT_OK
         assert json.loads(out)["suites"] == list(verify.SUITES)
 
-    def test_unknown_suite_raises(self):
-        # a misspelt suite would otherwise run nothing and read as a pass on zero checks
-        preset = hahnpoly.get_preset("charlier")
-        with pytest.raises(verify.SuiteArgumentError, match="'gramm'.*gram, rodrigues, norms, identities"):
-            verify.run_suites(preset.pear, preset.frame, ["gramm"])
-        with pytest.raises(verify.SuiteArgumentError):
-            verify.run_suites(None, None, ["identities", "all"])
-
-    def test_every_listed_suite_runs(self):
-        preset = hahnpoly.get_preset("charlier")
+    def test_every_listed_suite_runs(self, capsys):
         for suite in verify.SUITES:
-            checks = verify.run_suites(preset.pear, preset.frame, [suite], depth=4)
-            assert checks and all(c.passed for c in checks), suite
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--preset", "charlier", "--n", "4")
+            checks = json.loads(out)["checks"]
+            assert code == EXIT_OK and checks and all(c["passed"] for c in checks), suite
+
+    def test_table_runs_the_pair_suites_then_identities(self):
+        # `verify --suite all` lists SUITES; the command runs identities first, then the pair suites per target
+        assert (*cli.PAIR_SUITES, "identities") == verify.SUITES
+
+
+# a value for each flag of cli.PAIR_SUITES; a suite that reads a new flag adds its value here
+SUITE_FLAG_VALUES = {"--fuzz-moment": "3", "--y0": "5", "--test-degree": "3"}
 
 
 class TestVerify:
@@ -464,6 +464,17 @@ class TestVerify:
         assert (code, out) == (EXIT_INPUT, "")
         assert json.loads(err) == {
             "error": f"--test-degree: read only by the rodrigues suite, which --suite {suite} does not run"
+        }
+
+    @pytest.mark.parametrize("suite, flag, chosen", [
+        (suite, flag, chosen) for suite, (_, flags) in cli.PAIR_SUITES.items() for flag in flags
+        for chosen in verify.SUITES if chosen != suite
+    ])
+    def test_each_suite_flag_without_its_suite(self, capsys, suite, flag, chosen):
+        code, out, err = run(capsys, "verify", "--suite", chosen, "--preset", "charlier", flag, SUITE_FLAG_VALUES[flag])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert json.loads(err) == {
+            "error": f"{flag}: read only by the {suite} suite, which --suite {chosen} does not run"
         }
 
     def test_gram_flags_with_suite_all(self, capsys):

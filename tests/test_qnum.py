@@ -2,6 +2,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hahnpoly.qnum import (
     AdmissibilityError,
@@ -32,6 +33,22 @@ class TestRationalGrammar:
     def test_any_other_string_is_a_value_error(self, text):
         # Fraction alone reads 1e5 as 100000, 0.5 as 1/2 and ' 1_0 ' as 10
         with pytest.raises(ValueError):
+            as_scalar(text)
+
+    @given(st.sampled_from(["", "+", "-"]), st.text("0123456789", min_size=1, max_size=30),
+           st.none() | st.text("0", min_size=1, max_size=3) | st.text("0123456789", min_size=1, max_size=30))
+    def test_grammar_reads_as_fraction_reads(self, sign, num, den):
+        # signs, leading zeros and zero denominators; as_scalar parses the digits once, Fraction(text) again
+        text = sign + num + ("" if den is None else "/" + den)
+        if den is not None and int(den) == 0:
+            with pytest.raises(ValueError, match="has a zero denominator"):
+                as_scalar(text)
+        else:
+            assert as_scalar(text) == F(text)
+
+    @pytest.mark.parametrize("text", ["1" * 4301, "-1/" + "1" * 4301, "1" * 4301 + "/0"])
+    def test_past_the_digit_limit_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="4300 digits"):
             as_scalar(text)
 
     def test_tall_exponent_frame_raises_at_once(self):
