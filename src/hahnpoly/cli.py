@@ -1,9 +1,13 @@
 """Command-line surface: `hahnpoly <command> [--flag value ...]`, read by _parse from the table COMMANDS.
 
-Exit codes: 0 success, 1 invalid input, 2 classification negative (admissibility/regularity failure),
-3 verification mismatch, 4 any other error a command raises (today only Python's 4300-digit str limit, while
-rendering), printed as {"error": "<type>: <message>"} on stderr with stdout empty, 141 stdout closed by its reader
-before the output was written (128 + SIGPIPE). Rationals are always rendered as strings like "3/7", never floats.
+Exit codes and their stderr; a cmd_* function raises each failure and main answers it, so one failure prints one
+JSON shape whichever command raised it. 0 success, stderr empty. 1 invalid input, {"error": "<message>"}.
+2 classification negative: classify prints its report on stdout, stderr empty; otherwise stdout is empty and an
+AdmissibilityError prints {"error", "index"}, with "momentDegree" when a moment table raised it, a RegularityError
+{"error", "report"} with classify's report, and `recurrence --y0 0` {"error"}. 3 verification mismatch, stderr
+empty. 4 any other error a command raises (today only Python's 4300-digit str limit, while rendering),
+{"error": "<type>: <message>"} with stdout empty. 141 stdout closed by its reader before the output was written
+(128 + SIGPIPE), stderr empty. Rationals are always rendered as strings like "3/7", never floats.
 A flag is read only by its exact long name, as `--flag value` or `--flag=value`; no prefix is read (`--om` is
 invalid input, not `--omega`). The token after a flag is its value, verbatim, so `--y0 -1/3` reads -1/3. A repeated
 flag keeps its last value. Each value (`--preset` too) is parsed as it is read, so a malformed one is reported
@@ -206,11 +210,7 @@ def cmd_recurrence(args) -> int:
     if y0 == 0:  # the paper's u is nonzero
         print(json.dumps({"error": "y0 = 0: the zero functional has no orthogonal sequence"}), file=sys.stderr)
         return EXIT_NEGATIVE
-    try:
-        table = recurrence(pear, frame, depth, y0)
-    except RegularityError as exc:
-        print(json.dumps({"error": str(exc), "report": exc.report.to_json_dict()}), file=sys.stderr)
-        return EXIT_NEGATIVE
+    table = recurrence(pear, frame, depth, y0)
 
     def human():
         for n in range(depth + 1):
@@ -234,11 +234,7 @@ def cmd_moments(args) -> int:
     pear, frame = _resolve_pair(args)
     depth = _depth(args, DEFAULT_DEPTH)
     y0 = args.y0 if args.y0 is not None else Fraction(1)
-    try:
-        u = solve_moments(pear, frame, y0, depth)
-    except AdmissibilityError as exc:
-        print(json.dumps({"error": str(exc), "index": exc.index}), file=sys.stderr)
-        return EXIT_NEGATIVE
+    u = solve_moments(pear, frame, y0, depth)
     power = u.power_moments()
 
     def payload():
@@ -293,19 +289,10 @@ def cmd_verify(args) -> int:
     runs = [run for suite, (run, _) in PAIR_SUITES.items() if suite in suites]
     label = args.preset.name if args.preset is not None else "pair"
     targets = [(pear, frame, label)] if pear is not None else [(p.pear, p.frame, p.name) for p in PRESETS.values()]
-    try:
-        checks = identities_suite([frame] if frame is not None else None) if "identities" in suites else []
-        for pp, fr, name in targets:
-            for run in runs:
-                checks += [Check(f"{name}:{c.name}", c.detail) for c in run(args, pp, fr)]
-    except SuiteArgumentError as exc:
-        raise InputError(str(exc))
-    except (AdmissibilityError, RegularityError) as exc:
-        error = {"error": str(exc)}
-        if getattr(exc, "moment_degree", None) is not None:
-            error["momentDegree"] = exc.moment_degree  # a suite's table can read past classify's d-scan
-        print(json.dumps(error), file=sys.stderr)
-        return EXIT_NEGATIVE
+    checks = identities_suite([frame] if frame is not None else None) if "identities" in suites else []
+    for pp, fr, name in targets:
+        for run in runs:
+            checks += [Check(f"{name}:{c.name}", c.detail) for c in run(args, pp, fr)]
     passed = all(c.passed for c in checks)
 
     def payload():
@@ -428,9 +415,16 @@ def main(argv=None) -> int:
         code = handler(args)
         sys.stdout.flush()
         return code
-    except InputError as exc:
+    except (InputError, SuiteArgumentError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
+    except AdmissibilityError as exc:  # a moment table's failure also names the degree it was solving for
+        error = {"error": str(exc), "index": exc.index, "momentDegree": exc.moment_degree}
+        print(json.dumps({k: v for k, v in error.items() if v is not None}), file=sys.stderr)
+        return EXIT_NEGATIVE
+    except RegularityError as exc:
+        print(json.dumps({"error": str(exc), "report": exc.report.to_json_dict()}), file=sys.stderr)
+        return EXIT_NEGATIVE
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

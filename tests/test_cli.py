@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -22,6 +23,7 @@ from hahnpoly.cli import (
     EXIT_OK,
     EXIT_PIPE,
     COMMANDS,
+    PAIR_SUITES,
     _parse,
     main,
 )
@@ -507,7 +509,16 @@ class TestVerify:
         assert run(capsys, "classify", *flags)[0] == EXIT_OK
         code, out, err = run(capsys, "verify", "--suite", "gram", *flags)
         assert (code, out) == (EXIT_NEGATIVE, "")
-        assert json.loads(err) == {"error": "admissibility failure: d_15 = 0", "momentDegree": 21}
+        assert json.loads(err) == {"error": "admissibility failure: d_15 = 0", "index": 15, "momentDegree": 21}
+
+    def test_gram_irregular_pair_carries_the_report(self, capsys):
+        # phi's root condition fails at n=0; the gram suite's recurrence to --n 8 raises with classify's report
+        flags = ["--b", "1", "--d=-1", "--q", "1", "--omega", "1", "--n", "8"]
+        code, out, _ = run(capsys, "classify", *flags)
+        assert code == EXIT_NEGATIVE
+        code, out_verify, err = run(capsys, "verify", "--suite", "gram", *flags)
+        assert (code, out_verify) == (EXIT_NEGATIVE, "")
+        assert json.loads(err) == {"error": "regularity failure: phi_root_condition at n=0", "report": json.loads(out)}
 
     def test_rodrigues_route_disagreement_exits_mismatch(self, capsys, monkeypatch):
         derived_functional = verify.derived_functional
@@ -533,7 +544,7 @@ class TestVerify:
                              "--d=-1", "--e=1", "--q=1", "--omega=1")
         assert code == EXIT_NEGATIVE and out == ""
         # at n_max 5 and test degree 8 the Rodrigues suite solves its moment table to y_13
-        assert json.loads(err) == {"error": "admissibility failure: d_1 = 0", "momentDegree": 13}
+        assert json.loads(err) == {"error": "admissibility failure: d_1 = 0", "index": 1, "momentDegree": 13}
 
     def test_rodrigues_reads_no_moment_past_its_window(self, capsys):
         # d_20 = 0: classify at --n 8 scans d_0..d_17 and the Rodrigues suite solves to y_13, reading
@@ -547,7 +558,7 @@ class TestVerify:
         assert all(c["passed"] for c in checks)
         code, out, err = run(capsys, "verify", "--suite", "all", *flags)
         assert (code, out) == (EXIT_NEGATIVE, "")
-        assert json.loads(err) == {"error": "admissibility failure: d_20 = 0", "momentDegree": 21}
+        assert json.loads(err) == {"error": "admissibility failure: d_20 = 0", "index": 20, "momentDegree": 21}
 
     @pytest.mark.parametrize("d", ["-11", "-10"])
     def test_rodrigues_reads_no_recurrence_past_its_rows(self, capsys, d):
@@ -861,12 +872,20 @@ def test_json_output_is_canonical(capsys, flags, pear, frame, depth):
     assert json.loads(outputs["recurrence"]) == ref.recurrence_payload(table.beta, table.gamma)
 
 
+# the stderr keys of an exit 2 from a command that raised: an admissibility failure names its index, and a moment
+# table's also the degree it was solving for; a regularity failure carries classify's report
+NEGATIVE_KEYS = tuple(map(frozenset, ({"error", "index"}, {"error", "index", "momentDegree"}, {"error", "report"})))
+
+
 def test_error_contract_census(capsys):
-    # small seeded pairs, free or with some d_m = 0, over the default frames: no command may end in the
-    # catch-all exit 4, and a nonzero exit that prints nothing on stdout explains itself as JSON on stderr
+    # small seeded pairs, free or with some d_m = 0, over the default frames, through every pair suite and
+    # every format: no command may end in the catch-all exit 4, exit 1 prints {"error"}, and exit 2 prints
+    # classify's report on stdout or one of NEGATIVE_KEYS on stderr
     rng = random.Random(37)
     values = [F(p, r) for p in range(-3, 4) for r in (1, 2, 3)]
+    formats = itertools.cycle(("json", "csv", "human"))
     codes = set()
+    negative_keys = set()
     for frame in verify.default_frames() * 8:
         coeffs = dict(zip("abcde", (rng.choice(values) for _ in range(5))))
         if rng.random() < 0.3:  # d_m = 0 for some m <= 12
@@ -875,10 +894,21 @@ def test_error_contract_census(capsys):
             coeffs["d"] = -coeffs["a"] * ref.q_bracket(m, frame.q) / frame.q**m
         flags = [f"--{k}={v}" for k, v in coeffs.items()] + [f"--q={frame.q}", f"--omega={frame.omega}"]
         depth = str(rng.randint(0, 12))
-        for command in (["classify"], ["recurrence"], ["moments"], ["verify", "--suite", "gram"]):
-            code, out, err = run(capsys, *command, *flags, "--n", depth)
-            assert code in (EXIT_OK, EXIT_INPUT, EXIT_NEGATIVE, EXIT_MISMATCH), (command, flags, depth, err)
-            assert err == "" or isinstance(json.loads(err), dict), (command, flags, depth)
-            assert code == EXIT_OK or out or err, (command, flags, depth)
+        for command in (["classify"], ["recurrence"], ["moments"],
+                        *(["verify", "--suite", suite] for suite in PAIR_SUITES)):
+            call = (*command, *flags, "--n", depth, "--format", next(formats))
+            code, out, err = run(capsys, *call)
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_NEGATIVE, EXIT_MISMATCH), (call, err)
+            quiet = code in (EXIT_OK, EXIT_MISMATCH) or (code, command) == (EXIT_NEGATIVE, ["classify"])
+            assert (err == "") == quiet, (call, err)
+            keys = frozenset(json.loads(err)) if err else None
+            if code == EXIT_NEGATIVE and keys:
+                assert keys in NEGATIVE_KEYS, (call, err)
+                negative_keys.add(keys)
+            elif keys:
+                assert keys == {"error"}, (call, err)
+            assert code == EXIT_OK or out or err, call
             codes.add(code)
     assert {EXIT_OK, EXIT_NEGATIVE} <= codes
+    # these pairs fail admissibility only inside a moment table, which names its degree
+    assert negative_keys == set(NEGATIVE_KEYS[1:])

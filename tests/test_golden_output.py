@@ -7,7 +7,8 @@ three formats at depths 0, 3 and 12; `verify --suite all` on each preset; the
 identities suite on the default frames and on one frame; eight random pairs
 regular to depth 20, one on each of the benchmark's frame kinds, one of them
 with a corrupted moment; and moments and recurrence on one pair with tall,
-unrelated denominators in csv and human at depth 24.
+unrelated denominators in csv and human at depth 24; and four calls that exit 2
+with JSON on stderr, one for each way a command can fail on its pair.
 """
 
 import hashlib
@@ -32,8 +33,16 @@ PAIRS = [
 ]
 # a pair and frame with tall, unrelated denominators, regular to depth 30
 TALL_FLAGS = ["--a=7/11", "--b=-5/13", "--c=3/17", "--d=-19/23", "--e=2/29", "--q=31/37", "--omega=5/41"]
+# moments on an inadmissible pair, recurrence on an irregular one, and the gram and rodrigues suites on pairs
+# that classify's scan accepts at their depth but whose moment tables reach a d_m = 0
+NEGATIVE_CALLS = [
+    ["moments", "--a=1", "--c=1", "--d=-3/4", "--e=1", "--q=2", "--omega=0"],
+    ["recurrence", "--b=1", "--d=-1", "--q=1", "--omega=1"],
+    ["verify", "--suite", "gram", "--a=1", "--c=1", "--d=-15", "--e=1", "--q=1", "--omega=1", "--n", "6"],
+    ["verify", "--suite", "rodrigues", "--a=1", "--b=0", "--c=1", "--d=-1", "--e=1", "--q=1", "--omega=1"],
+]
 # the digest of golden_calls(); change it only with a change of output that is meant
-GOLDEN_SHA256 = "bed09725e271510c6a38ca2b02a8535daf20b0a8ff4d7a07073d3f42a254d6fd"
+GOLDEN_SHA256 = "e669c4e4e6998e49aa068c85b305f51341ba7d0aea2efd407f3719ccba58de07"
 
 
 def golden_calls() -> list[list[str]]:
@@ -50,7 +59,7 @@ def golden_calls() -> list[list[str]]:
         calls.append([*command, *flags, f"--q={q}", f"--omega={omega}", "--n=20"])
     calls += [[command, *TALL_FLAGS, f"--format={fmt}", "--n=24"]
               for command in ("moments", "recurrence") for fmt in ("csv", "human")]
-    return calls
+    return calls + NEGATIVE_CALLS
 
 
 def test_cli_output_digest(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from types import ModuleType
 import pytest
 
 import hahnpoly
+from hahnpoly import cli
 
 REPO = Path(__file__).resolve().parents[1]
 SOURCES = sorted(Path(hahnpoly.__file__).parent.glob("*.py"))
@@ -519,6 +520,35 @@ def test_library_has_no_frozen_slotted_dataclass():
         for line in _frozen_slotted_dataclasses(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert SOURCES and not found, found
+
+
+# try/except* from Python 3.11 on; 3.10 has only ast.Try
+TRY_NODES = (ast.Try, getattr(ast, "TryStar", ast.Try))
+
+
+def _command_try_lines(tree) -> list[str]:
+    """The try statements inside the module's cmd_* functions, nested ones included, as name:line."""
+    return [f"{func.name}:{node.lineno}" for func in tree.body
+            if isinstance(func, ast.FunctionDef) and func.name.startswith("cmd_")
+            for node in ast.walk(func) if isinstance(node, TRY_NODES)]
+
+
+def test_command_try_lint_detects():
+    code = ("def cmd_a(args):\n    try:\n        f()\n    except ValueError:\n        return 2\n"
+            "def cmd_b(args):\n    def inner():\n        try:\n            g()\n        finally:\n            h()\n"
+            "    return inner()\n"
+            "def cmd_c(args):\n    return 0\n"
+            "def _helper(args):\n    try:\n        f()\n    except ValueError:\n        pass\n")
+    assert _command_try_lines(ast.parse(code)) == ["cmd_a:2", "cmd_b:8"]
+
+
+def test_commands_leave_failures_to_main():
+    # a command raises and cli.main maps each failure to its exit code and stderr JSON, so one exception prints
+    # one JSON shape whichever command raised it
+    tree = ast.parse(Path(cli.__file__).read_text(), filename=cli.__file__)
+    found = _command_try_lines(tree)
+    assert any(node.name.startswith("cmd_") for node in tree.body if isinstance(node, ast.FunctionDef)), "no cmd_*"
+    assert not found, found
 
 
 def _python_floor() -> tuple[int, int]:
