@@ -15,13 +15,13 @@ before the rules on which flags may be combined. A rational flag is `p` or `p/q`
 sign, the grammar of qnum.as_scalar; an empty value, decimals, exponents and any other form are invalid input (exit
 1). An integer flag (`--n`, `--test-degree`, `--fuzz-moment`) and `$HAHNPOLY_DEPTH` are `[+-]?[0-9]+`: ASCII digits
 with an optional sign, so `1_2`, ` 12` and digits of other scripts are invalid input (exit 1) too.
-`verify --suite` takes a name from verify.SUITES, or `all` for each of them in that order; a check passes exactly
-when its detail is empty. `identities` runs first, on the given frame or on the 14 verify.default_frames(); then each
-pair suite of PAIR_SUITES runs on the given pair, its checks named `pair:<check>` (`<preset>:<check>` with --preset),
-or on every preset in turn when no pair is given. `verify --fuzz-moment` and `verify --y0` are read only by the gram
-suite, and `verify --test-degree` (0..MAX_DEPTH, default 8) only by the rodrigues suite: with a --suite that does not
-run the suite that reads it (`all` runs both), such a flag is invalid input. `classify` reads no moment table, so
-`classify --y0` is invalid input too.
+`verify --suite` takes a name from SUITES, the pair suites of PAIR_SUITES then `identities`, or `all` for each of them
+in that order; a check passes exactly when its detail is empty. `identities` runs first, on the given frame or on the
+14 verify.default_frames(); then each pair suite runs on the given pair, its checks named `pair:<check>`
+(`<preset>:<check>` with --preset), or on every preset in turn when no pair is given. `verify --fuzz-moment` and
+`verify --y0` are read only by the gram suite, `verify --test-degree` (0..MAX_DEPTH, default 8) only by the rodrigues
+suite, and `verify --n` only by those two: with a --suite that runs no suite that reads it (`all` runs each), such a
+flag is invalid input. `classify` reads no moment table, so `classify --y0` is invalid input too.
 At --n N a verify suite exits 2 only on a failure inside its window: gram y_0..y_max(2N,21) and the recurrence to N;
 rodrigues, at n_max = min(5, N) and without regularity, y_0..y_D with D = verify.moment_depth_for(n_max) and the
 recurrence to max(n_max - 1, 0); norms y_0..y_16 and P_0..P_8, its derived-pair recurrences to 7 - k (k <= 3)
@@ -32,11 +32,13 @@ Each command builds only the format it prints, and builds all of its text before
 so a failure while rendering (Python's 4300-digit str limit, exit 4) leaves stdout empty. `recurrence --format json`
 writes its text straight from the integer rows of P_0..P_{N+1}, byte-identical to json.dumps(payload, indent=2).
 csv and human never build that text, so `recurrence --format csv` never expands a P_n, and `--format human` expands
-only the P_0..P_4 it prints. The other commands print json.dumps of their payload.
+only the P_0..P_4 it prints. The other commands print json.dumps of their payload. A csv cell that holds a comma, a
+double quote or a newline is quoted as RFC 4180 asks; every other cell is written bare.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import re
@@ -50,7 +52,7 @@ from typing import Iterable, Iterator
 from .qnum import AdmissibilityError, HahnFrame, PearsonPair, as_scalar
 from .functional import DEFAULT_DEPTH, solve_moments
 from .classical import PRESETS, Preset, RecurrenceTable, RegularityError, check_regular, get_preset, recurrence
-from .verify import SUITES, Check, SuiteArgumentError, gram_suite, identities_suite, norms_suite, rodrigues_suite
+from .verify import Check, SuiteArgumentError, gram_suite, identities_suite, norms_suite, rodrigues_suite
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -171,7 +173,9 @@ def _emit(fmt: str, json_chunks, human_lines, csv_rows):
     if fmt == "json":
         chunks = json_chunks()
     elif fmt == "csv":
-        chunks = [",".join(str(cell) for cell in row) + "\n" for row in csv_rows()]
+        chunks = []  # one per row, as csv.writer writes it: a cell quoted per RFC 4180 where it must be
+        csv.writer(SimpleNamespace(write=chunks.append), lineterminator="\n").writerows(
+            [str(cell) for cell in row] for row in csv_rows())  # str() keeps None and True as they read
     else:
         chunks = [line + "\n" for line in human_lines()]
     sys.stdout.writelines(chunks)
@@ -253,17 +257,20 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
-# the pair suites in SUITES order, each run on (args, pear, frame) with args.n the depth, and the flags only it reads;
+# the pair suites, each run on (args, pear, frame) with args.n the depth, and the flags it reads;
 # each lambda reads its suite as a global when it runs, so a rebinding of the suite is seen
 PAIR_SUITES = {
     "gram": (lambda args, pear, frame: gram_suite(
-        pear, frame, args.n, Fraction(1) if args.y0 is None else args.y0, args.fuzz_moment), ("--fuzz-moment", "--y0")),
+        pear, frame, args.n, Fraction(1) if args.y0 is None else args.y0, args.fuzz_moment),
+        ("--fuzz-moment", "--y0", "--n")),
     # the Rodrigues formula holds without regularity; only admissibility is needed
     "rodrigues": (lambda args, pear, frame: rodrigues_suite(
         pear, frame, min(5, args.n), 8 if args.test_degree is None else args.test_degree, require_regular=False),
-        ("--test-degree",)),
+        ("--test-degree", "--n")),
     "norms": (lambda args, pear, frame: norms_suite(pear, frame), ()),
 }
+# the suites `verify --suite all` runs, in the order its JSON lists them
+SUITES = (*PAIR_SUITES, "identities")
 
 
 def cmd_verify(args) -> int:
@@ -278,14 +285,18 @@ def cmd_verify(args) -> int:
             frame = _resolve_frame(args)
     elif args.preset is not None or pair_flags or frame_flags:
         pear, frame = _resolve_pair(args)
-    args.n = _depth(args, 8)  # the resolved depth, as PAIR_SUITES reads it
+    depth = _depth(args, 8)
     if args.test_degree is not None and not 0 <= args.test_degree <= MAX_DEPTH:
         raise InputError(f"--test-degree must be in 0..{MAX_DEPTH}, got {args.test_degree}")
-    for suite, (_, flags) in PAIR_SUITES.items():
-        unread = [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
-        if unread and suite not in suites:
-            raise InputError(f"{' and '.join(unread)}: read only by the {suite} suite, "
-                             f"which --suite {args.suite} does not run")
+    unread = {}  # each given flag that no chosen suite reads, under the suites that read it
+    for flag in dict.fromkeys(f for _, flags in PAIR_SUITES.values() for f in flags):
+        readers = tuple(suite for suite, (_, flags) in PAIR_SUITES.items() if flag in flags)
+        if getattr(args, flag[2:].replace("-", "_")) is not None and set(readers).isdisjoint(suites):
+            unread.setdefault(readers, []).append(flag)
+    for readers, flags in unread.items():  # the first group raises
+        raise InputError(f"{' and '.join(flags)}: read only by the {' and '.join(readers)} suite"
+                         f"{'s' if len(readers) > 1 else ''}, which --suite {args.suite} does not run")
+    args.n = depth  # the resolved depth, as PAIR_SUITES reads it
     runs = [run for suite, (run, _) in PAIR_SUITES.items() if suite in suites]
     label = args.preset.name if args.preset is not None else "pair"
     targets = [(pear, frame, label)] if pear is not None else [(p.pear, p.frame, p.name) for p in PRESETS.values()]

@@ -56,14 +56,6 @@ class Poly:
         return tuple(map(Fraction, self.nums, repeat(self.den)))
 
     @staticmethod
-    def constant(c: ScalarLike) -> "Poly":
-        return Poly([c])
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
-
-    @staticmethod
     def monomial(n: int, c: ScalarLike = 1) -> "Poly":
         if n < 0:
             raise ValueError(f"monomial needs n >= 0, got {n}")
@@ -80,9 +72,6 @@ class Poly:
         if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
         return Fraction(self.nums[-1], self.den)
-
-    def coeff(self, k: int) -> Fraction:
-        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     def __call__(self, x: ScalarLike) -> Fraction:
         """Horner on integers: with x = xn/xd, sum_k nums[k] xn^k xd^(m-k) over den xd^m."""

@@ -61,8 +61,6 @@ FRAME_Q_VALUES = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 5), Frac
 FRAME_OMEGA_VALUES = [Fraction(0), Fraction(1), Fraction(-1, 3)]
 # the Gram suite's Pearson residual reaches Y-degree 20
 RESIDUAL_DEPTH = 20
-# the suites `verify --suite all` runs, in the order its JSON lists them
-SUITES = ("gram", "rodrigues", "norms", "identities")
 
 
 class SuiteArgumentError(ValueError):

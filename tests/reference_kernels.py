@@ -183,7 +183,7 @@ def compose_affine(f: Poly, alpha, beta) -> Poly:
     sub = Poly([beta, alpha])
     out = Poly()
     for c in reversed(f.coeffs):
-        out = mul(out, sub) + Poly.constant(c)
+        out = mul(out, sub) + Poly([c])
     return out
 
 
@@ -612,10 +612,10 @@ def phi_product(pear: PearsonPair, frame: HahnFrame, n: int) -> Poly:
 
 def recurrence_polys(beta: Sequence[Fraction], gamma: Sequence[Fraction]) -> tuple[Poly, ...]:
     """P_0..P_{N+1} by P_{n+1} = (x - beta_n) P_n - gamma_n P_{n-1}, in Poly products."""
-    x = Poly.x()
-    polys = [Poly([1]), x - Poly.constant(beta[0])]
+    x = Poly([0, 1])
+    polys = [Poly([1]), x - Poly([beta[0]])]
     for n in range(1, len(beta)):
-        polys.append(mul(x - Poly.constant(beta[n]), polys[n]) - gamma[n] * polys[n - 1])
+        polys.append(mul(x - Poly([beta[n]]), polys[n]) - gamma[n] * polys[n - 1])
     return tuple(polys)
 
 

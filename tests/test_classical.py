@@ -118,7 +118,7 @@ class TestTheta2:
     def test_leading_coefficient(self):
         pear, frame = CHARLIER, Q1W1
         for n in range(1, 6):
-            assert theta2(pear, frame, n).coeff(2) == d_n(pear, frame, 2 * n) * d_n(pear, frame, 2 * n - 1)
+            assert theta2(pear, frame, n).coeffs[2] == d_n(pear, frame, 2 * n) * d_n(pear, frame, 2 * n - 1)
 
     def test_degree_two_when_admissible(self):
         pear = PearsonPair(F(1), F(1), F(0), F(1), F(0))
@@ -151,12 +151,12 @@ class TestRecurrence:
     def test_polys_monic_and_recursive(self):
         preset = get_preset("little-q-laguerre")
         table = recurrence(preset.pear, preset.frame, 8)
-        x = Poly.x()
+        x = Poly([0, 1])
         for n, p in enumerate(table.polys):
             assert p.degree() == n and p.leading() == 1
         for n in range(1, 9):
             assert table.polys[n + 1] == (
-                (x - Poly.constant(table.beta[n])) * table.polys[n]
+                (x - Poly([table.beta[n]])) * table.polys[n]
                 - table.gamma[n] * table.polys[n - 1]
             )
 

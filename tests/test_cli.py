@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import os
@@ -30,6 +32,7 @@ from hahnpoly.cli import (
 from hahnpoly.classical import PRESETS, RecurrenceTable, check_regular, recurrence
 from hahnpoly.functional import MomentFunctional
 from hahnpoly.qnum import HahnFrame, PearsonPair
+from test_identities import _poly_fault
 
 
 def run(capsys, *argv):
@@ -385,32 +388,34 @@ class TestCheckRecord:
         }
 
 
+def _readers(flag: str) -> list[str]:
+    """The pair suites whose entry in cli.PAIR_SUITES lists flag."""
+    return [suite for suite, (_, flags) in PAIR_SUITES.items() if flag in flags]
+
+
 class TestSuiteList:
     def test_suite_choices(self):
-        for suite in [*verify.SUITES, "all"]:
+        for suite in [*cli.SUITES, "all"]:
             assert _parse(["verify", "--suite", suite])[1].suite == suite
         with pytest.raises(cli.InputError) as exc:
             _parse(["verify", "--suite", "gramm"])
-        assert str(exc.value).endswith(f"(choose from {', '.join(map(repr, [*verify.SUITES, 'all']))})")
+        assert str(exc.value).endswith(f"(choose from {', '.join(map(repr, [*cli.SUITES, 'all']))})")
 
     def test_suite_all_lists_every_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--preset", "charlier", "--suite", "all", "--n", "2")
         assert code == EXIT_OK
-        assert json.loads(out)["suites"] == list(verify.SUITES)
+        assert json.loads(out)["suites"] == list(cli.SUITES)
 
     def test_every_listed_suite_runs(self, capsys):
-        for suite in verify.SUITES:
-            code, out, _ = run(capsys, "verify", "--suite", suite, "--preset", "charlier", "--n", "4")
+        for suite in cli.SUITES:
+            depth = ["--n", "4"] if suite in _readers("--n") else []
+            code, out, _ = run(capsys, "verify", "--suite", suite, "--preset", "charlier", *depth)
             checks = json.loads(out)["checks"]
             assert code == EXIT_OK and checks and all(c["passed"] for c in checks), suite
 
-    def test_table_runs_the_pair_suites_then_identities(self):
-        # `verify --suite all` lists SUITES; the command runs identities first, then the pair suites per target
-        assert (*cli.PAIR_SUITES, "identities") == verify.SUITES
-
 
 # a value for each flag of cli.PAIR_SUITES; a suite that reads a new flag adds its value here
-SUITE_FLAG_VALUES = {"--fuzz-moment": "3", "--y0": "5", "--test-degree": "3"}
+SUITE_FLAG_VALUES = {"--fuzz-moment": "3", "--y0": "5", "--test-degree": "3", "--n": "3"}
 
 
 class TestVerify:
@@ -470,14 +475,24 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite, flag, chosen", [
         (suite, flag, chosen) for suite, (_, flags) in cli.PAIR_SUITES.items() for flag in flags
-        for chosen in verify.SUITES if chosen != suite
+        for chosen in cli.SUITES if chosen not in _readers(flag) and suite == _readers(flag)[0]
     ])
     def test_each_suite_flag_without_its_suite(self, capsys, suite, flag, chosen):
+        # the message names every suite that reads the flag; a flag that two suites read runs under the first
         code, out, err = run(capsys, "verify", "--suite", chosen, "--preset", "charlier", flag, SUITE_FLAG_VALUES[flag])
         assert (code, out) == (EXIT_INPUT, "")
+        readers = _readers(flag)
         assert json.loads(err) == {
-            "error": f"{flag}: read only by the {suite} suite, which --suite {chosen} does not run"
+            "error": f"{flag}: read only by the {' and '.join(readers)} suite{'s' if len(readers) > 1 else ''}, "
+                     f"which --suite {chosen} does not run"
         }
+
+    @pytest.mark.parametrize("suite", ["norms", "identities"])
+    def test_depth_env_is_a_default_for_every_suite(self, capsys, monkeypatch, suite):
+        # a suite that refuses --n still runs under $HAHNPOLY_DEPTH, a default that any command may ignore
+        monkeypatch.setenv(cli.DEPTH_ENV, "3")
+        code, out, err = run(capsys, "verify", "--suite", suite, "--preset", "charlier")
+        assert (code, err) == (EXIT_OK, "") and json.loads(out)["passed"]
 
     def test_gram_flags_with_suite_all(self, capsys):
         code, out, _ = run(capsys, "verify", "--preset", "charlier", "--suite", "all", "--n", "4",
@@ -872,6 +887,33 @@ def test_json_output_is_canonical(capsys, flags, pear, frame, depth):
     assert json.loads(outputs["recurrence"]) == ref.recurrence_payload(table.beta, table.gamma)
 
 
+# a csv call of each command; the last four print a cell that holds a comma or a double quote
+CSV_CALLS = [
+    ["classify", "--preset", "charlier"],
+    ["recurrence", "--preset", "meixner", "--n", "3"],
+    ["moments", "--preset", "al-salam-carlitz", "--n", "3"],
+    ["presets"],
+    ["classify", "--b=1", "--d=-1", "--q=1", "--omega=1"],
+    ["verify", "--suite", "gram", "--preset", "charlier", "--fuzz-moment", "3"],
+    ["verify", "--suite", "all", "--preset", "charlier", "--n", "3", "--fuzz-moment", "3"],
+    ["verify", "--suite", "identities"],
+]
+
+
+@pytest.mark.parametrize("argv", CSV_CALLS, ids=" ".join)
+def test_csv_rows_as_wide_as_the_header(capsys, monkeypatch, argv):
+    if argv[-1] == "identities":  # a faulty D makes the details name their case's frame, as `frame q=2, omega=1`
+        monkeypatch.setattr(verify, "op_D", _poly_fault(verify.op_D))
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_MISMATCH) and err == ""
+    header, *rows = csv.reader(io.StringIO(out))
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert any(re.search('[,"]', cell) for row in rows for cell in row) == (argv in CSV_CALLS[4:])
+    if argv[0] == "verify":  # each row reads back as the check it came from
+        checks = json.loads(run(capsys, *argv)[1])["checks"]
+        assert rows == [[c["name"], str(c["passed"]), c["detail"]] for c in checks]
+
+
 # the stderr keys of an exit 2 from a command that raised: an admissibility failure names its index, and a moment
 # table's also the degree it was solving for; a regularity failure carries classify's report
 NEGATIVE_KEYS = tuple(map(frozenset, ({"error", "index"}, {"error", "index", "momentDegree"}, {"error", "report"})))
@@ -896,7 +938,9 @@ def test_error_contract_census(capsys):
         depth = str(rng.randint(0, 12))
         for command in (["classify"], ["recurrence"], ["moments"],
                         *(["verify", "--suite", suite] for suite in PAIR_SUITES)):
-            call = (*command, *flags, "--n", depth, "--format", next(formats))
+            # verify --suite norms reads no depth, and refuses --n
+            given_depth = ["--n", depth] if command[-1] != "norms" else []
+            call = (*command, *flags, *given_depth, "--format", next(formats))
             code, out, err = run(capsys, *call)
             assert code in (EXIT_OK, EXIT_INPUT, EXIT_NEGATIVE, EXIT_MISMATCH), (call, err)
             quiet = code in (EXIT_OK, EXIT_MISMATCH) or (code, command) == (EXIT_NEGATIVE, ["classify"])

@@ -7,8 +7,10 @@ three formats at depths 0, 3 and 12; `verify --suite all` on each preset; the
 identities suite on the default frames and on one frame; eight random pairs
 regular to depth 20, one on each of the benchmark's frame kinds, one of them
 with a corrupted moment; and moments and recurrence on one pair with tall,
-unrelated denominators in csv and human at depth 24; and four calls that exit 2
-with JSON on stderr, one for each way a command can fail on its pair.
+unrelated denominators in csv and human at depth 24; four calls that exit 2
+with JSON on stderr, one for each way a command can fail on its pair; two csv
+calls whose cells hold commas and double quotes; and `--n` given to a suite
+that does not read it.
 """
 
 import hashlib
@@ -41,8 +43,14 @@ NEGATIVE_CALLS = [
     ["verify", "--suite", "gram", "--a=1", "--c=1", "--d=-15", "--e=1", "--q=1", "--omega=1", "--n", "6"],
     ["verify", "--suite", "rodrigues", "--a=1", "--b=0", "--c=1", "--d=-1", "--e=1", "--q=1", "--omega=1"],
 ]
+# csv cells quoted per RFC 4180 (a fuzzed Gram run, an irregular pair's report), and a depth no chosen suite reads
+QUOTING_AND_UNREAD_CALLS = [
+    ["verify", "--suite", "gram", "--preset", "charlier", "--fuzz-moment", "3", "--format", "csv"],
+    ["classify", "--b=1", "--d=-1", "--q=1", "--omega=1", "--format", "csv"],
+    ["verify", "--suite", "norms", "--preset", "charlier", "--n", "3"],
+]
 # the digest of golden_calls(); change it only with a change of output that is meant
-GOLDEN_SHA256 = "e669c4e4e6998e49aa068c85b305f51341ba7d0aea2efd407f3719ccba58de07"
+GOLDEN_SHA256 = "d376eac2ed302f86240583d8eb8ad01cbc7431968d09bef2ebe6fc19ca8d2199"
 
 
 def golden_calls() -> list[list[str]]:
@@ -59,7 +67,7 @@ def golden_calls() -> list[list[str]]:
         calls.append([*command, *flags, f"--q={q}", f"--omega={omega}", "--n=20"])
     calls += [[command, *TALL_FLAGS, f"--format={fmt}", "--n=24"]
               for command in ("moments", "recurrence") for fmt in ("csv", "human")]
-    return calls + NEGATIVE_CALLS
+    return calls + NEGATIVE_CALLS + QUOTING_AND_UNREAD_CALLS
 
 
 def test_cli_output_digest(capsys, monkeypatch):

@@ -459,7 +459,7 @@ class TestAtLargeHeight:
         u = MomentFunctional(frame, tuple(values))
         g = Poly([1, c])
         for f in (Poly(), Poly([c])):
-            k = f.coeff(0)  # c, or 0 for the zero polynomial
+            k = f(0)  # c, or 0 for the zero polynomial
             assert f.compose_affine(frame.q, frame.omega) == f
             assert op_D(f, frame) == Poly() and op_D_star(f, frame) == Poly()
             assert to_y_basis(f, frame) == list(f.coeffs)
